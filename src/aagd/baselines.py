@@ -9,15 +9,14 @@ are left as nan and serialize to empty cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import lambda_option1, lambda_option2
-from .oracle import EvalCounter, NonFiniteError, Oracle, evaluate
-from .solver import StopRule, Trace, _TraceBuilder
-
-KINDS = ("gd", "agd", "adgd", "adagrad", "bb", "polyak")
+from .oracle import EvalCounter, Oracle, OracleResult, evaluate
+from .solver import StopRule, Trace, _drive
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class BaselineMethod:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _METHODS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.kind in ("gd", "agd", "adagrad") and not (self.eta and self.eta > 0.0):
             raise ValueError(f"{self.kind} requires a positive stepsize eta")
@@ -93,150 +92,119 @@ def run_baseline(method: BaselineMethod, oracle: Oracle, x0, stop: StopRule) -> 
     column holds the stepsize applied at that iteration.
     """
     counter = EvalCounter()
-    rows = _BaselineRecorder()
-    x = np.asarray(x0, dtype=np.float64)
-    res = evaluate(oracle, x, counter)
     notes: list = []
-    diverged = False
-
-    try:
-        if method.kind == "gd":
-            _loop_simple(method, oracle, stop, counter, rows, res,
-                         lambda state: method.eta)
-        elif method.kind == "adagrad":
-            acc = {"sum": 0.0}
-
-            def eta_fn(state):
-                acc["sum"] += float(state.grad @ state.grad)
-                return adagrad_stepsize(method.eta, acc["sum"])
-
-            _loop_simple(method, oracle, stop, counter, rows, res, eta_fn)
-        elif method.kind == "polyak":
-
-            def eta_fn(state):
-                g2 = float(state.grad @ state.grad)
-                gap = state.value - method.f_star
-                if g2 == 0.0 or gap <= 0.0:
-                    return 0.0
-                return gap / g2
-
-            _loop_simple(method, oracle, stop, counter, rows, res, eta_fn)
-        elif method.kind == "bb":
-            _loop_bb(method, oracle, stop, counter, rows, res, notes)
-        elif method.kind == "adgd":
-            _loop_adgd(method, oracle, stop, counter, rows, res)
-        elif method.kind == "agd":
-            _loop_agd(method, oracle, stop, counter, rows, res)
-    except NonFiniteError as exc:
-        diverged = True
-        notes.append((len(rows.cols["k"]), f"divergence: {exc}"))
-
-    return rows.build(method=method.name, notes=notes, diverged=diverged)
+    res = evaluate(oracle, np.asarray(x0, dtype=np.float64), counter)
+    state, advance = _METHODS[method.kind](method, oracle, counter, notes, res)
+    return _drive(state, advance, _row, stop, counter, notes=notes, method=method.name)
 
 
-class _BaselineRecorder(_TraceBuilder):
-    def __init__(self):
-        super().__init__(store_iterates=False)
+class _State(NamedTuple):
+    """A baseline at iteration k: the oracle result at its solution
+    estimate, the stepsize applied from it, the curvature estimate (adgd
+    only) and one method-specific carry: the previous stepsize (adgd),
+    the sum of squared gradient norms (adagrad) or the z sequence (agd).
+    """
 
-    def add(self, k, eta, f, grad_norm, counter, lam=math.nan):
-        c = self.cols
-        c["k"].append(k)
-        c["eta"].append(eta)
-        c["H"].append(math.nan)
-        c["alpha"].append(math.nan)
-        c["beta"].append(math.nan)
-        c["lam"].append(math.nan if math.isinf(lam) else lam)
-        c["f_bar"].append(f)
-        c["f_tilde"].append(math.nan)
-        c["grad_norm_tilde"].append(grad_norm)
-        c["evals_cum"].append(counter.n_value_grad)
+    k: int
+    bar_res: OracleResult
+    eta: float
+    lam: float = math.nan
+    carry: object = None
 
 
-def _grad_norm(res):
-    return float(np.linalg.norm(res.grad))
+def _row(s: _State) -> tuple:
+    return (s.k, s.eta, math.nan, math.nan, math.nan, s.lam,
+            s.bar_res.value, math.nan, s.bar_res.grad)
 
 
-def _stopped(k, res, stop: StopRule) -> bool:
-    if k >= stop.max_iters:
-        return True
-    if _grad_norm(res) <= stop.grad_tol:
-        return True
-    if stop.gap_tol is not None and res.value - stop.f_star <= stop.gap_tol:
-        return True
-    return False
+def _descend(oracle, s: _State, counter):
+    """Evaluate at the gradient step from the state's estimate."""
+    return evaluate(oracle, s.bar_res.x - s.eta * s.bar_res.grad, counter)
 
 
-def _loop_simple(method, oracle, stop, counter, rows, res, eta_fn):
-    """Plain gradient iteration with a per-step scalar stepsize."""
-    k = 0
-    while True:
-        eta = eta_fn(res)
-        rows.add(k, eta, res.value, _grad_norm(res), counter)
-        if _stopped(k, res, stop) or eta == 0.0:
-            break
-        res = evaluate(oracle, res.x - eta * res.grad, counter)
-        k += 1
+# Each method below maps (method, oracle, counter, notes, result at x0) to
+# its state at k=0 and the function that advances that state by one step;
+# adagrad and polyak end the run at a zero stepsize, which cannot move.
+
+def _gd(method, oracle, counter, notes, res):
+    def advance(s):
+        return _State(s.k + 1, _descend(oracle, s, counter), method.eta)
+
+    return _State(0, res, method.eta), advance
 
 
-def _loop_bb(method, oracle, stop, counter, rows, res, notes):
-    eta = method.eta0
-    prev = None
-    k = 0
-    while True:
-        if prev is not None:
-            try:
-                cand = bb_stepsize(res.x - prev.x, res.grad - prev.grad)
-            except ZeroDivisionError:
-                cand = -1.0
-            if cand > 0.0:
-                eta = cand
-            else:
-                notes.append((k, "bb stepsize undefined or nonpositive, kept previous"))
-        rows.add(k, eta, res.value, _grad_norm(res), counter)
-        if _stopped(k, res, stop):
-            break
-        prev = res
-        res = evaluate(oracle, res.x - eta * res.grad, counter)
-        k += 1
+def _adagrad(method, oracle, counter, notes, res):
+    def start(k, res, sq_sum):
+        return _State(k, res, adagrad_stepsize(method.eta, sq_sum), carry=sq_sum)
+
+    def advance(s):
+        if s.eta == 0.0:
+            return None
+        nxt = _descend(oracle, s, counter)
+        return start(s.k + 1, nxt, s.carry + float(nxt.grad @ nxt.grad))
+
+    return start(0, res, float(res.grad @ res.grad)), advance
 
 
-def _loop_adgd(method, oracle, stop, counter, rows, res):
+def _polyak(method, oracle, counter, notes, res):
+    def start(k, res):
+        g2 = float(res.grad @ res.grad)
+        gap = res.value - method.f_star
+        return _State(k, res, 0.0 if g2 == 0.0 or gap <= 0.0 else gap / g2)
+
+    def advance(s):
+        if s.eta == 0.0:
+            return None
+        return start(s.k + 1, _descend(oracle, s, counter))
+
+    return start(0, res), advance
+
+
+def _bb(method, oracle, counter, notes, res):
+    def advance(s):
+        nxt = _descend(oracle, s, counter)
+        try:
+            cand = bb_stepsize(nxt.x - s.bar_res.x, nxt.grad - s.bar_res.grad)
+        except ZeroDivisionError:
+            cand = -1.0
+        if cand > 0.0:
+            return _State(s.k + 1, nxt, cand)
+        notes.append((s.k + 1, "bb stepsize undefined or nonpositive, kept previous"))
+        return _State(s.k + 1, nxt, s.eta)
+
+    return _State(0, res, method.eta0), advance
+
+
+def _adgd(method, oracle, counter, notes, res):
     estimator = lambda_option2 if method.option2 else lambda_option1
-    eta = eta_prev = method.eta0
-    prev = None
-    k = 0
-    while True:
-        if prev is not None:
-            lam = estimator(res, prev)
-            eta, eta_prev = adgd_stepsize(eta, eta_prev, lam, method.gamma, method.nu), eta
-        else:
-            lam = math.nan
-        rows.add(k, eta, res.value, _grad_norm(res), counter, lam=lam)
-        if _stopped(k, res, stop):
-            break
-        prev = res
-        res = evaluate(oracle, res.x - eta * res.grad, counter)
-        k += 1
+
+    def advance(s):
+        nxt = _descend(oracle, s, counter)
+        lam = estimator(nxt, s.bar_res)
+        eta = adgd_stepsize(s.eta, s.carry, lam, method.gamma, method.nu)
+        return _State(s.k + 1, nxt, eta, lam, carry=s.eta)
+
+    return _State(0, res, method.eta0, carry=method.eta0), advance
 
 
-def _loop_agd(method, oracle, stop, counter, rows, res):
+def _agd(method, oracle, counter, notes, res):
     """Nesterov acceleration in the three-sequence form with weights 2/(k+2).
 
     Imported external scheme; per iteration it spends one evaluation at
     the query point and one at the new solution estimate for the trace.
     """
     eta = method.eta
-    x = res.x
-    z = res.x
-    k = 0
-    while True:
-        rows.add(k, eta, res.value, _grad_norm(res), counter)
-        if _stopped(k, res, stop):
-            break
-        tau = 2.0 / (k + 2.0)
-        y = (1.0 - tau) * x + tau * z
+
+    def advance(s):
+        tau = 2.0 / (s.k + 2.0)
+        y = (1.0 - tau) * s.bar_res.x + tau * s.carry
         gy = evaluate(oracle, y, counter)
         x = y - eta * gy.grad
-        z = z - (eta / tau) * gy.grad
-        res = evaluate(oracle, x, counter)
-        k += 1
+        z = s.carry - (eta / tau) * gy.grad
+        return _State(s.k + 1, evaluate(oracle, x, counter), eta, carry=z)
+
+    return _State(0, res, eta, carry=res.x), advance
+
+
+_METHODS = {"gd": _gd, "agd": _agd, "adgd": _adgd, "adagrad": _adagrad,
+            "bb": _bb, "polyak": _polyak}

@@ -3,8 +3,7 @@
 Subcommands: ``run`` executes a config-driven experiment and writes one
 trace CSV per (problem, method) cell plus a summary; ``params`` solves
 and validates the solver constants for a given extrapolation parameter;
-``check`` replays the certificate suite on a stored trace; ``bench``
-times the numba kernels against their numpy fallbacks.
+``check`` replays the certificate suite on a stored trace.
 
 Exit codes: 0 success, 1 certificate failure, 2 config error, 3 run
 divergence.
@@ -255,9 +254,6 @@ def main(argv=None) -> int:
     p_check.add_argument("trace", help="trace CSV file")
     p_check.add_argument("--config", required=True, help="config with the problem spec")
 
-    p_bench = sub.add_parser("bench", help="compare numba kernels with numpy fallbacks")
-    p_bench.add_argument("--repeats", type=int, default=5)
-
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config)
@@ -265,10 +261,6 @@ def main(argv=None) -> int:
         return cmd_params(args.theta, args.gamma)
     if args.command == "check":
         return cmd_check(args.trace, args.config)
-    if args.command == "bench":
-        from . import bench
-
-        return bench.main(repeats=args.repeats)
     return EXIT_CONFIG
 
 

@@ -321,16 +321,19 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams,
     """
     report = CertificateReport()
     x_refs = x_refs or {}
+    # both checks compare iterates at k >= 1; a run that stopped at its
+    # start point (already optimal) has none, so they do not apply
+    vacuous = trace.n_iters == 0
     if "psi" in checks:
         for rname, point in x_refs.items():
-            series = lyapunov_series(trace, point, oracle, params)
-            report.entries.append(
-                check_monotone_psi(series, name=f"psi_monotone[{rname}]"))
+            name = f"psi_monotone[{rname}]"
+            report.entries.append(_not_applicable(name) if vacuous else check_monotone_psi(
+                lyapunov_series(trace, point, oracle, params), name=name))
     if "corollary" in checks:
         for rname, point in x_refs.items():
-            report.entries.append(
-                check_corollary_bound(trace, point, oracle, params,
-                                      name=f"corollary_bound[{rname}]"))
+            name = f"corollary_bound[{rname}]"
+            report.entries.append(_not_applicable(name) if vacuous else check_corollary_bound(
+                trace, point, oracle, params, name=name))
     if "h_envelope" in checks and L is not None:
         report.entries.append(check_h_envelope(trace, params, L))
     if "lemmas" in checks:
@@ -338,3 +341,7 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams,
     if "evals" in checks:
         report.entries.append(check_eval_schedule(trace))
     return report
+
+
+def _not_applicable(name: str) -> CertificateEntry:
+    return CertificateEntry(name, True, 0.0, 0, detail="not applicable: trace has no iterations")

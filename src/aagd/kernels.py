@@ -1,59 +1,25 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels in vectorized numpy.
 
-Every kernel exists in two variants computing the same quantities: an
-``_nb`` variant compiled with ``numba.njit`` (explicit loops, single pass
-where possible) and an ``_np`` variant written in vectorized numpy. The
-public names dispatch to the numba variant when available.
-
-Set the environment variable ``AAGD_PURE_NUMPY=1`` to force the numpy
-path even when numba is installed. The two backends may differ in the
-last ulp because summation order differs; within one backend results are
-deterministic.
+One implementation per operation: the structured oracles (quadratic,
+regularized logistic over CSR data, smoothed max of affine terms) and
+the fused per-iteration vector update of the accelerated solver. Each
+kernel is deterministic: the same inputs give the same bits.
 """
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("AAGD_PURE_NUMPY", "").strip().lower() in ("1", "true", "yes")
-
-_HAVE_NUMBA = False
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        warnings.warn("numba not importable, falling back to pure-numpy kernels")
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # quadratic objective: f(x) = 0.5 x'Ax - b'x, grad = Ax - b
 # ---------------------------------------------------------------------------
 
-def quad_value_grad_np(A, b, x):
+def quad_value_grad(A, b, x):
     Ax = A @ x
     value = 0.5 * float(x @ Ax) - float(b @ x)
     return value, Ax - b
-
-
-def _quad_value_grad_loops(A, b, x):
-    d = x.shape[0]
-    g = np.empty(d)
-    quad = 0.0
-    lin = 0.0
-    for i in range(d):
-        s = 0.0
-        for j in range(d):
-            s += A[i, j] * x[j]
-        g[i] = s - b[i]
-        quad += x[i] * s
-        lin += b[i] * x[i]
-    return 0.5 * quad - lin, g
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +27,7 @@ def _quad_value_grad_loops(A, b, x):
 #   f(w) = (1/n) sum_i log(1 + exp(-y_i a_i'w)) + (reg/2) ||w||^2
 # ---------------------------------------------------------------------------
 
-def logistic_value_grad_np(indptr, indices, data, y, reg, w):
+def logistic_value_grad(indptr, indices, data, y, reg, w):
     n = y.shape[0]
     d = w.shape[0]
     row = np.repeat(np.arange(n), np.diff(indptr))
@@ -83,42 +49,11 @@ def logistic_value_grad_np(indptr, indices, data, y, reg, w):
     return loss, g
 
 
-def _logistic_value_grad_loops(indptr, indices, data, y, reg, w):
-    n = y.shape[0]
-    d = w.shape[0]
-    g = np.zeros(d)
-    loss = 0.0
-    for i in range(n):
-        m = 0.0
-        for p in range(indptr[i], indptr[i + 1]):
-            m += data[p] * w[indices[p]]
-        t = y[i] * m
-        if t >= 0.0:
-            e = np.exp(-t)
-            loss += np.log1p(e)
-            sig = e / (1.0 + e)
-        else:
-            e = np.exp(t)
-            loss += -t + np.log1p(e)
-            sig = 1.0 / (1.0 + e)
-        coef = -y[i] * sig / n
-        for p in range(indptr[i], indptr[i + 1]):
-            g[indices[p]] += data[p] * coef
-    loss /= n
-    if reg != 0.0:
-        sq = 0.0
-        for j in range(d):
-            sq += w[j] * w[j]
-            g[j] += reg * w[j]
-        loss += 0.5 * reg * sq
-    return loss, g
-
-
 # ---------------------------------------------------------------------------
 # smoothed max of affine terms: f(x) = mu * log sum_i exp((a_i'x - b_i)/mu)
 # ---------------------------------------------------------------------------
 
-def logsumexp_value_grad_np(A, b, mu, x):
+def logsumexp_value_grad(A, b, mu, x):
     z = (A @ x - b) / mu
     m = float(np.max(z))
     p = np.exp(z - m)
@@ -127,84 +62,13 @@ def logsumexp_value_grad_np(A, b, mu, x):
     return value, (p / s) @ A
 
 
-def _logsumexp_value_grad_loops(A, b, mu, x):
-    n, d = A.shape
-    z = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        for j in range(d):
-            s += A[i, j] * x[j]
-        z[i] = (s - b[i]) / mu
-    m = z[0]
-    for i in range(1, n):
-        if z[i] > m:
-            m = z[i]
-    total = 0.0
-    for i in range(n):
-        z[i] = np.exp(z[i] - m)
-        total += z[i]
-    g = np.zeros(d)
-    for i in range(n):
-        wgt = z[i] / total
-        for j in range(d):
-            g[j] += wgt * A[i, j]
-    return mu * (m + np.log(total)), g
-
-
 # ---------------------------------------------------------------------------
 # fused per-iteration vector updates of the accelerated solver
 # ---------------------------------------------------------------------------
 
-def step_update_np(x, x_bar, x_tilde, g_tilde, eta, beta, theta, alpha_next):
+def step_update(x, x_bar, x_tilde, g_tilde, eta, beta, theta, alpha_next):
     x_next = x - eta * g_tilde
     xbar_next = beta * x_tilde + (1.0 - beta) * x_bar
     xhat_next = x_next + theta * (x_next - x)
     xt_next = alpha_next * xhat_next + (1.0 - alpha_next) * xbar_next
     return x_next, xbar_next, xhat_next, xt_next
-
-
-def _step_update_loops(x, x_bar, x_tilde, g_tilde, eta, beta, theta, alpha_next):
-    d = x.shape[0]
-    x_next = np.empty(d)
-    xbar_next = np.empty(d)
-    xhat_next = np.empty(d)
-    xt_next = np.empty(d)
-    for i in range(d):
-        xn = x[i] - eta * g_tilde[i]
-        xb = beta * x_tilde[i] + (1.0 - beta) * x_bar[i]
-        xh = xn + theta * (xn - x[i])
-        x_next[i] = xn
-        xbar_next[i] = xb
-        xhat_next[i] = xh
-        xt_next[i] = alpha_next * xh + (1.0 - alpha_next) * xb
-    return x_next, xbar_next, xhat_next, xt_next
-
-
-if _HAVE_NUMBA:
-    quad_value_grad_nb = njit(cache=True)(_quad_value_grad_loops)
-    logistic_value_grad_nb = njit(cache=True)(_logistic_value_grad_loops)
-    logsumexp_value_grad_nb = njit(cache=True)(_logsumexp_value_grad_loops)
-    step_update_nb = njit(cache=True)(_step_update_loops)
-
-    # measured crossover: the jitted loop wins below ~64 dimensions on
-    # call overhead, the BLAS matvec wins above (see aagd.bench)
-    _QUAD_BLAS_CUTOVER = 64
-
-    def quad_value_grad(A, b, x):
-        if x.shape[0] <= _QUAD_BLAS_CUTOVER:
-            return quad_value_grad_nb(A, b, x)
-        return quad_value_grad_np(A, b, x)
-
-    logistic_value_grad = logistic_value_grad_nb
-    logsumexp_value_grad = logsumexp_value_grad_nb
-    step_update = step_update_nb
-else:
-    quad_value_grad_nb = None
-    logistic_value_grad_nb = None
-    logsumexp_value_grad_nb = None
-    step_update_nb = None
-
-    quad_value_grad = quad_value_grad_np
-    logistic_value_grad = logistic_value_grad_np
-    logsumexp_value_grad = logsumexp_value_grad_np
-    step_update = step_update_np

@@ -1,5 +1,9 @@
 """Adaptive accelerated gradient solver: state machine and run loop.
 
+The run loop (stop rule, divergence capture, evaluation counting and
+trace recording) is shared with the baselines, which supply their own
+state and step function.
+
 One iteration performs, in order: the mixing weight update, the gradient
 step, the averaging (coupling) step, the extrapolation step, the
 lookahead combination, the local curvature estimate, the stepsize and
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .curvature import bregman, local_curvature
+from .curvature import local_curvature
 from .oracle import EvalCounter, NonFiniteError, Oracle, OracleResult, evaluate
 from .params import SolverParams, validate
 
@@ -64,14 +68,10 @@ class IterState:
     """All per-iteration quantities at index k.
 
     ``lam`` is nan at k=0 (no curvature estimate exists yet).
-    ``bregman_prev`` is the Bregman divergence of the previous
-    (averaged; lookahead) pair, the quantity the Lyapunov function needs;
-    ``bregman_cur`` is the same divergence for the current pair.
     """
 
     k: int
     x: np.ndarray
-    x_prev: np.ndarray
     x_bar: np.ndarray
     x_tilde: np.ndarray
     x_hat: np.ndarray
@@ -84,8 +84,6 @@ class IterState:
     lam: float
     tilde_res: OracleResult
     bar_res: OracleResult
-    bregman_prev: float
-    bregman_cur: float
 
 
 @dataclass
@@ -125,44 +123,6 @@ class Trace:
         return self.x is not None
 
 
-class _TraceBuilder:
-    _SCALARS = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
-                "grad_norm_tilde", "evals_cum")
-
-    def __init__(self, store_iterates: bool):
-        self.cols = {name: [] for name in self._SCALARS}
-        self.store_iterates = store_iterates
-        self.x, self.x_bar, self.x_tilde = [], [], []
-
-    def record(self, state: IterState, counter: EvalCounter):
-        c = self.cols
-        c["k"].append(state.k)
-        c["eta"].append(state.eta)
-        c["H"].append(state.H)
-        c["alpha"].append(state.alpha)
-        c["beta"].append(state.beta)
-        c["lam"].append(math.nan if math.isinf(state.lam) else state.lam)
-        c["f_bar"].append(state.bar_res.value)
-        c["f_tilde"].append(state.tilde_res.value)
-        c["grad_norm_tilde"].append(float(np.linalg.norm(state.tilde_res.grad)))
-        c["evals_cum"].append(counter.n_value_grad)
-        if self.store_iterates:
-            self.x.append(state.x)
-            self.x_bar.append(state.x_bar)
-            self.x_tilde.append(state.x_tilde)
-
-    def build(self, **kwargs) -> Trace:
-        arrays = {
-            name: np.asarray(vals, dtype=np.int64 if name in ("k", "evals_cum") else np.float64)
-            for name, vals in self.cols.items()
-        }
-        if self.store_iterates:
-            arrays["x"] = np.asarray(self.x)
-            arrays["x_bar"] = np.asarray(self.x_bar)
-            arrays["x_tilde"] = np.asarray(self.x_tilde)
-        return Trace(**arrays, **kwargs)
-
-
 def init(x0, params: SolverParams, oracle: Oracle,
          counter: EvalCounter | None = None, check_params: bool = True) -> IterState:
     """State at k=0: unit weights, sums seeded with eta0, all points at x0.
@@ -181,7 +141,6 @@ def init(x0, params: SolverParams, oracle: Oracle,
     return IterState(
         k=0,
         x=x0,
-        x_prev=x0,
         x_bar=x0,
         x_tilde=x0,
         x_hat=x0,  # the extrapolated point is first formed at k=1
@@ -194,8 +153,6 @@ def init(x0, params: SolverParams, oracle: Oracle,
         lam=math.nan,
         tilde_res=res,
         bar_res=res,
-        bregman_prev=0.0,
-        bregman_cur=0.0,
     )
 
 
@@ -240,7 +197,6 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
     return IterState(
         k=state.k + 1,
         x=x_next,
-        x_prev=state.x,
         x_bar=xbar_next,
         x_tilde=xt_next,
         x_hat=xhat_next,
@@ -253,19 +209,7 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
         lam=lam_next,
         tilde_res=tilde_res,
         bar_res=bar_res,
-        bregman_prev=state.bregman_cur,
-        bregman_cur=bregman(bar_res, tilde_res),
     )
-
-
-def _stop_satisfied(state: IterState, stop: StopRule) -> bool:
-    if state.k >= stop.max_iters:
-        return True
-    if float(np.linalg.norm(state.bar_res.grad)) <= stop.grad_tol:
-        return True
-    if stop.gap_tol is not None and state.bar_res.value - stop.f_star <= stop.gap_tol:
-        return True
-    return False
 
 
 def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule,
@@ -279,25 +223,77 @@ def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule,
     sweeps survive bad configurations.
     """
     counter = EvalCounter()
-    builder = _TraceBuilder(store_iterates)
-    notes: list = []
-    diverged = False
-
     state = init(x0, params, oracle, counter, check_params=check_params)
-    builder.record(state, counter)
-    while not _stop_satisfied(state, stop):
+    return _drive(
+        state, lambda st: step(st, oracle, params, counter, growth_cap=growth_cap),
+        _row, stop, counter, notes=[], store_iterates=store_iterates,
+        params=params,
+        method="aagd" + ("+cap" if growth_cap else ""),
+        problem=dict(problem_meta or {}),
+    )
+
+
+def _row(st: IterState) -> tuple:
+    return (st.k, st.eta, st.H, st.alpha, st.beta, st.lam,
+            st.bar_res.value, st.tilde_res.value, st.tilde_res.grad)
+
+
+_COLUMNS = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
+            "grad_norm_tilde", "evals_cum")
+
+
+def _norm(g: np.ndarray) -> float:
+    """Euclidean norm; rescaled by the largest entry only if the square overflows.
+
+    ``np.vdot`` overflows to inf silently, where ``@`` would warn; while
+    the square is finite the result equals ``np.linalg.norm`` bit for bit.
+    """
+    sq = float(np.vdot(g, g))
+    if math.isfinite(sq):
+        return math.sqrt(sq)
+    top = float(np.max(np.abs(g)))
+    u = g / top
+    return top * math.sqrt(float(np.vdot(u, u)))
+
+
+def _drive(state, advance, row, stop: StopRule, counter: EvalCounter, notes: list,
+           store_iterates: bool = False, **fields) -> Trace:
+    """The run loop of the solver and of every baseline.
+
+    ``state`` is a method's state after its first evaluation; it carries
+    the iteration ``k`` and ``bar_res``, the oracle result at the
+    solution estimate that the stop rule tests. ``advance`` returns the
+    next state, or None when the method cannot move (a zero stepsize).
+    ``row`` gives a state's scalar columns up to ``f_tilde`` and then the
+    gradient whose norm is recorded; the driver adds the norm and the
+    evaluation count. A non-finite iterate or oracle output ends the run
+    with ``diverged`` set and a note instead of raising.
+    """
+    rows, iterates = [], []
+    diverged = False
+    while True:
+        *scalars, grad = row(state)
+        rows.append((*scalars, _norm(grad), counter.n_value_grad))
+        if store_iterates:
+            iterates.append((state.x, state.x_bar, state.x_tilde))
+        res = state.bar_res
+        if (state.k >= stop.max_iters or _norm(res.grad) <= stop.grad_tol
+                or (stop.gap_tol is not None and res.value - stop.f_star <= stop.gap_tol)):
+            break
         try:
-            state = step(state, oracle, params, counter, growth_cap=growth_cap)
+            nxt = advance(state)
         except (DivergenceError, NonFiniteError) as exc:
             diverged = True
             notes.append((state.k + 1, f"divergence: {exc}"))
             break
-        builder.record(state, counter)
+        if nxt is None:
+            break
+        state = nxt
 
-    return builder.build(
-        params=params,
-        method="aagd" + ("+cap" if growth_cap else ""),
-        problem=dict(problem_meta or {}),
-        diverged=diverged,
-        notes=notes,
-    )
+    cols = {name: np.asarray(vals, dtype=np.int64 if name in ("k", "evals_cum") else np.float64)
+            for name, vals in zip(_COLUMNS, zip(*rows))}
+    # an infinite curvature estimate is stored as nan, like the undefined one at k=0
+    cols["lam"][np.isinf(cols["lam"])] = math.nan
+    if store_iterates:
+        cols["x"], cols["x_bar"], cols["x_tilde"] = (np.asarray(v) for v in zip(*iterates))
+    return Trace(**cols, **fields, diverged=diverged, notes=notes)

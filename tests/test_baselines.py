@@ -44,6 +44,15 @@ def test_polyak_stepsize_value():
     assert tr.eta[0] == pytest.approx(0.5, abs=1e-15)
 
 
+def test_polyak_stops_at_start_when_f_star_above_value():
+    p = identity_quadratic(1)
+    tr = run_baseline(BaselineMethod(kind="polyak", f_star=1.0), p.oracle,
+                      np.array([1.0]), StopRule(max_iters=3))
+    assert tr.n_iters == 0
+    assert tr.eta[0] == 0.0
+    assert tr.evals_cum[-1] == 1
+
+
 def test_adgd_stepsize_growth_branch():
     assert adgd_stepsize(1.0, 1.0, math.inf, gamma=3.0, nu=0.5) == 2.0
 

@@ -169,3 +169,21 @@ def test_check_schema_mismatch(tmp_path, capsys):
     bad = tmp_path / "junk.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["check", str(bad), "--config", str(cfg)]) == 2
+
+
+def test_run_zero_iterations_certificates_not_applicable(tmp_path, capsys):
+    # x0 = 0 is the minimizer of the identity quadratic: the run stops at k = 0
+    text = (GOLDEN_CFG
+            .replace("seed = 0", "seed = 0\nchecks = psi, corollary\nx_ref = xstar, x0")
+            .replace("x0 = ones", "x0 = zeros"))
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "iters=0 " in summary
+    for name in ("psi_monotone[xstar]", "psi_monotone[x0]",
+                 "corollary_bound[xstar]", "corollary_bound[x0]"):
+        assert name in summary
+    assert summary.count("not applicable") == 4
+    assert "FAIL" not in summary

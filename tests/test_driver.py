@@ -1,0 +1,94 @@
+"""The run loop shared by the solver and the baselines.
+
+The pinned digests fix every scalar column, the notes and the divergence
+flag of one run per method on one seeded quadratic. They were recorded
+with numpy 2.4 and its bundled OpenBLAS on x86-64; another BLAS may
+round the matrix-vector products differently and change them.
+"""
+import hashlib
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from aagd import (BaselineMethod, Oracle, StopRule, default_params, make_quadratic, run,
+                  run_baseline)
+
+COLUMNS = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
+           "grad_norm_tilde", "evals_cum")
+
+PINNED = {
+    "aagd":
+        "1d65453849cbc481ee860310811119c214c35e3270b7936dbcea11e301cc0be7",
+    "aagd+cap":
+        "f2641281e0c6fe17ab2b4fd25ebe0976efa76029052979810a83b2aeb5fb364d",
+    "gd":
+        "14b09e56d6036f82b3a96e4d7d77e3e138120f26f0b510f5a9644a610fd92cb7",
+    "agd":
+        "8679f88e130f2b0766ae35c57ba788d354c31e01a20a7652199aa7fd1cf95c2c",
+    "adgd":
+        "f030599052cc32e2c906bc679d432249090efeca7e13c0e91765ad23408e86af",
+    "adgd+option2":
+        "9ae411290dd0afafe6db35b76d2ff5e2b375e82e4d86f8c575b621c24530d19c",
+    "adagrad":
+        "7dc89d327c3835b8eda85a24588fea4c6b436dd98b0592a50ffe82efc5bc518c",
+    "bb":
+        "30057cf5dee91105ac97634ef7171f89d17d6c35b49020966f25380d07adf3c0",
+    "polyak":
+        "91ef74b031931d7a1a7cbcd6b67e9af9a7efefb7402745032a06de09d221b639",
+}
+
+
+def digest(trace):
+    h = hashlib.sha256()
+    for name in COLUMNS:
+        col = getattr(trace, name)
+        h.update(name.encode() + str(col.dtype).encode() + col.tobytes())
+    h.update(repr((trace.notes, trace.diverged)).encode())
+    return h.hexdigest()
+
+
+def pinned_trace(name):
+    p = make_quadratic(3, 20, 100.0)
+    x0 = np.ones(20)
+    stop = StopRule(max_iters=100)
+    if name.startswith("aagd"):
+        return run(p.oracle, x0, default_params(eta0=1e-3), stop,
+                   growth_cap=name == "aagd+cap")
+    method = {
+        "gd": BaselineMethod(kind="gd", eta=1.0 / p.L),
+        "agd": BaselineMethod(kind="agd", eta=1.0 / p.L),
+        "adgd": BaselineMethod(kind="adgd", eta0=1e-3),
+        "adgd+option2": BaselineMethod(kind="adgd", eta0=1e-3, option2=True),
+        "adagrad": BaselineMethod(kind="adagrad", eta=1.0),
+        "bb": BaselineMethod(kind="bb", eta0=1e-3),
+        "polyak": BaselineMethod(kind="polyak", f_star=p.f_star),
+    }[name]
+    return run_baseline(method, p.oracle, x0, stop)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_trace(name):
+    assert digest(pinned_trace(name)) == PINNED[name]
+
+
+STEEP = Oracle(lambda x: (0.5e160 * float(x @ x), 1e160 * x), 2)
+
+
+def test_overflowing_gradient_norm_recorded_finite():
+    # the squared norm 2e320 overflows; the norm itself, sqrt(2) 1e160, does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        aagd_tr = run(STEEP, np.ones(2), default_params(eta0=1e160), StopRule(max_iters=100))
+        gd_tr = run_baseline(BaselineMethod(kind="gd", eta=1e-161), STEEP, np.ones(2),
+                             StopRule(max_iters=2))
+    assert aagd_tr.grad_norm_tilde[0] == pytest.approx(math.sqrt(2.0) * 1e160, rel=1e-15)
+    assert gd_tr.grad_norm_tilde == pytest.approx(
+        math.sqrt(2.0) * 1e160 * np.array([1.0, 0.9, 0.81]), rel=1e-14)
+
+
+def test_grad_tol_sees_overflowing_norm():
+    tr = run(STEEP, np.ones(2), default_params(eta0=1e-170),
+             StopRule(max_iters=5, grad_tol=1e161))
+    assert tr.n_iters == 0

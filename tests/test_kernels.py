@@ -1,16 +1,12 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
-import pytest
 
-from aagd import kernels, make_classification_dataset
-
-HAVE_NUMBA = kernels.quad_value_grad_nb is not None
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="numba backend unavailable; nothing to compare")
+import aagd
+from aagd import kernels
 
 
 def _quad_case():
@@ -20,53 +16,12 @@ def _quad_case():
     return A, rng.standard_normal(30), rng.standard_normal(30)
 
 
-def test_quad_backends_agree():
-    A, b, x = _quad_case()
-    v1, g1 = kernels.quad_value_grad_np(A, b, x)
-    v2, g2 = kernels.quad_value_grad_nb(A, b, x)
-    assert v1 == pytest.approx(v2, rel=1e-13)
-    assert np.allclose(g1, g2, rtol=1e-13, atol=1e-13)
-
-
-def test_logistic_backends_agree():
-    data = make_classification_dataset(4, 200, 12, density=0.5)
-    w = np.random.default_rng(1).standard_normal(12)
-    args = (data.indptr, data.indices, data.data, data.labels, 1e-3, w)
-    v1, g1 = kernels.logistic_value_grad_np(*args)
-    v2, g2 = kernels.logistic_value_grad_nb(*args)
-    assert v1 == pytest.approx(v2, rel=1e-13)
-    assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
-
-
-def test_logsumexp_backends_agree():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((40, 8))
-    b = rng.standard_normal(40)
-    x = rng.standard_normal(8)
-    v1, g1 = kernels.logsumexp_value_grad_np(A, b, 0.05, x)
-    v2, g2 = kernels.logsumexp_value_grad_nb(A, b, 0.05, x)
-    assert v1 == pytest.approx(v2, rel=1e-13)
-    assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
-
-
-def test_step_update_backends_agree():
-    rng = np.random.default_rng(3)
-    args = (rng.standard_normal(50), rng.standard_normal(50),
-            rng.standard_normal(50), rng.standard_normal(50),
-            0.01, 0.7, 2.0, 0.4)
-    out1 = kernels.step_update_np(*args)
-    out2 = kernels.step_update_nb(*args)
-    for a, b in zip(out1, out2):
-        assert np.allclose(a, b, rtol=1e-14, atol=1e-15)
-
-
 def test_step_update_exact_at_unit_beta():
-    # beta = 1 must reproduce the lookahead point bit for bit on both paths
+    # beta = 1 must reproduce the lookahead point bit for bit
     rng = np.random.default_rng(4)
     x, xb, xt, g = (rng.standard_normal(20) for _ in range(4))
-    for fn in (kernels.step_update_np, kernels.step_update_nb):
-        _, xbar_next, _, _ = fn(x, xb, xt, g, 0.1, 1.0, 2.0, 0.5)
-        assert np.array_equal(xbar_next, xt)
+    _, xbar_next, _, _ = kernels.step_update(x, xb, xt, g, 0.1, 1.0, 2.0, 0.5)
+    assert np.array_equal(xbar_next, xt)
 
 
 def test_kernels_deterministic():
@@ -77,13 +32,13 @@ def test_kernels_deterministic():
     assert np.array_equal(r1[1], r2[1])
 
 
-def test_env_flag_forces_numpy_backend():
-    code = "import aagd.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, AAGD_PURE_NUMPY="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
 def test_backend_reported():
-    assert kernels.BACKEND in ("numba", "numpy")
+    assert kernels.BACKEND == "numpy"
+
+
+def test_import_emits_no_warning():
+    src = str(Path(aagd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-W", "error", "-c", "import aagd"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -39,7 +39,6 @@ def test_init_assignments():
     assert np.array_equal(st.x_tilde, st.x)
     assert np.array_equal(st.x_bar, st.x)
     assert math.isnan(st.lam)
-    assert st.bregman_prev == 0.0
     assert c.n_value_grad == 1
 
 
