@@ -144,6 +144,8 @@ def cmd_run(config_path: str) -> int:
     certs_passed = True
 
     x0 = _start_point(cfg.problem, problem, cfg.seed)
+    refs = (_reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
+            if any(m.kind == "aagd" for m in cfg.methods) else {})
     for spec in cfg.methods:
         try:
             trace = run_method(spec, problem, x0)
@@ -163,7 +165,6 @@ def cmd_run(config_path: str) -> int:
         summary.append(line)
 
         if spec.kind == "aagd" and not trace.diverged and cfg.checks:
-            refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
             try:
                 report = diagnostics.run_certificates(
                     trace, problem.oracle, trace.params, L=problem.L,

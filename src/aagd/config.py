@@ -128,8 +128,10 @@ def parse_config(path) -> ExperimentConfig:
         elif section == "problem":
             problem = _parse_problem(section, items)
         elif section.startswith("method ") or section.startswith("method."):
-            name = section.split(None, 1)[1] if " " in section else section.split(".", 1)[1]
-            methods.append(_parse_method(section, name.strip(), items))
+            name = (section.split(None, 1) if " " in section else section.split(".", 1))[1].strip()
+            if any(m.name == name for m in methods):
+                raise ConfigError(f"{section}: method name {name!r} is already used")
+            methods.append(_parse_method(section, name, items))
         else:
             raise ConfigError(f"unknown section {section!r}")
 

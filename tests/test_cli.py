@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,53 @@ def test_run_zero_iterations_certificates_not_applicable(tmp_path, capsys):
         assert name in summary
     assert summary.count("not applicable") == 4
     assert "FAIL" not in summary
+
+
+def test_check_infinite_curvature_with_nonzero_carry_over(tmp_path, capsys):
+    # x_bar[3] = x_tilde[3] = x_tilde[2] makes the curvature estimate at k=3
+    # infinite while the Bregman carry-over from k=2 stays nonzero
+    cfg = write_cfg(tmp_path, GOLDEN_CFG.replace("dim = 1", "dim = 2")
+                    .replace("max_iters = 50", "max_iters = 6"))
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    lines = trace.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [ln.split(",") for ln in lines[1:]]
+    for i in range(2):
+        x = rows[2][header.index(f"xtilde_{i}")]
+        rows[3][header.index(f"xtilde_{i}")] = rows[3][header.index(f"xbar_{i}")] = x
+    trace.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^psi_monotone\[x0\]\s+FAIL .* at k=3$", out, re.M), out
+
+
+def test_run_reference_note_once(tmp_path):
+    text = """
+[experiment]
+outdir = {out}
+x_ref = xstar, x0
+
+[problem]
+kind = logsumexp
+dim = 5
+terms = 10
+smoothing = 0.1
+
+[method a]
+kind = aagd
+eta0 = 1e-3
+max_iters = 20
+store_iterates = true
+
+[method b]
+kind = aagd
+eta0 = 1e-2
+max_iters = 20
+store_iterates = true
+"""
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 0
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert summary.count("x_ref xstar skipped: problem has no known optimum") == 1
+    assert summary.count("psi_monotone[x0]") == 2

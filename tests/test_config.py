@@ -1,5 +1,6 @@
 import pytest
 
+from aagd.cli import main
 from aagd.config import ConfigError, parse_config
 
 FULL = """
@@ -126,3 +127,11 @@ max_iters = 10
 def test_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/place/cfg.ini")
+
+
+def test_repeated_method_name_rejected(tmp_path):
+    # both spellings name method "agraal"; the second CSV would replace the first
+    dup = FULL.replace("[method gd]", "[method.agraal]")
+    with pytest.raises(ConfigError, match="'agraal' is already used"):
+        parse_config(write(tmp_path, dup))
+    assert main(["run", str(write(tmp_path, dup))]) == 2

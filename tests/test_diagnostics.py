@@ -1,13 +1,15 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from aagd import (ConvergedWindowError, MissingIteratesError, StopRule, Trace,
-                  check_corollary_bound, check_eval_schedule, check_h_envelope,
-                  check_monotone_psi, default_params, fit_rate, identity_quadratic,
-                  lemma_suite, lyapunov_series, make_quadratic, read_csv, run,
-                  write_csv)
+from aagd import (BaselineMethod, ConvergedWindowError, MissingIteratesError, Oracle,
+                  StopRule, Trace, check_corollary_bound, check_eval_schedule,
+                  check_h_envelope, check_monotone_psi, default_params, fit_rate,
+                  identity_quadratic, lemma_suite, lyapunov_series, make_quadratic,
+                  read_csv, run, run_baseline, run_certificates, write_csv)
 from aagd.diagnostics import LyapunovSeries
 from aagd.params import SolverParams
 from aagd.solver import run as solver_run
@@ -226,3 +228,80 @@ def test_missing_iterates_raises(identity_run):
         lyapunov_series(tr, np.zeros(10), p.oracle)
     with pytest.raises(MissingIteratesError):
         check_corollary_bound(tr, np.zeros(10), p.oracle)
+
+
+def _counting(oracle):
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return oracle.fn(x)
+
+    return Oracle(fn, oracle.dim, oracle.label), calls
+
+
+def test_run_certificates_makes_one_pass(identity_run):
+    # every stored point once, each reference once, and the start gradient
+    p, params, tr = identity_run
+    refs = {"xstar": p.x_star, "x0": np.ones(10),
+            "random": np.random.default_rng(1).standard_normal(10)}
+    oracle, calls = _counting(p.oracle)
+    report = run_certificates(tr, oracle, params, L=p.L, x_refs=refs)
+    assert calls[0] == 2 * (tr.n_iters + 1) + len(refs) + 1
+    one_by_one = [check_monotone_psi(lyapunov_series(tr, ref, p.oracle, params),
+                                     name=f"psi_monotone[{r}]") for r, ref in refs.items()]
+    one_by_one += [check_corollary_bound(tr, ref, p.oracle, params, name=f"corollary_bound[{r}]")
+                   for r, ref in refs.items()]
+    one_by_one += [check_h_envelope(tr, params, p.L),
+                   *lemma_suite(tr, params, L=p.L, oracle=p.oracle), check_eval_schedule(tr)]
+    assert report.entries == one_by_one
+
+
+# sha256 of the report lines, recorded before the checks shared one pass
+REPORT_SHA256 = {
+    "identity": "97b82ab25b9cb64b6d27d1ca505c67c21e207e37e63b1df9f71727449e791d2f",
+    "quadratic": "a557e767b9a7f42f546717ef4d56f6e6349277e2ea113ccdc5ae9a36c298d7cb",
+}
+
+
+def test_report_lines_pinned(identity_run):
+    p, params, tr = identity_run
+    reports = {"identity": run_certificates(tr, p.oracle, params, L=p.L,
+                                            x_refs={"xstar": p.x_star, "x0": np.ones(10)})}
+    q, qp = make_quadratic(7, 30, 1e3), default_params(eta0=1e-3)
+    tq = run(q.oracle, np.zeros(30), qp, StopRule(max_iters=300), store_iterates=True)
+    reports["quadratic"] = run_certificates(tq, q.oracle, qp, L=q.L, x_refs={
+        "xstar": q.x_star, "x0": np.zeros(30),
+        "random": np.random.default_rng(3).standard_normal(30)})
+    for name, report in reports.items():
+        digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
+        assert digest == REPORT_SHA256[name], name
+
+
+def test_nan_columns_of_a_baseline_trace_fail():
+    # gd records no stepsize sum or averaging weights: their checks are undefined, not passed
+    p, params = make_quadratic(7, 20, 100.0), default_params(eta0=1e-3)
+    gd = run_baseline(BaselineMethod(kind="gd", eta=1.0 / p.L), p.oracle, np.ones(20),
+                      StopRule(max_iters=50))
+    entries = {e.name: e for e in lemma_suite(gd, params, L=p.L)}
+    entries["h_envelope"] = check_h_envelope(gd, params, p.L)
+    for name, k in (("alpha_beta_range", 0), ("eta_coupling", 0), ("h_growth", 1),
+                    ("beta_f_value", 1), ("h_envelope", 0)):
+        e = entries[name]
+        assert not e.passed and math.isnan(e.worst_violation) and e.worst_k == k, e.line()
+    # a constant stepsize meets the growth bound; nan lambda means no estimate
+    assert entries["eta_growth"].passed and entries["lambda_floor"].passed
+
+
+def test_nan_stepsize_sum_fails_at_its_iteration(identity_run):
+    p, params, tr = identity_run
+    H = tr.H.copy()
+    H[10] = math.nan
+    broken = dataclasses.replace(tr, H=H)
+    entries = {e.name: e for e in lemma_suite(broken, params, L=p.L, oracle=p.oracle)}
+    entries["h_envelope"] = check_h_envelope(broken, params, p.L)
+    for name, e in entries.items():
+        if name in ("eta_coupling", "h_growth", "h_envelope"):
+            assert not e.passed and math.isnan(e.worst_violation) and e.worst_k == 10, e.line()
+        else:
+            assert e.passed, e.line()
