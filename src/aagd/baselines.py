@@ -114,7 +114,7 @@ class _State(NamedTuple):
 
 def _row(s: _State) -> tuple:
     return (s.k, s.eta, math.nan, math.nan, math.nan, s.lam,
-            s.bar_res.value, math.nan, s.bar_res.grad)
+            s.bar_res.value, math.nan, s.bar_res)
 
 
 def _descend(oracle, s: _State, counter):
@@ -141,16 +141,15 @@ def _adagrad(method, oracle, counter, notes, res):
         if s.eta == 0.0:
             return None
         nxt = _descend(oracle, s, counter)
-        return start(s.k + 1, nxt, s.carry + float(nxt.grad @ nxt.grad))
+        return start(s.k + 1, nxt, s.carry + nxt.grad_sq)
 
-    return start(0, res, float(res.grad @ res.grad)), advance
+    return start(0, res, res.grad_sq), advance
 
 
 def _polyak(method, oracle, counter, notes, res):
     def start(k, res):
-        g2 = float(res.grad @ res.grad)
         gap = res.value - method.f_star
-        return _State(k, res, 0.0 if g2 == 0.0 or gap <= 0.0 else gap / g2)
+        return _State(k, res, 0.0 if res.grad_sq == 0.0 or gap <= 0.0 else gap / res.grad_sq)
 
     def advance(s):
         if s.eta == 0.0:

@@ -222,6 +222,16 @@ def cmd_check(trace_path: str, config_path: str) -> int:
         print("config error: check needs an aagd method section for the parameters",
               file=sys.stderr)
         return EXIT_CONFIG
+    if len(aagd_specs) > 1:
+        # run names each CSV <problem label>__<method name>.csv; the longest
+        # matching name is the most specific one
+        stem = Path(trace_path).stem
+        aagd_specs = sorted((m for m in aagd_specs if stem.endswith(f"__{m.name}")),
+                            key=lambda m: len(m.name), reverse=True)
+        if not aagd_specs:
+            print(f"config error: {stem!r} matches no aagd method section by its "
+                  "__<name> suffix, and the config has several", file=sys.stderr)
+            return EXIT_CONFIG
     params = _method_params(aagd_specs[0], float(trace.eta[0]))
 
     notes: list[str] = []

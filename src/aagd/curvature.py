@@ -5,6 +5,12 @@ ratio of norms (option 1) and a Bregman-based ratio (option 2). Both
 return ``+inf`` when the gradients at the two points coincide up to a
 floating-point guard; without that guard the stepsize rule would
 collapse to zero on converged iterates.
+
+The guard scales read the squared norms that each
+:class:`~aagd.oracle.OracleResult` carries, so a result evaluated once
+serves every estimate it enters (up to four in the solver) without its
+gradient or point being squared again. Only the differences between the
+two points are formed here.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ import math
 
 import numpy as np
 
-from .oracle import DimensionMismatchError, OracleResult
+from .oracle import DimensionMismatchError, OracleResult, sq_norm
 
 # Guard threshold on the squared gradient-difference norm, relative to
 # max(1, squared gradient magnitudes). Chosen at 1e2 * eps^2 so that
@@ -55,15 +61,10 @@ def _grad_gap_sq(a: OracleResult, b: OracleResult, guard: float):
     differ through internal rounding. Both tests are symmetric in the
     two arguments.
     """
-    diff = a.grad - b.grad
-    gap2 = float(diff @ diff)
-    scale = max(1.0, float(a.grad @ a.grad), float(b.grad @ b.grad))
-    if gap2 <= guard * scale:
+    gap2 = sq_norm(a.grad - b.grad)
+    if gap2 <= guard * max(1.0, a.grad_sq, b.grad_sq):
         return gap2, True
-    dx = a.x - b.x
-    dx2 = float(dx @ dx)
-    xscale = max(1.0, float(a.x @ a.x), float(b.x @ b.x))
-    return gap2, dx2 <= guard * xscale
+    return gap2, sq_norm(a.x - b.x) <= guard * max(1.0, a.x_sq, b.x_sq)
 
 
 def lambda_option1(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) -> float:
@@ -73,8 +74,7 @@ def lambda_option1(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) 
     gap2, coincide = _grad_gap_sq(a, b, guard)
     if coincide:
         return math.inf
-    d = a.x - b.x
-    return math.sqrt(float(d @ d)) / math.sqrt(gap2)
+    return math.sqrt(sq_norm(a.x - b.x)) / math.sqrt(gap2)
 
 
 def lambda_option2(

@@ -181,12 +181,11 @@ class _Fresh:
 
     def corollary(self, x_ref: np.ndarray, f_ref: float, name: str) -> CertificateEntry:
         tr, p, K = self.trace, self.params, self.trace.n_iters
-        g0 = self.at("x", 0).grad
         dK = tr.x[K] - x_ref
         d0 = tr.x[0] - x_ref
         lhs = 0.5 * float(dK @ dK) + tr.H[K - 1] * (self.at("x_bar", K).value - f_ref)
         rhs = (0.5 * float(d0 @ d0)
-               + 0.5 * (1.0 + p.gamma * p.theta) * tr.eta[0]**2 * float(g0 @ g0))
+               + 0.5 * (1.0 + p.gamma * p.theta) * tr.eta[0]**2 * self.at("x", 0).grad_sq)
         viol = lhs - (rhs * (1.0 + REL_TOL) + ABS_TOL)
         return _sweep(name, [K], [viol], f"lhs={lhs:.6e} rhs={rhs:.6e}", pass_k=K)
 

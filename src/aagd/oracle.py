@@ -1,6 +1,13 @@
-"""First-order oracle: objective value and gradient in one counted call."""
+"""First-order oracle: objective value and gradient in one counted call.
+
+Each result carries the squared norms of its gradient and of its query
+point, computed once when the result is made. The curvature estimates,
+the finiteness checks and the recorded gradient norm all read them
+instead of forming the same inner products again.
+"""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +25,43 @@ class NonFiniteError(OracleError):
     """Raised when a query point or an oracle output is not finite."""
 
 
+def sq_norm(v: np.ndarray) -> float:
+    """Squared Euclidean norm. Overflows to inf without a warning (``@`` warns)."""
+    return float(np.vdot(v, v))
+
+
+def all_finite(v: np.ndarray, sq: float) -> bool:
+    """Whether every entry of ``v`` is finite, given ``sq = sq_norm(v)``.
+
+    A non-finite entry makes the squared norm inf or nan, so a finite
+    ``sq`` settles it; only a non-finite one needs the entrywise test,
+    which accepts a finite vector whose square overflowed.
+    """
+    return math.isfinite(sq) or bool(np.isfinite(v).all())
+
+
 @dataclass(frozen=True, eq=False)
 class OracleResult:
     """Value and gradient of f at a point, with the query point cached.
 
     The cached point is what lets curvature estimates be formed later
-    without re-querying the oracle.
+    without re-querying the oracle. ``grad_sq`` and ``x_sq`` are the
+    squared norms of ``grad`` and ``x``; :func:`evaluate` passes them in,
+    and a result built by hand as ``OracleResult(value, grad, x)`` gets
+    them computed on construction.
     """
 
     value: float
     grad: np.ndarray
     x: np.ndarray
+    grad_sq: float | None = None
+    x_sq: float | None = None
+
+    def __post_init__(self):
+        if self.grad_sq is None:
+            object.__setattr__(self, "grad_sq", sq_norm(self.grad))
+        if self.x_sq is None:
+            object.__setattr__(self, "x_sq", sq_norm(self.x))
 
 
 class EvalCounter:
@@ -74,14 +107,16 @@ def evaluate(oracle: Oracle, x, counter: EvalCounter | None = None) -> OracleRes
     :class:`DimensionMismatchError` on shape mismatch and
     :class:`NonFiniteError` if the query point or the oracle output is
     not finite (the latter signals a defective or overflowing problem
-    instance).
+    instance). Both finiteness checks come from the squared norms that
+    the result carries.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (oracle.dim,):
         raise DimensionMismatchError(
             f"query point has shape {x.shape}, oracle expects ({oracle.dim},)"
         )
-    if not np.all(np.isfinite(x)):
+    x_sq = sq_norm(x)
+    if not all_finite(x, x_sq):
         raise NonFiniteError("query point contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
         value, grad = oracle.fn(x)
@@ -91,11 +126,12 @@ def evaluate(oracle: Oracle, x, counter: EvalCounter | None = None) -> OracleRes
         raise DimensionMismatchError(
             f"oracle returned gradient of shape {grad.shape} for point of shape {x.shape}"
         )
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+    grad_sq = sq_norm(grad)
+    if not (math.isfinite(value) and all_finite(grad, grad_sq)):
         raise NonFiniteError(f"oracle {oracle.label!r} returned non-finite output")
     if counter is not None:
         counter.add()
-    return OracleResult(value, grad, x)
+    return OracleResult(value, grad, x, grad_sq, x_sq)
 
 
 def finite_diff_check(oracle: Oracle, x, h: float | None = None) -> float:

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import kernels
 from .curvature import local_curvature
-from .oracle import EvalCounter, NonFiniteError, Oracle, OracleResult, evaluate
+from .oracle import (EvalCounter, NonFiniteError, Oracle, OracleResult, all_finite, evaluate,
+                     sq_norm)
 from .params import SolverParams, validate
 
 
@@ -173,11 +174,7 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
             state.x, state.x_bar, state.x_tilde, state.tilde_res.grad,
             state.eta, state.beta, th, alpha_next,
         )
-    if not (
-        np.all(np.isfinite(x_next))
-        and np.all(np.isfinite(xbar_next))
-        and np.all(np.isfinite(xt_next))
-    ):
+    if not (_finite(x_next) and _finite(xbar_next) and _finite(xt_next)):
         raise DivergenceError(state.k + 1)
 
     bar_res = evaluate(oracle, xbar_next, counter)
@@ -212,6 +209,10 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
     )
 
 
+def _finite(v: np.ndarray) -> bool:
+    return all_finite(v, sq_norm(v))
+
+
 def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule,
         growth_cap: bool = False, store_iterates: bool = False,
         problem_meta: dict | None = None, check_params: bool = True) -> Trace:
@@ -235,25 +236,24 @@ def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule,
 
 def _row(st: IterState) -> tuple:
     return (st.k, st.eta, st.H, st.alpha, st.beta, st.lam,
-            st.bar_res.value, st.tilde_res.value, st.tilde_res.grad)
+            st.bar_res.value, st.tilde_res.value, st.tilde_res)
 
 
 _COLUMNS = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
             "grad_norm_tilde", "evals_cum")
 
 
-def _norm(g: np.ndarray) -> float:
-    """Euclidean norm; rescaled by the largest entry only if the square overflows.
+def _grad_norm(res: OracleResult) -> float:
+    """Gradient norm from the result's squared norm; the gradient is rescaled
+    by its largest entry only if that square overflowed.
 
-    ``np.vdot`` overflows to inf silently, where ``@`` would warn; while
-    the square is finite the result equals ``np.linalg.norm`` bit for bit.
+    While the square is finite the result equals ``np.linalg.norm`` bit
+    for bit.
     """
-    sq = float(np.vdot(g, g))
-    if math.isfinite(sq):
-        return math.sqrt(sq)
-    top = float(np.max(np.abs(g)))
-    u = g / top
-    return top * math.sqrt(float(np.vdot(u, u)))
+    if math.isfinite(res.grad_sq):
+        return math.sqrt(res.grad_sq)
+    top = float(np.max(np.abs(res.grad)))
+    return top * math.sqrt(sq_norm(res.grad / top))
 
 
 def _drive(state, advance, row, stop: StopRule, counter: EvalCounter, notes: list,
@@ -265,19 +265,19 @@ def _drive(state, advance, row, stop: StopRule, counter: EvalCounter, notes: lis
     solution estimate that the stop rule tests. ``advance`` returns the
     next state, or None when the method cannot move (a zero stepsize).
     ``row`` gives a state's scalar columns up to ``f_tilde`` and then the
-    gradient whose norm is recorded; the driver adds the norm and the
-    evaluation count. A non-finite iterate or oracle output ends the run
-    with ``diverged`` set and a note instead of raising.
+    oracle result whose gradient norm is recorded; the driver adds that
+    norm and the evaluation count. A non-finite iterate or oracle output
+    ends the run with ``diverged`` set and a note instead of raising.
     """
     rows, iterates = [], []
     diverged = False
     while True:
-        *scalars, grad = row(state)
-        rows.append((*scalars, _norm(grad), counter.n_value_grad))
+        *scalars, recorded = row(state)
+        rows.append((*scalars, _grad_norm(recorded), counter.n_value_grad))
         if store_iterates:
             iterates.append((state.x, state.x_bar, state.x_tilde))
         res = state.bar_res
-        if (state.k >= stop.max_iters or _norm(res.grad) <= stop.grad_tol
+        if (state.k >= stop.max_iters or _grad_norm(res) <= stop.grad_tol
                 or (stop.gap_tol is not None and res.value - stop.f_star <= stop.gap_tol)):
             break
         try:

@@ -239,3 +239,50 @@ store_iterates = true
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert summary.count("x_ref xstar skipped: problem has no known optimum") == 1
     assert summary.count("psi_monotone[x0]") == 2
+
+
+TWO_AAGD_CFG = """
+[experiment]
+seed = 3
+outdir = {out}
+
+[problem]
+kind = quadratic
+dim = 10
+cond = 100
+
+[method a]
+kind = aagd
+theta = 2
+eta0 = 1e-3
+max_iters = 300
+store_iterates = true
+
+[method b]
+kind = aagd
+theta = 4
+eta0 = 1e-3
+max_iters = 300
+store_iterates = true
+"""
+
+
+def test_check_takes_parameters_of_the_named_method(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TWO_AAGD_CFG)
+    assert main(["run", str(cfg)]) == 0
+    for name in ("a", "b"):
+        trace = next((tmp_path / "out").glob(f"*__{name}.csv"))
+        capsys.readouterr()
+        assert main(["check", str(trace), "--config", str(cfg)]) == 0, name
+        assert "FAIL" not in capsys.readouterr().out
+
+
+def test_check_unmatched_csv_with_several_aagd_methods(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TWO_AAGD_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*__b.csv"))
+    renamed = trace.with_name("renamed.csv")
+    trace.rename(renamed)
+    capsys.readouterr()
+    assert main(["check", str(renamed), "--config", str(cfg)]) == 2
+    assert "no aagd method section" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aagd import (NonConvexOracleError, Oracle, bregman, evaluate,
+from aagd import (GRAD_GUARD, NonConvexOracleError, Oracle, OracleResult, bregman, evaluate,
                   identity_quadratic, lambda_option1, lambda_option2,
                   local_curvature, logistic_problem, logsumexp_problem,
                   make_classification_dataset, make_quadratic)
@@ -160,3 +160,44 @@ def test_bregman_nonnegative_on_seeded_pairs(problem):
         a = evaluate(problem.oracle, rng.standard_normal(problem.dim))
         b = evaluate(problem.oracle, rng.standard_normal(problem.dim))
         assert bregman(a, b) >= -1e-12 * (1.0 + abs(a.value) + abs(b.value))
+
+
+def hand_built(oracle, x):
+    value, grad = oracle.fn(x)
+    return OracleResult(float(value), np.asarray(grad, dtype=float), x)
+
+
+def same(u, v):
+    return u == v or (math.isnan(u) and math.isnan(v))
+
+
+@pytest.mark.parametrize("problem",
+                         [make_quadratic(4, 12, 1e3), logsumexp_problem(2, 12, 30, 0.1)],
+                         ids=lambda p: p.label)
+def test_hand_built_results_match_evaluated(problem):
+    # OracleResult(value, grad, x) computes its squared norms itself, so the
+    # estimators see the same guard scales as for results made by evaluate
+    rng = np.random.default_rng(11)
+    base = 1e4 * rng.standard_normal(12)
+    points = [rng.standard_normal(12), rng.standard_normal(12), rng.standard_normal(12),
+              base, np.nextafter(base, np.inf)]  # the last two differ by one ulp
+    made = [evaluate(problem.oracle, x) for x in points]
+    built = [hand_built(problem.oracle, x) for x in points]
+    for m, b in zip(made, built):
+        assert m.grad_sq == b.grad_sq and m.x_sq == b.x_sq
+    for i, j, k in [(0, 1, 2), (2, 0, 1), (3, 4, 3), (4, 3, 0)]:
+        for est in (lambda_option1, lambda_option2):
+            assert same(est(made[i], made[j]), est(built[i], built[j]))
+        assert same(local_curvature(made[i], made[j], made[k]),
+                    local_curvature(built[i], built[j], built[k]))
+
+
+def test_hand_built_guard_uses_gradient_scale():
+    # gradients of size ~1e4 that differ by roundoff: the guard fires only
+    # because it scales with the squared gradient norms, not with max(1, nan)
+    p = identity_quadratic(3)
+    x = np.full(3, 1e4)
+    a, b = hand_built(p.oracle, x), hand_built(p.oracle, np.nextafter(x, np.inf))
+    gap2, fired = _grad_gap_sq(a, b, GRAD_GUARD)
+    assert gap2 > GRAD_GUARD and fired
+    assert lambda_option1(a, b) == lambda_option2(a, b) == math.inf

@@ -1,7 +1,8 @@
 """The run loop shared by the solver and the baselines.
 
 The pinned digests fix every scalar column, the notes and the divergence
-flag of one run per method on one seeded quadratic. They were recorded
+flag of one run per method on one seeded quadratic, and of aagd and adgd
+with the Bregman estimate on one seeded smoothed max. They were recorded
 with numpy 2.4 and its bundled OpenBLAS on x86-64; another BLAS may
 round the matrix-vector products differently and change them.
 """
@@ -12,8 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from aagd import (BaselineMethod, Oracle, StopRule, default_params, make_quadratic, run,
-                  run_baseline)
+from aagd import (BaselineMethod, Oracle, StopRule, default_params, logsumexp_problem,
+                  make_quadratic, run, run_baseline)
 
 COLUMNS = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
            "grad_norm_tilde", "evals_cum")
@@ -71,6 +72,27 @@ def pinned_trace(name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_trace(name):
     assert digest(pinned_trace(name)) == PINNED[name]
+
+
+PINNED_LOGSUMEXP = {
+    "aagd":
+        "79e3cc14aac63b8907f0013490e8beb9229ce7f1060a6a837d35a70193447db8",
+    "adgd+option2":
+        "92bfc18181b192282e5b5d55e709c3c539a231f8d24901b0f1f657bc0adc6d94",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOGSUMEXP))
+def test_pinned_trace_logsumexp(name):
+    p = logsumexp_problem(1, 40, 100, 0.1)
+    x0 = np.ones(40)
+    stop = StopRule(max_iters=300)
+    if name == "aagd":
+        tr = run(p.oracle, x0, default_params(eta0=1e-6), stop)
+    else:
+        tr = run_baseline(BaselineMethod(kind="adgd", eta0=1e-6, option2=True),
+                          p.oracle, x0, stop)
+    assert digest(tr) == PINNED_LOGSUMEXP[name]
 
 
 STEEP = Oracle(lambda x: (0.5e160 * float(x @ x), 1e160 * x), 2)

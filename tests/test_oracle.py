@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,3 +113,40 @@ def test_finite_diff_all_problems_100_points(problem):
     for _ in range(100):
         x = rng.standard_normal(problem.dim)
         assert finite_diff_check(problem.oracle, x) <= 1e-5
+
+
+# Finiteness comes from the squared norms each result carries; a non-finite
+# square falls back to the entrywise test, so only a real inf or nan is rejected.
+HUGE = np.full(3, 1e200)  # finite, but its squared norm overflows
+LINEAR = Oracle(lambda x: (float(np.sum(x)), np.ones_like(x)), 3, label="linear")
+
+
+def test_finite_vectors_with_overflowing_square_accepted():
+    steep = Oracle(lambda x: (1.0, 1e200 * np.ones_like(x)), 3, label="steep")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_huge = evaluate(LINEAR, HUGE)
+        huge_grad = evaluate(steep, np.ones(3))
+    assert at_huge.x_sq == math.inf and np.array_equal(at_huge.x, HUGE)
+    assert huge_grad.grad_sq == math.inf and huge_grad.x_sq == 3.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_rejected_beside_huge_ones(bad):
+    x = HUGE.copy()
+    x[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="query point contains non-finite entries"):
+            evaluate(LINEAR, x)
+        broken = Oracle(lambda z: (1.0, np.where(z > 0.0, bad, 1e200)), 3, label="broken")
+        with pytest.raises(NonFiniteError, match="oracle 'broken' returned non-finite output"):
+            evaluate(broken, np.array([-1.0, 1.0, -1.0]))
+
+
+def test_result_norms_are_squared_norms():
+    p = make_quadratic(5, 30, 10.0)
+    x = np.linspace(-1.0, 2.0, 30)
+    res = evaluate(p.oracle, x)
+    assert res.grad_sq == float(res.grad @ res.grad)
+    assert res.x_sq == float(x @ x)

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from aagd import (EvalCounter, InvalidParamsError, Oracle, StopRule, default_params,
-                  identity_quadratic, init, lemma_suite, run, step)
+from aagd import (DivergenceError, EvalCounter, InvalidParamsError, Oracle, StopRule,
+                  default_params, identity_quadratic, init, lemma_suite, logsumexp_problem,
+                  make_quadratic, run, step)
 from aagd.params import SolverParams
 
 
@@ -203,3 +206,89 @@ def test_record_count_is_iterations_plus_one():
     tr = run(p.oracle, np.ones(4), default_params(eta0=0.1), StopRule(max_iters=37))
     assert len(tr.k) == tr.n_iters + 1 == 38
     assert np.all(np.diff(tr.evals_cum) > 0)
+
+
+LINEAR = Oracle(lambda x: (float(np.sum(x)), np.ones_like(x)), 3, label="linear")
+
+
+def test_step_accepts_finite_iterates_with_overflowing_square():
+    params = default_params(eta0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = step(init(np.full(3, 1e200), params, LINEAR), LINEAR, params)
+    assert st.k == 1 and st.bar_res.x_sq == math.inf
+    assert np.all(np.isfinite(st.x)) and np.all(np.isfinite(st.x_tilde))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_rejects_non_finite_iterate(bad):
+    params = default_params(eta0=1.0)
+    st = init(np.full(3, 1e200), params, LINEAR)
+    x = st.x.copy()
+    x[2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite iterate at step 1"):
+            step(dataclasses.replace(st, x=x), LINEAR, params)
+
+
+def test_divergence_notes_unchanged():
+    half = Oracle(lambda x: (0.5 * float(x @ x), x if x[0] > 0.5 else np.full_like(x, np.nan)),
+                  2, label="half")
+    steep = Oracle(lambda x: (0.5e160 * float(x @ x), 1e160 * x), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nan_grad = run(half, np.ones(2), default_params(eta0=0.1), StopRule(max_iters=1000))
+        overflow = run(steep, np.ones(2), default_params(eta0=1e160), StopRule(max_iters=100))
+    assert nan_grad.diverged and nan_grad.n_iters == 53
+    assert nan_grad.notes == [(54, "divergence: oracle 'half' returned non-finite output")]
+    assert overflow.diverged
+    assert overflow.notes == [(1, "divergence: non-finite iterate at step 1")]
+
+
+# Degenerate inputs: each run ends with a defined outcome, never a traceback.
+
+def run_quietly(oracle, x0, eta0, max_iters):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = run(oracle, x0, default_params(eta0=eta0), StopRule(max_iters=max_iters))
+    assert isinstance(tr.diverged, bool) and len(tr.k) == tr.n_iters + 1
+    return tr
+
+
+@pytest.mark.parametrize("problem", [identity_quadratic(1), make_quadratic(2, 1, 1.0),
+                                     logsumexp_problem(1, 1, 5, 0.1)],
+                         ids=lambda p: p.label)
+def test_dimension_one(problem):
+    tr = run_quietly(problem.oracle, np.ones(1), 1e-3, 300)
+    assert not tr.diverged and tr.n_iters == 300
+    assert tr.f_bar[-1] < tr.f_bar[0]
+
+
+def test_constant_gradient_takes_infinite_guard_every_step():
+    params = default_params(eta0=1e-3)
+    tr = run_quietly(LINEAR, np.zeros(3), 1e-3, 200)
+    assert not tr.diverged and tr.n_iters == 200
+    assert np.all(np.isnan(tr.lam))  # the infinite branch is stored as nan
+    assert np.array_equal(tr.eta[1:], (1.0 + params.gamma) * tr.eta[:-1])
+    # from a huge stepsize the iterates overflow the objective: a recorded divergence
+    tr = run_quietly(LINEAR, np.zeros(3), 1e300, 1000)
+    assert tr.diverged and tr.n_iters == 346
+    assert tr.notes == [(347, "divergence: oracle 'linear' returned non-finite output")]
+
+
+@pytest.mark.parametrize("eta0", [1e-12, 1e4])
+def test_extreme_initial_stepsize(eta0):
+    p = make_quadratic(1, 10, 100.0)
+    tr = run_quietly(p.oracle, np.ones(10), eta0, 300)
+    assert not tr.diverged and tr.n_iters == 300
+    assert np.all(np.isfinite(tr.f_bar)) and np.all(tr.eta > 0.0)
+
+
+def test_start_at_the_minimizer():
+    p = make_quadratic(1, 10, 100.0)
+    tr = run_quietly(p.oracle, p.x_star, 1e-3, 50)
+    assert not tr.diverged and tr.n_iters == 50
+    assert abs(tr.f_bar[-1] - p.f_star) <= 1e-15 * (1.0 + abs(p.f_star))
+    exact = run_quietly(identity_quadratic(2).oracle, np.zeros(2), 1e-3, 50)
+    assert not exact.diverged and exact.n_iters == 0  # zero gradient meets grad_tol = 0
