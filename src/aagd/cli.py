@@ -6,7 +6,9 @@ and validates the solver constants for a given extrapolation parameter;
 ``check`` replays the certificate suite on a stored trace.
 
 Exit codes: 0 success, 1 certificate failure, 2 config error, 3 run
-divergence.
+divergence. Inputs that the config parser, the dataset reader or the
+problem constructors reject (an empty dataset, say) are config errors:
+all of them raise ``ValueError``.
 """
 from __future__ import annotations
 
@@ -55,6 +57,23 @@ def _stop_rule(opts: dict, problem: problems.Problem) -> solver.StopRule:
         gap_tol=gap_tol,
         f_star=problem.f_star if gap_tol is not None else None,
     )
+
+
+def _check_smoothness(cfg: ExperimentConfig, problem: problems.Problem) -> None:
+    """Reject settings that divide by L when the problem's L is zero.
+
+    All-zero logistic data with ``reg = 0`` gives L = 0; ``eta = auto``
+    and the h_envelope and lemma checks of an aagd run all need L > 0.
+    """
+    if problem.L is None or problem.L > 0.0:
+        return
+    users = [f"method {m.name} (eta = auto)" for m in cfg.methods
+             if m.options.get("eta") == "auto"]
+    if any(m.kind == "aagd" for m in cfg.methods):
+        users += [f"check {name}" for name in ("h_envelope", "lemmas") if name in cfg.checks]
+    if users:
+        raise ConfigError(f"L = {problem.L:g} for this problem, but "
+                          f"{', '.join(users)} need L > 0")
 
 
 def _method_params(spec: MethodSpec, eta0: float) -> SolverParams:
@@ -132,7 +151,8 @@ def cmd_run(config_path: str) -> int:
         if cfg.outdir is None:
             raise ConfigError("experiment: outdir is required for run")
         problem = build_problem(cfg.problem, cfg.seed)
-    except (ConfigError, OSError, problems.DatasetFormatError) as exc:
+        _check_smoothness(cfg, problem)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -211,9 +231,9 @@ def cmd_check(trace_path: str, config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
         problem = build_problem(cfg.problem, cfg.seed)
+        _check_smoothness(cfg, problem)
         trace = traceio.read_csv(trace_path)
-    except (ConfigError, OSError, problems.DatasetFormatError,
-            traceio.TraceSchemaError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,10 +27,10 @@ def quad_value_grad(A, b, x):
 #   f(w) = (1/n) sum_i log(1 + exp(-y_i a_i'w)) + (reg/2) ||w||^2
 # ---------------------------------------------------------------------------
 
-def logistic_value_grad(indptr, indices, data, y, reg, w):
+def logistic_value_grad(row, indices, data, y, reg, w):
+    # row[j] is the sample of stored entry j, the CSR row index built once
     n = y.shape[0]
     d = w.shape[0]
-    row = np.repeat(np.arange(n), np.diff(indptr))
     margins = np.bincount(row, weights=data * w[indices], minlength=n)
     t = y * margins
     loss = float(np.mean(np.logaddexp(0.0, -t)))

@@ -286,3 +286,65 @@ def test_check_unmatched_csv_with_several_aagd_methods(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", str(renamed), "--config", str(cfg)]) == 2
     assert "no aagd method section" in capsys.readouterr().err
+
+
+ZERO_LOGISTIC_CFG = """
+[experiment]
+outdir = {out}
+checks = {checks}
+
+[problem]
+kind = logistic
+path = {data}
+reg = 0
+
+[method {method}]
+kind = {method}
+{step} = {eta}
+max_iters = 5
+"""
+
+
+def _zero_logistic_cfg(tmp_path, name, data_text, method="aagd", checks="",
+                       eta="1e-3"):
+    data = tmp_path / f"{name}.txt"
+    data.write_text(data_text)
+    text = ZERO_LOGISTIC_CFG.format(out=tmp_path / "out", data=data, method=method,
+                                    step="eta0" if method == "aagd" else "eta",
+                                    eta=eta, checks=checks)
+    path = tmp_path / f"{name}.ini"
+    path.write_text(text)
+    return path
+
+
+@pytest.fixture
+def zero_logistic_trace(tmp_path):
+    # all-zero features with reg = 0: L = 0, but a run that checks only the
+    # eval schedule needs no L and writes a trace to replay
+    cfg = _zero_logistic_cfg(tmp_path, "trace", "1 1:0 2:0\n-1 2:0\n", checks="evals")
+    assert main(["run", str(cfg)]) == 0
+    return next((tmp_path / "out").glob("*__aagd.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("data_text,method,eta,message", [
+    pytest.param("", "aagd", "1e-3", "empty dataset", id="empty_file"),
+    pytest.param("1 1:nan\n", "aagd", "1e-3", "data values must be finite", id="nan_value"),
+    pytest.param("1 1:0 2:0\n-1 2:0\n", "gd", "auto",
+                 "L = 0 for this problem, but method gd (eta = auto) need L > 0",
+                 id="zero_data_eta_auto"),
+    pytest.param("1 1:0 2:0\n-1 2:0\n", "aagd", "1e-3",
+                 "but check h_envelope, check lemmas need L > 0",
+                 id="zero_data_default_checks"),
+])
+def test_degenerate_logistic_input_is_config_error(tmp_path, capsys, zero_logistic_trace,
+                                                   command, data_text, method, eta, message):
+    cfg = _zero_logistic_cfg(tmp_path, "degenerate", data_text, method=method, eta=eta)
+    argv = (["run", str(cfg)] if command == "run"
+            else ["check", str(zero_logistic_trace), "--config", str(cfg)])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+    assert "Traceback" not in err

@@ -145,6 +145,35 @@ def test_sparse_dataset_validation():
                       np.array([1.0]), 2)  # index out of range
 
 
+def test_sparse_dataset_names_first_unsorted_row():
+    with pytest.raises(ValueError, match="^row 1: feature indices not strictly increasing$"):
+        SparseDataset(np.array([0, 2, 4, 6]), np.array([0, 3, 2, 2, 1, 0]), np.ones(6),
+                      np.ones(3), 4)
+
+
+@pytest.mark.parametrize("indptr,message", [
+    pytest.param([0, 2, 1, 3], "nondecreasing", id="decreasing"),
+    pytest.param([1, 1, 2, 3], "from 0", id="nonzero_start"),
+    pytest.param([0, 1, 2, 2], "to len\\(indices\\)", id="short_end"),
+    pytest.param([0, 1, 3], "n \\+ 1 = 4 entries", id="wrong_length"),
+])
+def test_sparse_dataset_rejects_malformed_indptr(indptr, message):
+    with pytest.raises(ValueError, match=message):
+        SparseDataset(np.array(indptr), np.array([0, 1, 0]), np.ones(3), np.ones(3), 2)
+
+
+def test_sparse_dataset_rejects_data_length_mismatch():
+    with pytest.raises(ValueError, match="differ in length"):
+        SparseDataset(np.array([0, 1, 2]), np.array([0, 1]), np.ones(3), np.ones(2), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sparse_dataset_rejects_nonfinite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SparseDataset(np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0, bad]),
+                      np.ones(2), 2)
+
+
 # ---------------------------------------------------------------------------
 # logistic regression
 # ---------------------------------------------------------------------------
@@ -179,6 +208,63 @@ def test_power_iteration_matches_svd():
     lam = _gram_spectral_norm(data)
     sigma = np.linalg.svd(data.to_dense(), compute_uv=False)[0]
     assert lam == pytest.approx(sigma**2, rel=1e-9)
+
+
+def _from_dense(A):
+    nz = A != 0.0
+    return SparseDataset(np.concatenate([[0], np.cumsum(nz.sum(axis=1))]),
+                         np.nonzero(nz)[1], A[nz], np.ones(A.shape[0]), A.shape[1])
+
+
+def _block_data(seed):
+    # two copies of one block: every eigenvalue of A'A, the top one too, is double
+    B = np.random.default_rng(seed).standard_normal((30, 8))
+    A = np.zeros((60, 16))
+    A[:30, :8] = B
+    A[30:, 8:] = B
+    return _from_dense(A)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda s: make_classification_dataset(s, 10, 1), id="d1"),
+    pytest.param(lambda s: make_classification_dataset(s, 5, 40), id="n_below_d"),
+    pytest.param(lambda s: make_classification_dataset(s, 60, 20), id="dense"),
+    pytest.param(lambda s: make_classification_dataset(s, 400, 60, density=0.05), id="sparse"),
+    pytest.param(_block_data, id="repeated_top"),
+])
+def test_spectral_norm_never_below_svd(make, seed):
+    data = make(100 + seed)
+    tol = 1e-10
+    lam = _gram_spectral_norm(data, tol=tol, seed=seed)
+    top = np.linalg.svd(data.to_dense(), compute_uv=False)[0] ** 2
+    assert top <= lam <= top * (1.0 + 2.0 * tol)
+
+
+def test_spectral_norm_of_zero_data_is_exactly_zero():
+    data = SparseDataset(np.array([0, 2, 3]), np.array([0, 2, 1]), np.zeros(3),
+                         np.array([1.0, -1.0]), 3)
+    assert _gram_spectral_norm(data) == 0.0
+    assert logistic_problem(data).L == 0.0
+
+
+def test_spectral_norm_converges_in_few_products(monkeypatch):
+    # the relative gap here is 2.2%: power iteration would take 439 products,
+    # Lanczos 46, and it must stop on its residual test, not at max_iters
+    data = make_classification_dataset(3, 2000, 200, density=0.05)
+    calls = []
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    lam = _gram_spectral_norm(data, max_iters=150)
+    monkeypatch.undo()
+    top = np.linalg.svd(data.to_dense(), compute_uv=False)[0] ** 2
+    assert top <= lam <= top * (1.0 + 2e-10)
+    assert len(calls) // 2 <= 60  # two bincounts per Gram product
 
 
 # ---------------------------------------------------------------------------
