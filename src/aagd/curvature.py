@@ -10,7 +10,9 @@ The guard scales read the squared norms that each
 :class:`~aagd.oracle.OracleResult` carries, so a result evaluated once
 serves every estimate it enters (up to four in the solver) without its
 gradient or point being squared again. Only the differences between the
-two points are formed here.
+two points are formed here, each once per estimate: the guards, the
+Bregman inner product and the secant fallback of option 2 all reuse
+them.
 """
 from __future__ import annotations
 
@@ -46,14 +48,22 @@ class NonConvexOracleError(Exception):
 def bregman(a: OracleResult, b: OracleResult) -> float:
     """B(a; b) = f(a) - f(b) - <grad f(b), a - b>. Nonnegative for convex f."""
     if a.x.shape != b.x.shape:
-        raise DimensionMismatchError(
-            f"bregman arguments have shapes {a.x.shape} and {b.x.shape}"
-        )
-    return float(a.value - b.value - b.grad @ (a.x - b.x))
+        raise DimensionMismatchError(f"bregman arguments have shapes {a.x.shape} and {b.x.shape}")
+    return _bregman(a, b, a.x - b.x)
 
 
-def _grad_gap_sq(a: OracleResult, b: OracleResult, guard: float):
-    """Squared gradient-difference norm and whether the guard fires.
+def _bregman(a: OracleResult, b: OracleResult, dx: np.ndarray) -> float:
+    return float(a.value - b.value - b.grad @ dx)
+
+
+def _secant(dx2: float, gap2: float) -> float:
+    return math.sqrt(dx2) / math.sqrt(gap2)
+
+
+def _gaps(a: OracleResult, b: OracleResult, guard: float):
+    """``(gap2, dx, dx2, fired)``: the squared gradient-difference norm,
+    the point difference ``a.x - b.x`` and its squared norm (both None if
+    the gradient test fires), and whether the guard fires.
 
     The guard fires when the gradients coincide up to roundoff, and also
     when the points themselves do: two points equal to machine precision
@@ -61,20 +71,28 @@ def _grad_gap_sq(a: OracleResult, b: OracleResult, guard: float):
     differ through internal rounding. Both tests are symmetric in the
     two arguments.
     """
+    if guard < 0.0:
+        raise ValueError("guard must be nonnegative")
+    if a.x.shape != b.x.shape:
+        raise DimensionMismatchError(f"curvature pair has shapes {a.x.shape} and {b.x.shape}")
     gap2 = sq_norm(a.grad - b.grad)
     if gap2 <= guard * max(1.0, a.grad_sq, b.grad_sq):
-        return gap2, True
-    return gap2, sq_norm(a.x - b.x) <= guard * max(1.0, a.x_sq, b.x_sq)
+        return gap2, None, None, True
+    dx = a.x - b.x
+    dx2 = sq_norm(dx)
+    return gap2, dx, dx2, dx2 <= guard * max(1.0, a.x_sq, b.x_sq)
+
+
+def _grad_gap_sq(a: OracleResult, b: OracleResult, guard: float):
+    """Squared gradient-difference norm and whether the guard fires."""
+    gap2, _, _, fired = _gaps(a, b, guard)
+    return gap2, fired
 
 
 def lambda_option1(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) -> float:
     """Secant estimate ||a - b|| / ||grad f(a) - grad f(b)||, or +inf."""
-    if guard < 0.0:
-        raise ValueError("guard must be nonnegative")
-    gap2, coincide = _grad_gap_sq(a, b, guard)
-    if coincide:
-        return math.inf
-    return math.sqrt(sq_norm(a.x - b.x)) / math.sqrt(gap2)
+    gap2, _, dx2, coincide = _gaps(a, b, guard)
+    return math.inf if coincide else _secant(dx2, gap2)
 
 
 def lambda_option2(
@@ -94,12 +112,10 @@ def lambda_option2(
     mode never substitutes and instead raises on any nonpositive value,
     with a dedicated error for a materially negative one.
     """
-    if guard < 0.0:
-        raise ValueError("guard must be nonnegative")
-    gap2, coincide = _grad_gap_sq(a, b, guard)
+    gap2, dx, dx2, coincide = _gaps(a, b, guard)
     if coincide:
         return math.inf
-    breg = bregman(a, b)
+    breg = _bregman(a, b, dx)
     scale = 1.0 + abs(a.value) + abs(b.value)
     if strict:
         if breg < -CONVEXITY_TOL * scale:
@@ -112,7 +128,7 @@ def lambda_option2(
             )
         return 2.0 * breg / gap2
     if breg <= BREG_NOISE_REL * scale:
-        return lambda_option1(a, b, guard)
+        return _secant(dx2, gap2)
     return 2.0 * breg / gap2
 
 

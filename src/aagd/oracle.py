@@ -3,12 +3,14 @@
 Each result carries the squared norms of its gradient and of its query
 point, computed once when the result is made. The curvature estimates,
 the finiteness checks and the recorded gradient norm all read them
-instead of forming the same inner products again.
+instead of forming the same inner products again. The solver step,
+which has already squared and checked its points, hands those squares
+to :func:`_evaluate` and skips the point checks of :func:`evaluate`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,28 +42,27 @@ def all_finite(v: np.ndarray, sq: float) -> bool:
     return math.isfinite(sq) or bool(np.isfinite(v).all())
 
 
-@dataclass(frozen=True, eq=False)
-class OracleResult:
+class OracleResult(namedtuple("OracleResult", "value grad x grad_sq x_sq")):
     """Value and gradient of f at a point, with the query point cached.
 
     The cached point is what lets curvature estimates be formed later
     without re-querying the oracle. ``grad_sq`` and ``x_sq`` are the
     squared norms of ``grad`` and ``x``; :func:`evaluate` passes them in,
     and a result built by hand as ``OracleResult(value, grad, x)`` gets
-    them computed on construction.
+    them computed on construction. Two results are equal only if they
+    are the same object.
     """
 
-    value: float
-    grad: np.ndarray
-    x: np.ndarray
-    grad_sq: float | None = None
-    x_sq: float | None = None
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        if self.grad_sq is None:
-            object.__setattr__(self, "grad_sq", sq_norm(self.grad))
-        if self.x_sq is None:
-            object.__setattr__(self, "x_sq", sq_norm(self.x))
+    def __new__(cls, value: float, grad: np.ndarray, x: np.ndarray,
+                grad_sq: float | None = None, x_sq: float | None = None):
+        if grad_sq is None:
+            grad_sq = sq_norm(grad)
+        if x_sq is None:
+            x_sq = sq_norm(x)
+        return super().__new__(cls, value, grad, x, grad_sq, x_sq)
 
 
 class EvalCounter:
@@ -72,8 +73,8 @@ class EvalCounter:
     def __init__(self) -> None:
         self.n_value_grad = 0
 
-    def add(self, n: int = 1) -> None:
-        self.n_value_grad += n
+    def add(self) -> None:
+        self.n_value_grad += 1
 
     def __repr__(self) -> str:
         return f"EvalCounter(n_value_grad={self.n_value_grad})"
@@ -119,7 +120,14 @@ def evaluate(oracle: Oracle, x, counter: EvalCounter | None = None) -> OracleRes
     if not all_finite(x, x_sq):
         raise NonFiniteError("query point contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
-        value, grad = oracle.fn(x)
+        return _evaluate(oracle, x, x_sq, counter)
+
+
+def _evaluate(oracle: Oracle, x: np.ndarray, x_sq: float,
+              counter: EvalCounter | None) -> OracleResult:
+    """:func:`evaluate` at a finite float64 point of the oracle's shape
+    with squared norm ``x_sq``, inside the caller's ``np.errstate``."""
+    value, grad = oracle.fn(x)
     value = float(value)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != x.shape:

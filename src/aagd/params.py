@@ -44,7 +44,6 @@ class SolverParams:
 class RateConstants:
     c: float
     m: int
-    L_used: float
 
 
 @dataclass(frozen=True)
@@ -154,4 +153,4 @@ def rate_constants(params: SolverParams, L: float) -> RateConstants:
     c = min(c1, c2)
     arg = 4.0 * c * c / (ga * eta0 * L)
     m = math.ceil(max(2.0, math.log(arg) / math.log1p(ga)))
-    return RateConstants(c=c, m=int(m), L_used=float(L))
+    return RateConstants(c=c, m=int(m))

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import kernels
 from .curvature import local_curvature
-from .oracle import (EvalCounter, NonFiniteError, Oracle, OracleResult, all_finite, evaluate,
-                     sq_norm)
+from .oracle import (EvalCounter, NonFiniteError, Oracle, OracleResult, _evaluate, all_finite,
+                     evaluate, sq_norm)
 from .params import SolverParams, validate
 
 
@@ -139,22 +139,11 @@ def init(x0, params: SolverParams, oracle: Oracle,
             )
     x0 = np.asarray(x0, dtype=np.float64)
     res = evaluate(oracle, x0, counter)
-    return IterState(
-        k=0,
-        x=x0,
-        x_bar=x0,
-        x_tilde=x0,
-        x_hat=x0,  # the extrapolated point is first formed at k=1
-        eta=params.eta0,
-        eta_prev=params.eta0,
-        H=params.eta0,
-        H_prev=params.eta0,
-        alpha=1.0,
-        beta=1.0,
-        lam=math.nan,
-        tilde_res=res,
-        bar_res=res,
-    )
+    eta0 = params.eta0
+    # the extrapolated point x_hat is first formed at k=1
+    return IterState(k=0, x=x0, x_bar=x0, x_tilde=x0, x_hat=x0,
+                     eta=eta0, eta_prev=eta0, H=eta0, H_prev=eta0, alpha=1.0, beta=1.0,
+                     lam=math.nan, tilde_res=res, bar_res=res)
 
 
 def step(state: IterState, oracle: Oracle, params: SolverParams,
@@ -169,16 +158,18 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
     grow = (1.0 + ga) * state.eta
     alpha_next = grow / (state.H + grow)
 
+    # each new point is squared once; the evaluations reuse the squares
     with np.errstate(over="ignore", invalid="ignore"):
         x_next, xbar_next, xhat_next, xt_next = kernels.step_update(
             state.x, state.x_bar, state.x_tilde, state.tilde_res.grad,
             state.eta, state.beta, th, alpha_next,
         )
-    if not (_finite(x_next) and _finite(xbar_next) and _finite(xt_next)):
-        raise DivergenceError(state.k + 1)
-
-    bar_res = evaluate(oracle, xbar_next, counter)
-    tilde_res = evaluate(oracle, xt_next, counter)
+        bar_sq, tilde_sq = sq_norm(xbar_next), sq_norm(xt_next)
+        if not (all_finite(x_next, sq_norm(x_next)) and all_finite(xbar_next, bar_sq)
+                and all_finite(xt_next, tilde_sq)):
+            raise DivergenceError(state.k + 1)
+        bar_res = _evaluate(oracle, xbar_next, bar_sq, counter)
+        tilde_res = _evaluate(oracle, xt_next, tilde_sq, counter)
     lam_next = local_curvature(bar_res, state.tilde_res, tilde_res)
 
     if growth_cap and state.k >= 1:
@@ -191,26 +182,10 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
         # branch; rounding can overshoot by ulps
         beta_next = 1.0
 
-    return IterState(
-        k=state.k + 1,
-        x=x_next,
-        x_bar=xbar_next,
-        x_tilde=xt_next,
-        x_hat=xhat_next,
-        eta=eta_next,
-        eta_prev=state.eta,
-        H=H_next,
-        H_prev=state.H,
-        alpha=alpha_next,
-        beta=beta_next,
-        lam=lam_next,
-        tilde_res=tilde_res,
-        bar_res=bar_res,
-    )
-
-
-def _finite(v: np.ndarray) -> bool:
-    return all_finite(v, sq_norm(v))
+    return IterState(k=state.k + 1, x=x_next, x_bar=xbar_next, x_tilde=xt_next, x_hat=xhat_next,
+                     eta=eta_next, eta_prev=state.eta, H=H_next, H_prev=state.H,
+                     alpha=alpha_next, beta=beta_next, lam=lam_next,
+                     tilde_res=tilde_res, bar_res=bar_res)
 
 
 def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule,

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from aagd import (GRAD_GUARD, NonConvexOracleError, Oracle, OracleResult, bregman, evaluate,
-                  identity_quadratic, lambda_option1, lambda_option2,
+from aagd import (GRAD_GUARD, DimensionMismatchError, NonConvexOracleError, Oracle, OracleResult,
+                  bregman, evaluate, identity_quadratic, lambda_option1, lambda_option2,
                   local_curvature, logistic_problem, logsumexp_problem,
                   make_classification_dataset, make_quadratic)
-from aagd.curvature import _grad_gap_sq
+from aagd.curvature import BREG_NOISE_REL, _gaps, _grad_gap_sq
 
 
 def diag_quadratic():
@@ -201,3 +201,49 @@ def test_hand_built_guard_uses_gradient_scale():
     gap2, fired = _grad_gap_sq(a, b, GRAD_GUARD)
     assert gap2 > GRAD_GUARD and fired
     assert lambda_option1(a, b) == lambda_option2(a, b) == math.inf
+
+
+@pytest.mark.parametrize("problem",
+                         [make_quadratic(5, 20, 1e4), logsumexp_problem(6, 20, 60, 0.1)],
+                         ids=lambda p: p.label)
+def test_secant_fallback_matches_option1_bits(problem):
+    # option 2 reuses the differences it formed for the guards when it
+    # falls back to the secant ratio; the result must be option 1's bits
+    rng = np.random.default_rng(23)
+    fired = 0
+    for _ in range(600):
+        x = 10.0 ** rng.uniform(-1, 1) * rng.standard_normal(problem.dim)
+        step = 10.0 ** rng.uniform(-9, -2) * np.linalg.norm(x) * rng.standard_normal(problem.dim)
+        a, b = evaluate(problem.oracle, x), evaluate(problem.oracle, x + step)
+        if bregman(a, b) <= BREG_NOISE_REL * (1.0 + abs(a.value) + abs(b.value)):
+            secant = lambda_option1(a, b)
+            fired += math.isfinite(secant)
+            assert lambda_option2(a, b).hex() == secant.hex()
+    assert fired >= 300
+
+
+def test_both_guards_give_infinity_in_both_estimators():
+    p = make_quadratic(5, 20, 1e4)
+    rng = np.random.default_rng(29)
+    same = evaluate(p.oracle, rng.standard_normal(20))
+    # one ulp from the minimizer: the gradients differ well above roundoff
+    # relative to their size, the points do not
+    near_opt = evaluate(p.oracle, p.x_star)
+    ulp_away = evaluate(p.oracle, np.nextafter(p.x_star, np.inf))
+    gradient_guard = _gaps(same, same, GRAD_GUARD)
+    point_guard = _gaps(near_opt, ulp_away, GRAD_GUARD)
+    assert gradient_guard[1] is None and gradient_guard[3]
+    assert point_guard[1] is not None and point_guard[3]
+    assert point_guard[0] > GRAD_GUARD * max(1.0, near_opt.grad_sq, ulp_away.grad_sq)
+    for a, b in [(same, same), (near_opt, ulp_away), (ulp_away, near_opt)]:
+        assert lambda_option1(a, b) == lambda_option2(a, b) == math.inf
+
+
+def test_estimators_reject_points_of_different_shapes():
+    # a one-entry point broadcasts against any other, so numpy alone
+    # would return a number
+    a = OracleResult(1.0, np.ones(1), np.ones(1))
+    b = OracleResult(2.0, np.full(3, 2.0), np.full(3, 3.0))
+    for est in (bregman, lambda_option1, lambda_option2):
+        with pytest.raises(DimensionMismatchError):
+            est(a, b)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from aagd import (DivergenceError, EvalCounter, InvalidParamsError, Oracle, StopRule,
-                  default_params, identity_quadratic, init, lemma_suite, logsumexp_problem,
-                  make_quadratic, run, step)
+                  default_params, evaluate, identity_quadratic, init, lemma_suite,
+                  logsumexp_problem, make_quadratic, run, step)
 from aagd.params import SolverParams
 
 
@@ -230,6 +230,69 @@ def test_step_rejects_non_finite_iterate(bad):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="non-finite iterate at step 1"):
             step(dataclasses.replace(st, x=x), LINEAR, params)
+
+
+def bits(res):
+    return (res.value.hex(), [v.hex() for v in res.grad], [v.hex() for v in res.x],
+            res.grad_sq.hex(), res.x_sq.hex())
+
+
+@pytest.mark.parametrize("problem", [make_quadratic(3, 20, 1e3), logsumexp_problem(4, 20, 50, 0.1)],
+                         ids=lambda p: p.label)
+def test_step_results_equal_public_evaluate(problem):
+    # the step hands its own squares of the new points to the evaluation;
+    # every field must still be what the public evaluate gives there
+    params = default_params(eta0=1e-3)
+    st = init(np.linspace(-1.0, 1.0, 20), params, problem.oracle)
+    for _ in range(30):
+        st = step(st, problem.oracle, params)
+        for res, point in [(st.bar_res, st.x_bar), (st.tilde_res, st.x_tilde)]:
+            assert res.x is point
+            assert bits(res) == bits(evaluate(problem.oracle, point))
+
+
+@pytest.mark.parametrize("field", ["x_bar", "x_tilde"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_rejects_non_finite_point_before_oracle_call(field, bad):
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return 0.5 * float(x @ x), x
+
+    oracle = Oracle(fn, 3, label="counted")
+    params = default_params(eta0=0.1)
+    st = init(np.ones(3), params, oracle)
+    point = getattr(st, field).copy()
+    point[1] = bad
+    with pytest.raises(DivergenceError, match="non-finite iterate at step 1"):
+        step(dataclasses.replace(st, **{field: point}), oracle, params)
+    assert len(calls) == 1  # the call made by init
+
+
+def test_vdot_calls_per_step_pinned(monkeypatch):
+    # 3 squares of the new points (shared with the evaluations), 2 of the
+    # new gradients, and per estimate 1 for the gradient gap plus 1 for the
+    # point gap unless the gradient guard fired; on the growth branch the
+    # new averaged point is the old lookahead point, so the first estimate
+    # fires its guard and the step makes 8 calls
+    p = make_quadratic(3, 20, 1e3)
+    params = default_params(eta0=1e-3)
+    st = init(np.ones(20), params, p.oracle)
+    calls = [0]
+    vdot = np.vdot
+
+    def counting(a, b):
+        calls[0] += 1
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", counting)
+    counts = []
+    for _ in range(40):
+        calls[0] = 0
+        st = step(st, p.oracle, params)
+        counts.append(calls[0])
+    assert counts == [8, 9, 9] + [8] * 37
 
 
 def test_divergence_notes_unchanged():
