@@ -3,10 +3,11 @@
 Columns, in order: k, eta, H, alpha, beta, lambda, f_bar, f_tilde,
 grad_norm_tilde, evals_cum, then x_0..x_{d-1}, xbar_0.., xtilde_0..
 when the trace stores iterates. Floats are written with 17 significant
-digits so a parse of an emitted file reproduces every scalar bit-exactly.
-A non-finite lambda (the estimator's infinite branch, or undefined at
-k=0) and every other non-applicable field serialize to an empty cell,
-which reads back as nan.
+digits so a parse of an emitted file reproduces every finite value
+bit-exactly. Every non-finite value (lambda on the estimator's infinite
+branch or at k=0, the columns a baseline does not use, an overflowed
+iterate) is an empty cell, so nan and +-inf all read back as nan. Lines
+end in \r\n, as csv.writer writes them.
 """
 from __future__ import annotations
 
@@ -26,30 +27,23 @@ class TraceSchemaError(ValueError):
     pass
 
 
-def _fmt(v: float) -> str:
-    return "" if not math.isfinite(v) else format(v, ".17g")
-
-
 def write_csv(trace: Trace, path) -> None:
-    header = list(SCALAR_COLUMNS)
-    if trace.has_iterates:
-        d = trace.x.shape[1]
-        header += [f"x_{i}" for i in range(d)]
-        header += [f"xbar_{i}" for i in range(d)]
-        header += [f"xtilde_{i}" for i in range(d)]
+    d = trace.x.shape[1] if trace.has_iterates else 0
+    header = list(SCALAR_COLUMNS) + [f"{block}_{i}" for block in ("x", "xbar", "xtilde")
+                                     for i in range(d)]
+    # one format per row; a finite %.17g never contains "inf" or "nan", so
+    # deleting those tokens empties exactly the non-finite cells
+    line = "%d" + ",%.17g" * 8 + ",%d" + ",%.17g" * (3 * d) + "\r\n"
+    rows = zip(trace.k.tolist(), trace.eta.tolist(), trace.H.tolist(), trace.alpha.tolist(),
+               trace.beta.tolist(), trace.lam.tolist(), trace.f_bar.tolist(),
+               trace.f_tilde.tolist(), trace.grad_norm_tilde.tolist(), trace.evals_cum.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(len(trace.k)):
-            row = [str(int(trace.k[r])), _fmt(trace.eta[r]), _fmt(trace.H[r]),
-                   _fmt(trace.alpha[r]), _fmt(trace.beta[r]), _fmt(trace.lam[r]),
-                   _fmt(trace.f_bar[r]), _fmt(trace.f_tilde[r]),
-                   _fmt(trace.grad_norm_tilde[r]), str(int(trace.evals_cum[r]))]
-            if trace.has_iterates:
-                row += [_fmt(v) for v in trace.x[r]]
-                row += [_fmt(v) for v in trace.x_bar[r]]
-                row += [_fmt(v) for v in trace.x_tilde[r]]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for r, row in enumerate(rows):
+            if d:
+                row += (*trace.x[r].tolist(), *trace.x_bar[r].tolist(),
+                        *trace.x_tilde[r].tolist())
+            fh.write((line % row).replace("-inf", "").replace("inf", "").replace("nan", ""))
 
 
 def _parse_float(cell: str) -> float:
@@ -71,16 +65,14 @@ def read_csv(path) -> Trace:
             f"want {list(SCALAR_COLUMNS)}"
         )
     extra = header[len(SCALAR_COLUMNS):]
-    d, has_iterates = 0, False
+    d, has_iterates = len(extra) // 3, bool(extra)
     if extra:
         if len(extra) % 3 != 0:
             raise TraceSchemaError("iterate columns must come in three blocks")
-        d = len(extra) // 3
-        want = ([f"x_{i}" for i in range(d)] + [f"xbar_{i}" for i in range(d)]
-                + [f"xtilde_{i}" for i in range(d)])
-        if extra != want:
+        if extra != [f"{block}_{i}" for block in ("x", "xbar", "xtilde") for i in range(d)]:
             raise TraceSchemaError("unexpected iterate column names")
-        has_iterates = True
+    if not rows:
+        raise TraceSchemaError("trace file has no rows")
 
     n = len(rows)
     cols = {name: np.empty(n) for name in SCALAR_COLUMNS}
@@ -100,12 +92,18 @@ def read_csv(path) -> Trace:
                 x_tilde[r] = [_parse_float(c) for c in row[base + 2 * d:base + 3 * d]]
         except ValueError as exc:
             raise TraceSchemaError(f"row {r + 2}: {exc}")
+    for name in _INT_COLUMNS:
+        v, j = cols[name], SCALAR_COLUMNS.index(name)
+        bad = ~((np.abs(v) < 2.0**53) & (v == np.trunc(v)))
+        if bad.any():
+            r = int(bad.argmax())
+            raise TraceSchemaError(f"row {r + 2}: {name} must be an integer below 2**53 in "
+                                   f"magnitude, got {rows[r][j]!r}")
+        cols[name] = v.astype(np.int64)
 
     return Trace(
-        k=cols["k"].astype(np.int64),
-        eta=cols["eta"], H=cols["H"], alpha=cols["alpha"], beta=cols["beta"],
+        k=cols["k"], eta=cols["eta"], H=cols["H"], alpha=cols["alpha"], beta=cols["beta"],
         lam=cols["lambda"], f_bar=cols["f_bar"], f_tilde=cols["f_tilde"],
-        grad_norm_tilde=cols["grad_norm_tilde"],
-        evals_cum=cols["evals_cum"].astype(np.int64),
+        grad_norm_tilde=cols["grad_norm_tilde"], evals_cum=cols["evals_cum"],
         x=x, x_bar=x_bar, x_tilde=x_tilde,
     )

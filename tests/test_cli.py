@@ -1,8 +1,10 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aagd.traceio
 from aagd.cli import main
 
 QUAD_CFG = """
@@ -348,3 +350,45 @@ def test_degenerate_logistic_input_is_config_error(tmp_path, capsys, zero_logist
     assert err.startswith("config error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_check_header_only_trace_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    trace.write_bytes(trace.read_bytes().split(b"\r\n")[0] + b"\r\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: trace file has no rows\n"
+
+
+def test_check_out_of_range_evaluation_count_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    lines = trace.read_text().splitlines()
+    row = lines[5].split(",")
+    row[9] = "1e30"
+    lines[5] = ",".join(row)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: row 6: evals_cum must be an integer" in captured.err
+
+
+def test_run_writes_each_trace_through_traceio_once(tmp_path, monkeypatch):
+    # perfbench times trace writing by wrapping the module attribute
+    written = []
+    real = aagd.traceio.write_csv
+
+    def counting(trace, path):
+        written.append(Path(path).name)
+        real(trace, path)
+
+    monkeypatch.setattr(aagd.traceio, "write_csv", counting)
+    cfg = write_cfg(tmp_path, GOLDEN_CFG + "\n[method gd]\nkind = gd\neta = 0.5\nmax_iters = 20\n")
+    assert main(["run", str(cfg)]) == 0
+    assert sorted(written) == sorted(f.name for f in (tmp_path / "out").glob("*.csv"))
+    assert len(written) == 2 and len(set(written)) == 2

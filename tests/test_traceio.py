@@ -1,10 +1,12 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from aagd import (BaselineMethod, StopRule, default_params, identity_quadratic,
-                  read_csv, run, run_baseline, write_csv)
+from aagd import (BaselineMethod, StopRule, Trace, default_params, identity_quadratic,
+                  logsumexp_problem, read_csv, run, run_baseline, write_csv)
 from aagd.traceio import SCALAR_COLUMNS, TraceSchemaError
 
 
@@ -100,3 +102,136 @@ def test_schema_rejects_bad_iterate_block(tmp_path):
     path.write_text(text)
     with pytest.raises(TraceSchemaError):
         read_csv(path)
+
+
+# sha256 of the bytes write_csv emits, recorded with the csv.writer-based
+# writer; like the trace pins in test_driver.py they assume numpy 2.4 with
+# its bundled OpenBLAS on x86-64
+PINNED_BYTES = {
+    "aagd":
+        "3f3a026fd88182f7c1f57fd1afb8245683002a621d41521ca9cb497baa822a41",
+    "gd":
+        "ca864fe6dc2845aa5d9c72dc6de39ff10ddeb7a883b42a6c23bbf4101f41f81b",
+    "agd":
+        "a1244cfa9d3180502e95bbabce76b63f26f78632de21aef28e190d4ea27066ae",
+    "adgd":
+        "51182981ade9864dde7055895268d837d6c05b89675a5ce4f4270d226a5f3884",
+    "adagrad":
+        "b75ee94779f53d47f1beafc0c8b08d3d75255376551182bc101425bde5ceb0cc",
+    "bb":
+        "76f79066579d5507ea4a4e77baea767b33acd0070355cd6605aaed9d98c8a5a5",
+    "special":
+        "6c54f37d71e81ac1642d09004ed67ffb61371696e1cf6d561eccdb93eb1b223b",
+}
+
+SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1 + 1e-17]
+
+
+def special_trace():
+    """Every scalar and iterate column cycles through SPECIAL."""
+    n, d = len(SPECIAL), 3
+    col = np.array(SPECIAL)
+    block = np.array([[SPECIAL[(r + 2 * j) % n] for j in range(d)] for r in range(n)])
+    return Trace(k=np.arange(n), eta=col, H=np.roll(col, 1), alpha=np.roll(col, 2),
+                 beta=np.roll(col, 3), lam=np.roll(col, 4), f_bar=np.roll(col, 5),
+                 f_tilde=np.roll(col, 6), grad_norm_tilde=-col,
+                 evals_cum=2 * np.arange(n) + 1, x=block, x_bar=-block,
+                 x_tilde=block[::-1].copy())
+
+
+def pinned_bytes_trace(name):
+    if name == "special":
+        return special_trace()
+    p = logsumexp_problem(1, 40, 100, 0.1)
+    x0 = np.ones(40)
+    stop = StopRule(max_iters=300)
+    if name == "aagd":
+        return run(p.oracle, x0, default_params(eta0=1e-6), stop, store_iterates=True)
+    method = {
+        "gd": BaselineMethod(kind="gd", eta=1.0 / p.L),
+        "agd": BaselineMethod(kind="agd", eta=1.0 / p.L),
+        "adgd": BaselineMethod(kind="adgd", eta0=1e-6),
+        "adagrad": BaselineMethod(kind="adagrad", eta=1.0),
+        "bb": BaselineMethod(kind="bb", eta0=1e-6),
+    }[name]
+    return run_baseline(method, p.oracle, x0, stop)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+def test_written_bytes_pinned(tmp_path, name):
+    path = tmp_path / "t.csv"
+    write_csv(pinned_bytes_trace(name), path)
+    data = path.read_bytes()
+    assert data.endswith(b"\r\n")
+    assert hashlib.sha256(data).hexdigest() == PINNED_BYTES[name]
+
+
+def test_non_finite_cells_are_empty_and_read_back_as_nan(tmp_path):
+    path = tmp_path / "t.csv"
+    tr = special_trace()
+    write_csv(tr, path)
+    text = path.read_text()
+    assert "inf" not in text and "nan" not in text
+    back = read_csv(path)
+    for name in ("eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
+                 "grad_norm_tilde", "x", "x_bar", "x_tilde"):
+        want = getattr(tr, name).copy()
+        want[~np.isfinite(want)] = np.nan
+        got = getattr(back, name)
+        assert np.array_equal(got, want, equal_nan=True)
+        # -0.0 and the subnormal keep their bits
+        assert np.array_equal(np.signbit(got), np.signbit(want) & np.isfinite(want))
+
+
+def test_write_csv_streams_rows(tmp_path):
+    # one float64 copy of the three iterate blocks is the limit: a writer
+    # that builds the whole table or the whole file in memory exceeds it
+    K, d = 2000, 40
+    rng = np.random.default_rng(0)
+    scalars = rng.standard_normal((8, K + 1))
+    tr = Trace(k=np.arange(K + 1), eta=scalars[0], H=scalars[1], alpha=scalars[2],
+               beta=scalars[3], lam=scalars[4], f_bar=scalars[5], f_tilde=scalars[6],
+               grad_norm_tilde=scalars[7], evals_cum=2 * np.arange(K + 1) + 1,
+               x=rng.standard_normal((K + 1, d)), x_bar=rng.standard_normal((K + 1, d)),
+               x_tilde=rng.standard_normal((K + 1, d)))
+    tracemalloc.start()
+    try:
+        write_csv(tr, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * K * d * 8
+
+
+def test_header_only_file_has_no_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(SCALAR_COLUMNS) + "\r\n")
+    with pytest.raises(TraceSchemaError, match="^trace file has no rows$"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("column", [0, 9])
+@pytest.mark.parametrize("cell", ["", "3.7", "1e30", "-1e30", "9007199254740992", "inf"])
+def test_integer_columns_reject_non_integers(tmp_path, column, cell):
+    p = identity_quadratic(2)
+    tr = run(p.oracle, np.ones(2), default_params(eta0=0.1), StopRule(max_iters=4))
+    path = tmp_path / "t.csv"
+    write_csv(tr, path)
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")
+    row[column] = cell
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    name = SCALAR_COLUMNS[column]
+    with pytest.raises(TraceSchemaError, match=f"^row 4: {name} must be an integer") as info:
+        read_csv(path)
+    assert repr(cell) in str(info.value)
+
+
+def test_integer_columns_accept_large_exact_integers(tmp_path):
+    p = identity_quadratic(2)
+    tr = run(p.oracle, np.ones(2), default_params(eta0=0.1), StopRule(max_iters=2))
+    tr.evals_cum[:] = [2**53 - 1, -(2**53 - 1), 0]
+    path = tmp_path / "t.csv"
+    write_csv(tr, path)
+    assert np.array_equal(read_csv(path).evals_cum, tr.evals_cum)
