@@ -10,8 +10,7 @@ recorded traces.
 """
 from .baselines import (BaselineMethod, adagrad_stepsize, adgd_stepsize,
                         bb_stepsize, run_baseline)
-from .curvature import (GRAD_GUARD, NonConvexOracleError, bregman,
-                        lambda_option1, lambda_option2, local_curvature)
+from .curvature import GRAD_GUARD, bregman, lambda_option1, lambda_option2, local_curvature
 from .diagnostics import (CertificateEntry, CertificateReport, ConvergedWindowError,
                           LyapunovSeries, MissingIteratesError, check_corollary_bound,
                           check_eval_schedule, check_h_envelope, check_monotone_psi,
@@ -36,7 +35,7 @@ __all__ = [
     "BaselineMethod", "CertificateEntry", "CertificateReport", "ConvergedWindowError",
     "DatasetFormatError", "DimensionMismatchError", "DivergenceError", "EvalCounter",
     "InfeasibleThetaError", "InvalidParamsError", "IterState", "LyapunovSeries",
-    "MissingIteratesError", "NonConvexOracleError", "NonFiniteError", "Oracle",
+    "MissingIteratesError", "NonFiniteError", "Oracle",
     "OracleError", "OracleResult", "ParamReport", "Problem", "RateConstants",
     "SolverParams", "SparseDataset", "StopRule", "Trace", "TraceSchemaError",
     "adagrad_stepsize", "adgd_stepsize", "bb_stepsize", "bregman",

@@ -227,12 +227,28 @@ def cmd_params(theta: float, gamma: float | None) -> int:
     return EXIT_OK if report.passed else EXIT_CONFIG
 
 
+def _check_stored_iterates(trace: solver.Trace, dim: int) -> None:
+    """Reject stored iterates that no oracle call could take: a width other
+    than the problem's dim, or a non-finite entry (an empty cell)."""
+    if trace.x.shape[1] != dim:
+        raise ConfigError(f"the trace stores iterates of dimension {trace.x.shape[1]}, "
+                          f"the problem has dim = {dim}")
+    bad = np.array([~np.isfinite(v).all(axis=1) for v in (trace.x, trace.x_bar, trace.x_tilde)])
+    if bad.any():
+        r = int(bad.any(axis=0).argmax())
+        block = ("x", "xbar", "xtilde")[int(bad[:, r].argmax())]
+        raise ConfigError(f"row {r + 2}: {block} has an empty or non-finite cell; "
+                          "the solver stores only finite iterates")
+
+
 def cmd_check(trace_path: str, config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
         problem = build_problem(cfg.problem, cfg.seed)
         _check_smoothness(cfg, problem)
         trace = traceio.read_csv(trace_path)
+        if trace.has_iterates:
+            _check_stored_iterates(trace, problem.dim)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,10 +27,6 @@ from .oracle import DimensionMismatchError, OracleResult, sq_norm
 # equal-up-to-roundoff gradients take the +inf branch.
 GRAD_GUARD = 100.0 * float(np.finfo(np.float64).eps) ** 2
 
-# A Bregman value below -CONVEXITY_TOL * (1 + |f(x)| + |f(z)|) means the
-# oracle is materially nonconvex, not merely noisy.
-CONVEXITY_TOL = 1e-8
-
 # The Bregman numerator is a difference of rounded objective values, so
 # its absolute noise floor is a few ulps of the objective magnitude. A
 # computed value below 1e10 eps * (1 + |f(x)| + |f(z)|) carries fewer
@@ -39,10 +35,6 @@ CONVEXITY_TOL = 1e-8
 # error near machine precision in the regime where the two points are
 # close. Above the floor the Bregman ratio is accurate to ~1e-10.
 BREG_NOISE_REL = 1e10 * float(np.finfo(np.float64).eps)
-
-
-class NonConvexOracleError(Exception):
-    pass
 
 
 def bregman(a: OracleResult, b: OracleResult) -> float:
@@ -95,39 +87,19 @@ def lambda_option1(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) 
     return math.inf if coincide else _secant(dx2, gap2)
 
 
-def lambda_option2(
-    a: OracleResult,
-    b: OracleResult,
-    guard: float = GRAD_GUARD,
-    strict: bool = False,
-) -> float:
+def lambda_option2(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) -> float:
     """Bregman estimate 2 B(a; b) / ||grad f(a) - grad f(b)||^2, or +inf.
 
-    A negative Bregman value is clamped to zero before the ratio; since
-    convexity guarantees the analytic value is nonnegative, a clamp with
-    a nonzero gradient difference means the value was cancellation noise.
-    Lenient mode (the default) substitutes the cancellation-free option-1
-    estimate whenever the computed Bregman value sits at or below its
-    floating-point noise floor (which covers the clamped case); strict
-    mode never substitutes and instead raises on any nonpositive value,
-    with a dedicated error for a materially negative one.
+    Convexity makes the analytic Bregman value nonnegative, so a computed
+    value at or below its floating-point noise floor (a negative one
+    included) is cancellation noise; the cancellation-free option-1
+    estimate is substituted for it.
     """
     gap2, dx, dx2, coincide = _gaps(a, b, guard)
     if coincide:
         return math.inf
     breg = _bregman(a, b, dx)
-    scale = 1.0 + abs(a.value) + abs(b.value)
-    if strict:
-        if breg < -CONVEXITY_TOL * scale:
-            raise NonConvexOracleError(
-                f"Bregman divergence {breg:.3e} is materially negative; oracle not convex"
-            )
-        if breg <= 0.0:
-            raise NonConvexOracleError(
-                "clamped Bregman divergence with a nonzero gradient difference"
-            )
-        return 2.0 * breg / gap2
-    if breg <= BREG_NOISE_REL * scale:
+    if breg <= BREG_NOISE_REL * (1.0 + abs(a.value) + abs(b.value)):
         return _secant(dx2, gap2)
     return 2.0 * breg / gap2
 
@@ -137,13 +109,12 @@ def local_curvature(
     tilde_cur: OracleResult,
     tilde_next: OracleResult,
     guard: float = GRAD_GUARD,
-    strict: bool = False,
 ) -> float:
     """Composite estimator: min of the two Bregman estimates anchored at
     the new averaged point, against the current and the new lookahead
     points. Works on cached results only; performs no oracle calls.
     """
     return min(
-        lambda_option2(bar_next, tilde_cur, guard=guard, strict=strict),
-        lambda_option2(bar_next, tilde_next, guard=guard, strict=strict),
+        lambda_option2(bar_next, tilde_cur, guard=guard),
+        lambda_option2(bar_next, tilde_next, guard=guard),
     )

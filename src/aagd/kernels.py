@@ -55,9 +55,9 @@ def logistic_value_grad(row, indices, data, y, reg, w):
 
 def logsumexp_value_grad(A, b, mu, x):
     z = (A @ x - b) / mu
-    m = float(np.max(z))
+    m = float(z.max())
     p = np.exp(z - m)
-    s = float(np.sum(p))
+    s = float(p.sum())
     value = mu * (m + np.log(s))
     return value, (p / s) @ A
 

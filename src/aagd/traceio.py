@@ -8,6 +8,11 @@ bit-exactly. Every non-finite value (lambda on the estimator's infinite
 branch or at k=0, the columns a baseline does not use, an overflowed
 iterate) is an empty cell, so nan and +-inf all read back as nan. Lines
 end in \r\n, as csv.writer writes them.
+
+The reader streams: it checks the header first, then parses each row as
+csv.reader yields it into one float64 array, and stacks those arrays
+into the columns at the end. It never holds the file's cells as text,
+except the k and evals_cum cells that its integer-column error quotes.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from .solver import Trace
 
 SCALAR_COLUMNS = ("k", "eta", "H", "alpha", "beta", "lambda", "f_bar",
                   "f_tilde", "grad_norm_tilde", "evals_cum")
-_INT_COLUMNS = ("k", "evals_cum")
 
 
 class TraceSchemaError(ValueError):
@@ -46,10 +50,6 @@ def write_csv(trace: Trace, path) -> None:
             fh.write((line % row).replace("-inf", "").replace("inf", "").replace("nan", ""))
 
 
-def _parse_float(cell: str) -> float:
-    return math.nan if cell == "" else float(cell)
-
-
 def read_csv(path) -> Trace:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -57,49 +57,49 @@ def read_csv(path) -> Trace:
             header = next(reader)
         except StopIteration:
             raise TraceSchemaError("empty trace file")
-        rows = [row for row in reader if row]
-
-    if tuple(header[: len(SCALAR_COLUMNS)]) != SCALAR_COLUMNS:
-        raise TraceSchemaError(
-            f"unexpected columns {header[:len(SCALAR_COLUMNS)]}, "
-            f"want {list(SCALAR_COLUMNS)}"
-        )
-    extra = header[len(SCALAR_COLUMNS):]
-    d, has_iterates = len(extra) // 3, bool(extra)
-    if extra:
-        if len(extra) % 3 != 0:
-            raise TraceSchemaError("iterate columns must come in three blocks")
-        if extra != [f"{block}_{i}" for block in ("x", "xbar", "xtilde") for i in range(d)]:
-            raise TraceSchemaError("unexpected iterate column names")
+        if tuple(header[: len(SCALAR_COLUMNS)]) != SCALAR_COLUMNS:
+            raise TraceSchemaError(
+                f"unexpected columns {header[:len(SCALAR_COLUMNS)]}, "
+                f"want {list(SCALAR_COLUMNS)}"
+            )
+        extra = header[len(SCALAR_COLUMNS):]
+        d, width = len(extra) // 3, len(header)
+        if extra:
+            if len(extra) % 3 != 0:
+                raise TraceSchemaError("iterate columns must come in three blocks")
+            if extra != [f"{block}_{i}" for block in ("x", "xbar", "xtilde") for i in range(d)]:
+                raise TraceSchemaError("unexpected iterate column names")
+        # each row becomes one float64 array as it is read; only the integer
+        # columns' text is kept, for the error message below
+        rows, int_cells = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise TraceSchemaError(
+                    f"row {len(rows) + 2}: expected {width} cells, got {len(row)}")
+            try:
+                rows.append(np.array([math.nan if c == "" else float(c) for c in row]))
+            except ValueError as exc:
+                raise TraceSchemaError(f"row {len(rows) + 2}: {exc}")
+            int_cells.append((row[0], row[9]))  # k, evals_cum
     if not rows:
         raise TraceSchemaError("trace file has no rows")
 
-    n = len(rows)
-    cols = {name: np.empty(n) for name in SCALAR_COLUMNS}
-    x = np.empty((n, d)) if has_iterates else None
-    x_bar = np.empty((n, d)) if has_iterates else None
-    x_tilde = np.empty((n, d)) if has_iterates else None
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise TraceSchemaError(f"row {r + 2}: expected {len(header)} cells, got {len(row)}")
-        try:
-            for j, name in enumerate(SCALAR_COLUMNS):
-                cols[name][r] = _parse_float(row[j])
-            if has_iterates:
-                base = len(SCALAR_COLUMNS)
-                x[r] = [_parse_float(c) for c in row[base:base + d]]
-                x_bar[r] = [_parse_float(c) for c in row[base + d:base + 2 * d]]
-                x_tilde[r] = [_parse_float(c) for c in row[base + 2 * d:base + 3 * d]]
-        except ValueError as exc:
-            raise TraceSchemaError(f"row {r + 2}: {exc}")
-    for name in _INT_COLUMNS:
-        v, j = cols[name], SCALAR_COLUMNS.index(name)
+    table = np.vstack(rows)
+    del rows  # free the row arrays before the columns are copied out
+    cols = {name: table[:, j].copy() for j, name in enumerate(SCALAR_COLUMNS)}
+    for j, name in ((0, "k"), (1, "evals_cum")):
+        v = cols[name]
         bad = ~((np.abs(v) < 2.0**53) & (v == np.trunc(v)))
         if bad.any():
             r = int(bad.argmax())
             raise TraceSchemaError(f"row {r + 2}: {name} must be an integer below 2**53 in "
-                                   f"magnitude, got {rows[r][j]!r}")
+                                   f"magnitude, got {int_cells[r][j]!r}")
         cols[name] = v.astype(np.int64)
+    base = len(SCALAR_COLUMNS)
+    x, x_bar, x_tilde = ((table[:, base + i * d:base + (i + 1) * d].copy() for i in range(3))
+                         if extra else (None, None, None))
 
     return Trace(
         k=cols["k"], eta=cols["eta"], H=cols["H"], alpha=cols["alpha"], beta=cols["beta"],

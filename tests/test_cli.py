@@ -392,3 +392,73 @@ def test_run_writes_each_trace_through_traceio_once(tmp_path, monkeypatch):
     assert main(["run", str(cfg)]) == 0
     assert sorted(written) == sorted(f.name for f in (tmp_path / "out").glob("*.csv"))
     assert len(written) == 2 and len(set(written)) == 2
+
+
+def test_check_reads_the_trace_through_traceio_once(tmp_path, monkeypatch):
+    # perfbench times trace reading by wrapping the module attribute
+    read = []
+    real = aagd.traceio.read_csv
+
+    def counting(path):
+        read.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(aagd.traceio, "read_csv", counting)
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    assert read == []
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    assert main(["check", str(trace), "--config", str(cfg)]) == 0
+    assert read == [trace.name]
+
+
+LOGSUMEXP_CFG = """
+[experiment]
+seed = 3
+outdir = {out}
+
+[problem]
+kind = logsumexp
+dim = DIM
+terms = 12
+smoothing = 0.5
+x0 = random
+
+[method aagd]
+kind = aagd
+eta0 = 1e-3
+max_iters = 30
+store_iterates = true
+"""
+
+
+def test_check_iterate_width_differs_from_problem_dim_is_config_error(tmp_path, capsys):
+    run_cfg = write_cfg(tmp_path, LOGSUMEXP_CFG.replace("DIM", "5"), name="run.ini")
+    assert main(["run", str(run_cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*__aagd.csv"))
+    check_cfg = write_cfg(tmp_path, LOGSUMEXP_CFG.replace("DIM", "6"), name="check.ini")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(check_cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: the trace stores iterates of dimension 5, "
+                            "the problem has dim = 6\n")
+
+
+@pytest.mark.parametrize("column", ["x_0", "xbar_0", "xtilde_0"])
+def test_check_empty_iterate_cell_is_config_error(tmp_path, capsys, column):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    lines = trace.read_text().splitlines()
+    row = lines[4].split(",")
+    row[lines[0].split(",").index(column)] = ""
+    lines[4] = ",".join(row)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    block = column[:-2]
+    assert captured.err == (f"config error: row 5: {block} has an empty or non-finite cell; "
+                            "the solver stores only finite iterates\n")

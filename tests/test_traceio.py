@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -235,3 +236,155 @@ def test_integer_columns_accept_large_exact_integers(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(tr, path)
     assert np.array_equal(read_csv(path).evals_cum, tr.evals_cum)
+
+
+def _small_csv(tmp_path, store_iterates=True):
+    """A d=2 aagd trace of four iterations and its CSV lines."""
+    p = identity_quadratic(2)
+    tr = run(p.oracle, np.ones(2), default_params(eta0=0.1), StopRule(max_iters=4),
+             store_iterates=store_iterates)
+    path = tmp_path / "t.csv"
+    write_csv(tr, path)
+    return path, path.read_text().splitlines()
+
+
+def _edit_cell(lines, line, column, cell):
+    row = lines[line].split(",")
+    row[column] = cell
+    lines[line] = ",".join(row)
+
+
+def _assert_traces_equal(a, b):
+    for name in ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
+                 "grad_norm_tilde", "evals_cum", "x", "x_bar", "x_tilde"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert u.dtype == v.dtype and u.shape == v.shape
+        assert np.array_equal(u, v, equal_nan=True)
+        assert np.array_equal(np.signbit(u), np.signbit(v))
+
+
+def _schema_case(tmp_path, case):
+    path, lines = _small_csv(tmp_path)
+    header = ",".join(SCALAR_COLUMNS)
+    if case == "empty file":
+        path.write_text("")
+    elif case == "wrong columns":
+        path.write_text("a,b,c\n1,2,3\n")
+    elif case == "blocks not in threes":
+        path.write_text(header + ",x_0,x_1\n")
+    elif case == "wrong iterate names":
+        path.write_text("\n".join(lines).replace("xtilde_1", "oops_1") + "\n")
+    elif case == "ragged row":
+        lines[2] += ",42"
+        path.write_text("\n".join(lines) + "\n")
+    elif case == "non-numeric cell":
+        _edit_cell(lines, 3, 12, "abc")
+        path.write_text("\n".join(lines) + "\n")
+    elif case == "no rows":
+        path.write_text(header + ",x_0,x_1,xbar_0,xbar_1,xtilde_0,xtilde_1\r\n")
+    elif case == "bad integer column":
+        _edit_cell(lines, 4, 0, "3.7")
+        path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+SCHEMA_MESSAGES = {
+    "empty file": "empty trace file",
+    "wrong columns": f"unexpected columns ['a', 'b', 'c'], want {list(SCALAR_COLUMNS)}",
+    "blocks not in threes": "iterate columns must come in three blocks",
+    "wrong iterate names": "unexpected iterate column names",
+    "ragged row": "row 3: expected 16 cells, got 17",
+    "non-numeric cell": "row 4: could not convert string to float: 'abc'",
+    "no rows": "trace file has no rows",
+    "bad integer column":
+        "row 5: k must be an integer below 2**53 in magnitude, got '3.7'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_MESSAGES))
+def test_schema_error_messages_pinned(tmp_path, case):
+    path = _schema_case(tmp_path, case)
+    with pytest.raises(TraceSchemaError, match=f"^{re.escape(SCHEMA_MESSAGES[case])}$"):
+        read_csv(path)
+
+
+def test_rows_are_checked_in_file_order(tmp_path):
+    # a ragged row before a non-numeric one is reported, and a bad integer
+    # column is reported only after every row has parsed
+    path, lines = _small_csv(tmp_path)
+    _edit_cell(lines, 4, 11, "abc")
+    lines[3] += ",1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceSchemaError, match="^row 4: expected 16 cells, got 17$"):
+        read_csv(path)
+    path, lines = _small_csv(tmp_path)
+    _edit_cell(lines, 2, 9, "3.7")
+    _edit_cell(lines, 5, 11, "abc")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceSchemaError, match="^row 6: could not convert"):
+        read_csv(path)
+
+
+def test_header_is_checked_before_any_row(tmp_path):
+    path, lines = _small_csv(tmp_path)
+    lines[0] = lines[0].replace("xtilde_1", "oops_1")
+    lines[2] += ",42"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceSchemaError, match="^unexpected iterate column names$"):
+        read_csv(path)
+
+
+def test_newline_endings_read_as_crlf(tmp_path):
+    path, lines = _small_csv(tmp_path)
+    want = read_csv(path)
+    path.write_text("\n".join(lines) + "\n")
+    assert b"\r" not in path.read_bytes()
+    _assert_traces_equal(read_csv(path), want)
+
+
+def test_blank_lines_are_skipped_and_not_counted(tmp_path):
+    path, lines = _small_csv(tmp_path)
+    want = read_csv(path)
+    spaced = [lines[0], ""] + [s for line in lines[1:] for s in (line, "")]
+    path.write_text("\r\n".join(spaced) + "\r\n")
+    _assert_traces_equal(read_csv(path), want)
+    _edit_cell(spaced, 6, 11, "abc")  # the third data row
+    path.write_text("\r\n".join(spaced) + "\r\n")
+    with pytest.raises(TraceSchemaError, match="^row 4: could not convert"):
+        read_csv(path)
+
+
+def test_quoted_numeric_cell_reads_as_its_value(tmp_path):
+    path, lines = _small_csv(tmp_path)
+    want = read_csv(path)
+    row = lines[2].split(",")
+    row[0], row[1], row[12] = f'"{row[0]}"', f'"{row[1]}"', f'"{row[12]}"'
+    lines[2] = ",".join(row)
+    path.write_text("\r\n".join(lines) + "\r\n")
+    _assert_traces_equal(read_csv(path), want)
+
+
+def test_read_csv_streams_rows(tmp_path):
+    # the reader holds one float64 array per row and then the returned
+    # columns: a reader that keeps every cell as a string exceeds 3x
+    K, d = 2000, 40
+    rng = np.random.default_rng(0)
+    scalars = rng.standard_normal((8, K + 1))
+    tr = Trace(k=np.arange(K + 1), eta=scalars[0], H=scalars[1], alpha=scalars[2],
+               beta=scalars[3], lam=scalars[4], f_bar=scalars[5], f_tilde=scalars[6],
+               grad_norm_tilde=scalars[7], evals_cum=2 * np.arange(K + 1) + 1,
+               x=rng.standard_normal((K + 1, d)), x_bar=rng.standard_normal((K + 1, d)),
+               x_tilde=rng.standard_normal((K + 1, d)))
+    path = tmp_path / "big.csv"
+    write_csv(tr, path)
+    tracemalloc.start()
+    try:
+        back = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_traces_equal(back, tr)
+    returned = sum(getattr(back, name).nbytes for name in (
+        "k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde", "grad_norm_tilde",
+        "evals_cum", "x", "x_bar", "x_tilde"))
+    assert peak < 3 * returned
