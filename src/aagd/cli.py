@@ -6,9 +6,11 @@ and validates the solver constants for a given extrapolation parameter;
 ``check`` replays the certificate suite on a stored trace.
 
 Exit codes: 0 success, 1 certificate failure, 2 config error, 3 run
-divergence. Inputs that the config parser, the dataset reader or the
-problem constructors reject (an empty dataset, say) are config errors:
-all of them raise ``ValueError``.
+divergence. Inputs that the config parser, the dataset reader, the
+problem constructors, the method parameters or the trace reader reject
+(an empty dataset, an infeasible theta, say) are config errors: all of
+them raise ``ValueError``, and ``run`` validates every method before the
+first one runs, so a config error leaves no trace CSV behind.
 """
 from __future__ import annotations
 
@@ -100,32 +102,30 @@ def _start_point(spec: dict, problem: problems.Problem, seed: int) -> np.ndarray
     return np.zeros(problem.dim)
 
 
-def run_method(spec: MethodSpec, problem: problems.Problem,
-               x0: np.ndarray) -> solver.Trace:
+def _method(spec: MethodSpec, problem: problems.Problem):
+    """Validate one method section and return a function that runs it from x0.
+
+    An invalid setting raises ValueError here, before any method runs.
+    """
     stop = _stop_rule(spec.options, problem)
     if spec.kind == "aagd":
         params = _method_params(spec, spec.options["eta0"])
-        trace = solver.run(
+        return lambda x0: solver.run(
             problem.oracle, x0, params, stop,
             growth_cap=spec.options.get("growth_cap", False),
             store_iterates=spec.options.get("store_iterates", False),
-            problem_meta=problem.meta(),
         )
-    else:
-        method = baselines.BaselineMethod(
-            kind=spec.kind,
-            eta=_resolve_eta(spec.options, problem) if "eta" in spec.options else None,
-            eta0=spec.options.get("eta0"),
-            gamma=spec.options.get("gamma", 1.0),
-            nu=spec.options.get("nu", 0.5),
-            option2=spec.options.get("option2", False),
-            f_star=problem.f_star if spec.kind == "polyak" else None,
-            label=spec.name,
-        )
-        trace = baselines.run_baseline(method, problem.oracle, x0, stop)
-        trace.problem = problem.meta()
-    trace.method = spec.name
-    return trace
+    method = baselines.BaselineMethod(
+        kind=spec.kind,
+        eta=_resolve_eta(spec.options, problem) if "eta" in spec.options else None,
+        eta0=spec.options.get("eta0"),
+        gamma=spec.options.get("gamma", 1.0),
+        nu=spec.options.get("nu", 0.5),
+        option2=spec.options.get("option2", False),
+        f_star=problem.f_star if spec.kind == "polyak" else None,
+        label=spec.name,
+    )
+    return lambda x0: baselines.run_baseline(method, problem.oracle, x0, stop)
 
 
 def _reference_points(names, problem: problems.Problem, x0: np.ndarray,
@@ -152,6 +152,7 @@ def cmd_run(config_path: str) -> int:
             raise ConfigError("experiment: outdir is required for run")
         problem = build_problem(cfg.problem, cfg.seed)
         _check_smoothness(cfg, problem)
+        runs = [_method(spec, problem) for spec in cfg.methods]
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -166,12 +167,9 @@ def cmd_run(config_path: str) -> int:
     x0 = _start_point(cfg.problem, problem, cfg.seed)
     refs = (_reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
             if any(m.kind == "aagd" for m in cfg.methods) else {})
-    for spec in cfg.methods:
-        try:
-            trace = run_method(spec, problem, x0)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    for spec, run in zip(cfg.methods, runs):
+        trace = run(x0)
+        trace.method, trace.problem = spec.name, problem.meta()
         csv_path = outdir / f"{problem.label}__{spec.name}.csv"
         traceio.write_csv(trace, csv_path)
         final_f = trace.f_bar[-1]
@@ -241,6 +239,23 @@ def _check_stored_iterates(trace: solver.Trace, dim: int) -> None:
                           "the solver stores only finite iterates")
 
 
+def _aagd_spec(cfg: ExperimentConfig, trace_path: str) -> MethodSpec:
+    """The aagd method section whose parameters a stored trace is checked with."""
+    aagd_specs = [m for m in cfg.methods if m.kind == "aagd"]
+    if not aagd_specs:
+        raise ConfigError("check needs an aagd method section for the parameters")
+    if len(aagd_specs) > 1:
+        # run names each CSV <problem label>__<method name>.csv; the longest
+        # matching name is the most specific one
+        stem = Path(trace_path).stem
+        aagd_specs = sorted((m for m in aagd_specs if stem.endswith(f"__{m.name}")),
+                            key=lambda m: len(m.name), reverse=True)
+        if not aagd_specs:
+            raise ConfigError(f"{stem!r} matches no aagd method section by its "
+                              "__<name> suffix, and the config has several")
+    return aagd_specs[0]
+
+
 def cmd_check(trace_path: str, config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
@@ -249,26 +264,10 @@ def cmd_check(trace_path: str, config_path: str) -> int:
         trace = traceio.read_csv(trace_path)
         if trace.has_iterates:
             _check_stored_iterates(trace, problem.dim)
+        params = _method_params(_aagd_spec(cfg, trace_path), float(trace.eta[0]))
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    aagd_specs = [m for m in cfg.methods if m.kind == "aagd"]
-    if not aagd_specs:
-        print("config error: check needs an aagd method section for the parameters",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if len(aagd_specs) > 1:
-        # run names each CSV <problem label>__<method name>.csv; the longest
-        # matching name is the most specific one
-        stem = Path(trace_path).stem
-        aagd_specs = sorted((m for m in aagd_specs if stem.endswith(f"__{m.name}")),
-                            key=lambda m: len(m.name), reverse=True)
-        if not aagd_specs:
-            print(f"config error: {stem!r} matches no aagd method section by its "
-                  "__<name> suffix, and the config has several", file=sys.stderr)
-            return EXIT_CONFIG
-    params = _method_params(aagd_specs[0], float(trace.eta[0]))
 
     notes: list[str] = []
     x0 = trace.x[0] if trace.has_iterates else _start_point(cfg.problem, problem, cfg.seed)

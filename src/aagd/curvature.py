@@ -75,12 +75,6 @@ def _gaps(a: OracleResult, b: OracleResult, guard: float):
     return gap2, dx, dx2, dx2 <= guard * max(1.0, a.x_sq, b.x_sq)
 
 
-def _grad_gap_sq(a: OracleResult, b: OracleResult, guard: float):
-    """Squared gradient-difference norm and whether the guard fires."""
-    gap2, _, _, fired = _gaps(a, b, guard)
-    return gap2, fired
-
-
 def lambda_option1(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) -> float:
     """Secant estimate ||a - b|| / ||grad f(a) - grad f(b)||, or +inf."""
     gap2, _, dx2, coincide = _gaps(a, b, guard)

@@ -10,22 +10,24 @@ Everything is recomputed from stored iterates and fresh oracle calls,
 never from solver-internal caches, so the checks validate the solver
 independently.
 
-The fresh calls of one trace form one pass: each stored point and each
-reference point is evaluated at most once, and the reference-free terms
-(curvature estimates, Bregman carry-over) are shared by the decay check
-at every reference point, the endpoint bound and the lemma suite. Each
-check sweeps an array of violations; a positive or NaN one fails it.
+The fresh calls of one trace form one forward sweep over k: x_bar[k] and
+x_tilde[k] are evaluated once each, in order, and only the results at
+k-1 and k are held. The same loop builds the per-k arrays that the decay
+series at every reference point, the endpoint bound and the lemma suite
+read; the endpoint bound alone evaluates only x_bar[K], x[0] and the
+reference point. Each check sweeps an array of violations; a positive or
+NaN one fails it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import bregman, local_curvature
-from .oracle import Oracle, OracleResult, evaluate
+from .oracle import Oracle, evaluate
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
@@ -110,84 +112,64 @@ def _params(trace: Trace, params: SolverParams | None) -> SolverParams:
     return params
 
 
-class _Fresh:
-    """Fresh oracle results along one trace, each computed at most once, with
-    the preconditions and reference-free terms of the checks on iterates.
-    """
+def _reference(trace: Trace, oracle: Oracle, x_ref) -> tuple[np.ndarray, float]:
+    """A reference point as floats with its fresh objective value."""
+    if not trace.has_iterates:
+        raise MissingIteratesError("store_iterates required for this check")
+    if trace.n_iters < 1:
+        raise ValueError("trace has no iterations")
+    x_ref = np.asarray(x_ref, dtype=np.float64)
+    return x_ref, evaluate(oracle, x_ref).value
 
-    def __init__(self, trace: Trace, oracle: Oracle, params: SolverParams | None):
-        if not trace.has_iterates:
-            raise MissingIteratesError("store_iterates required for this check")
-        self.trace, self.oracle = trace, oracle
-        self.params = _params(trace, params)
-        self._results: dict = {}
 
-    def at(self, column: str, k: int) -> OracleResult:
-        """Result at ``trace.<column>[k]``, evaluated on first use."""
-        key = (column, k)
-        if key not in self._results:
-            self._results[key] = evaluate(self.oracle, getattr(self.trace, column)[k])
-        return self._results[key]
+class _Pass(NamedTuple):  # the per-k arrays of one forward sweep over a trace
+    f_bar: np.ndarray  # fresh f(x_bar[k]), k = 0..K
+    carry: np.ndarray  # B(x_bar[k-1]; x_tilde[k-1]), k = 1..K
+    ahead: np.ndarray  # B(x_bar[k]; x_tilde[k-1]), k = 1..K
+    series: list       # one LyapunovSeries per reference point
 
-    def reference(self, x_ref) -> tuple[np.ndarray, float]:
-        """A reference point as floats with its fresh objective value."""
-        if self.trace.n_iters < 1:
-            raise ValueError("trace has no iterations")
-        x_ref = np.asarray(x_ref, dtype=np.float64)
-        return x_ref, evaluate(self.oracle, x_ref).value
 
-    @cached_property
-    def carry(self) -> np.ndarray:
-        """Bregman carry-over B(x_bar[k-1]; x_tilde[k-1]) for k = 1..K."""
-        return np.array([bregman(self.at("x_bar", k), self.at("x_tilde", k))
-                         for k in range(self.trace.n_iters)])
-
-    @cached_property
-    def decay_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bregman and momentum terms of the decay certificate, k = 1..K.
-
-        Where the curvature estimate is infinite the Bregman term is
-        zero by convention, which holds only if the carry-over vanishes;
-        otherwise the term is undefined and stored as NaN.
-        """
-        tr, th, ga = self.trace, self.params.theta, self.params.gamma
-        breg, mom = np.empty(tr.n_iters), np.empty(tr.n_iters)
-        for i, b_prev in enumerate(self.carry):
-            k = i + 1
-            lam_k = local_curvature(self.at("x_bar", k), self.at("x_tilde", k - 1),
-                                    self.at("x_tilde", k))
+def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pass:
+    """Evaluate x_bar[k] and x_tilde[k] once each, k = 0..K in order, holding
+    only the results at k-1 and k; ``refs`` holds (x_ref, f_ref) pairs."""
+    tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
+    f_bar = np.empty(K + 1)
+    carry, ahead, breg, mom = np.empty((4, K))
+    dist = np.empty((len(refs), K))
+    for k in range(K + 1):
+        bar, til = evaluate(oracle, tr.x_bar[k]), evaluate(oracle, tr.x_tilde[k])
+        f_bar[k] = bar.value
+        if k:
+            i = k - 1
+            carry[i], ahead[i] = bregman(bar_prev, til_prev), bregman(bar, til_prev)
+        if k and refs:  # the decay terms serve only the series
+            lam_k = local_curvature(bar, til_prev, til)
             if math.isinf(lam_k):
-                scale = (1.0 + abs(self.at("x_bar", k - 1).value)
-                         + abs(self.at("x_tilde", k - 1).value))
-                breg[i] = 0.0 if abs(b_prev) <= 1e-9 * scale else math.nan
+                scale = 1.0 + abs(bar_prev.value) + abs(til_prev.value)
+                breg[i] = 0.0 if abs(carry[i]) <= 1e-9 * scale else math.nan
             else:
-                breg[i] = th * tr.eta[k] * tr.eta[k - 1] / lam_k * b_prev
-            dk = tr.x[k] - tr.x[k - 1]
+                breg[i] = th * tr.eta[k] * tr.eta[i] / lam_k * carry[i]
+            dk = tr.x[k] - tr.x[i]
             mom[i] = 0.5 * ga * th * float(dk @ dk)
-        return breg, mom
+            for j, (x_ref, _) in enumerate(refs):
+                dx = tr.x[k] - x_ref
+                dist[j, i] = 0.5 * float(dx @ dx)
+        bar_prev, til_prev = bar, til
+    gaps = [tr.H[:-1] * (f_bar[1:] - f_ref) for _, f_ref in refs]
+    series = [LyapunovSeries(np.arange(1, K + 1), d + g + breg + mom, d, g, breg, mom)
+              for d, g in zip(dist, gaps)]
+    return _Pass(f_bar, carry, ahead, series)
 
-    def series(self, x_ref: np.ndarray, f_ref: float) -> LyapunovSeries:
-        tr = self.trace
-        ks = np.arange(1, tr.n_iters + 1)
-        dist = np.empty(len(ks))
-        for i, k in enumerate(ks):
-            dx = tr.x[k] - x_ref
-            dist[i] = 0.5 * float(dx @ dx)
-        f_bar = np.array([self.at("x_bar", k).value for k in ks])
-        gap = tr.H[:-1] * (f_bar - f_ref)
-        breg, mom = self.decay_terms
-        return LyapunovSeries(k=ks, total=dist + gap + breg + mom, dist_term=dist,
-                              gap_term=gap, bregman_term=breg, momentum_term=mom)
 
-    def corollary(self, x_ref: np.ndarray, f_ref: float, name: str) -> CertificateEntry:
-        tr, p, K = self.trace, self.params, self.trace.n_iters
-        dK = tr.x[K] - x_ref
-        d0 = tr.x[0] - x_ref
-        lhs = 0.5 * float(dK @ dK) + tr.H[K - 1] * (self.at("x_bar", K).value - f_ref)
-        rhs = (0.5 * float(d0 @ d0)
-               + 0.5 * (1.0 + p.gamma * p.theta) * tr.eta[0]**2 * self.at("x", 0).grad_sq)
-        viol = lhs - (rhs * (1.0 + REL_TOL) + ABS_TOL)
-        return _sweep(name, [K], [viol], f"lhs={lhs:.6e} rhs={rhs:.6e}", pass_k=K)
+def _corollary(trace: Trace, p: SolverParams, x_ref: np.ndarray, f_ref: float,
+               f_bar_K: float, grad0_sq: float, name: str) -> CertificateEntry:
+    """Endpoint bound from the fresh f(x_bar[K]) and ||grad f(x[0])||^2."""
+    K = trace.n_iters
+    dK, d0 = trace.x[K] - x_ref, trace.x[0] - x_ref
+    lhs = 0.5 * float(dK @ dK) + trace.H[K - 1] * (f_bar_K - f_ref)
+    rhs = 0.5 * float(d0 @ d0) + 0.5 * (1.0 + p.gamma * p.theta) * trace.eta[0]**2 * grad0_sq
+    viol = lhs - (rhs * (1.0 + REL_TOL) + ABS_TOL)
+    return _sweep(name, [K], [viol], f"lhs={lhs:.6e} rhs={rhs:.6e}", pass_k=K)
 
 
 def lyapunov_series(trace: Trace, x_ref, oracle: Oracle,
@@ -200,8 +182,8 @@ def lyapunov_series(trace: Trace, x_ref, oracle: Oracle,
     convention; if the Bregman carry-over does not vanish there, the
     term is NaN and the decay check fails at that k.
     """
-    fresh = _Fresh(trace, oracle, params)
-    return fresh.series(*fresh.reference(x_ref))
+    ref = _reference(trace, oracle, x_ref)
+    return _replay(trace, oracle, _params(trace, params), [ref]).series[0]
 
 
 def check_monotone_psi(series: LyapunovSeries, rel: float = REL_TOL,
@@ -222,8 +204,10 @@ def check_corollary_bound(trace: Trace, x_ref, oracle: Oracle,
                           params: SolverParams | None = None,
                           name: str = "corollary_bound") -> CertificateEntry:
     """Endpoint bound at the final iterate, valid for any reference point."""
-    fresh = _Fresh(trace, oracle, params)
-    return fresh.corollary(*fresh.reference(x_ref), name)
+    x_ref, f_ref = _reference(trace, oracle, x_ref)
+    return _corollary(trace, _params(trace, params), x_ref, f_ref,
+                      evaluate(oracle, trace.x_bar[trace.n_iters]).value,
+                      evaluate(oracle, trace.x[0]).grad_sq, name)
 
 
 def check_h_envelope(trace: Trace, params: SolverParams, L: float,
@@ -245,12 +229,13 @@ def lemma_suite(trace: Trace, params: SolverParams | None = None,
     only the scalar columns; the Bregman decay check additionally needs
     stored iterates and an oracle and is skipped when either is absent.
     """
-    fresh = _Fresh(trace, oracle, params) if oracle is not None and trace.has_iterates else None
-    return _lemmas(trace, _params(trace, params), L, fresh)
+    params = _params(trace, params)
+    fresh = _replay(trace, oracle, params) if oracle is not None and trace.has_iterates else None
+    return _lemmas(trace, params, L, fresh)
 
 
 def _lemmas(trace: Trace, params: SolverParams, L: float | None,
-            fresh: _Fresh | None) -> list[CertificateEntry]:
+            fresh: _Pass | None) -> list[CertificateEntry]:
     ga = params.gamma
     ks = np.arange(trace.n_iters + 1)
     a, b, eta, H, f_bar = trace.alpha, trace.beta, trace.eta, trace.H, trace.f_bar
@@ -274,8 +259,8 @@ def _lemmas(trace: Trace, params: SolverParams, L: float | None,
     entries.append(_sweep("beta_f_value", inner, (f_bar[inner] - trace.f_tilde[inner])
                           - (f_bar[inner] - f_bar[inner + 1]) / b[inner] - slack))
     if fresh is not None:
-        nxt = np.array([bregman(fresh.at("x_bar", k), fresh.at("x_tilde", k - 1)) for k in inner])
-        entries.append(_sweep("beta_f_bregman", inner, nxt - fresh.carry[:len(inner)] - slack))
+        n = len(inner)
+        entries.append(_sweep("beta_f_bregman", inner, fresh.ahead[:n] - fresh.carry[:n] - slack))
     return entries
 
 
@@ -311,32 +296,35 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams,
 
     ``x_refs`` maps reference-point names to points for the decay and
     endpoint checks; each enabled check appears exactly once per name.
-    All checks share one pass of fresh oracle calls.
+    All checks share one forward sweep of fresh oracle calls.
     """
     report = CertificateReport()
-    x_refs = x_refs or {}
+    psi_refs, cor_refs = ((x_refs or {}) if c in checks else {} for c in ("psi", "corollary"))
     # both reference checks compare iterates at k >= 1; a run that stopped
     # at its start point (already optimal) has none, so they do not apply
-    use_refs = trace.n_iters > 0 and bool(x_refs) and ("psi" in checks or "corollary" in checks)
-    fresh = (_Fresh(trace, oracle, params)
-             if use_refs or ("lemmas" in checks and trace.has_iterates) else None)
-    refs = {rname: fresh.reference(point) for rname, point in x_refs.items()} if use_refs else {}
-    for rname in x_refs if "psi" in checks else ():
-        name = f"psi_monotone[{rname}]"
-        report.entries.append(check_monotone_psi(fresh.series(*refs[rname]), name=name)
-                              if use_refs else _not_applicable(name))
-    for rname in x_refs if "corollary" in checks else ():
-        name = f"corollary_bound[{rname}]"
-        report.entries.append(fresh.corollary(*refs[rname], name) if use_refs
-                              else _not_applicable(name))
+    if trace.n_iters == 0:
+        why = "not applicable: trace has no iterations"
+        report.entries += [CertificateEntry(f"psi_monotone[{r}]", True, 0.0, 0, why)
+                           for r in psi_refs]
+        report.entries += [CertificateEntry(f"corollary_bound[{r}]", True, 0.0, 0, why)
+                           for r in cor_refs]
+        psi_refs = cor_refs = {}
+    refs = {r: _reference(trace, oracle, x) for r, x in {**psi_refs, **cor_refs}.items()}
+    p = _params(trace, params) if refs or "lemmas" in checks else params
+    fresh = (_replay(trace, oracle, p, [refs[r] for r in psi_refs])
+             if psi_refs or ("lemmas" in checks and trace.has_iterates) else None)
+    for j, r in enumerate(psi_refs):
+        report.entries.append(check_monotone_psi(fresh.series[j], name=f"psi_monotone[{r}]"))
+    if cor_refs:
+        f_bar_K = fresh.f_bar[-1] if fresh else evaluate(oracle, trace.x_bar[trace.n_iters]).value
+        grad0_sq = evaluate(oracle, trace.x[0]).grad_sq
+        report.entries += [_corollary(trace, p, *refs[r], f_bar_K, grad0_sq,
+                                      f"corollary_bound[{r}]") for r in cor_refs]
     if "h_envelope" in checks and L is not None:
         report.entries.append(check_h_envelope(trace, params, L))
     if "lemmas" in checks:
-        report.entries.extend(_lemmas(trace, _params(trace, params), L, fresh))
+        report.entries.extend(_lemmas(trace, p, L, fresh))
     if "evals" in checks:
         report.entries.append(check_eval_schedule(trace))
     return report
 
-
-def _not_applicable(name: str) -> CertificateEntry:
-    return CertificateEntry(name, True, 0.0, 0, detail="not applicable: trace has no iterations")

@@ -57,6 +57,8 @@ def read_csv(path) -> Trace:
             header = next(reader)
         except StopIteration:
             raise TraceSchemaError("empty trace file")
+        except csv.Error as exc:
+            raise TraceSchemaError(f"row 1: {exc}")
         if tuple(header[: len(SCALAR_COLUMNS)]) != SCALAR_COLUMNS:
             raise TraceSchemaError(
                 f"unexpected columns {header[:len(SCALAR_COLUMNS)]}, "
@@ -72,17 +74,16 @@ def read_csv(path) -> Trace:
         # each row becomes one float64 array as it is read; only the integer
         # columns' text is kept, for the error message below
         rows, int_cells = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise TraceSchemaError(
-                    f"row {len(rows) + 2}: expected {width} cells, got {len(row)}")
-            try:
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ValueError(f"expected {width} cells, got {len(row)}")
                 rows.append(np.array([math.nan if c == "" else float(c) for c in row]))
-            except ValueError as exc:
-                raise TraceSchemaError(f"row {len(rows) + 2}: {exc}")
-            int_cells.append((row[0], row[9]))  # k, evals_cum
+                int_cells.append((row[0], row[9]))  # k, evals_cum
+        except (ValueError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
+            raise TraceSchemaError(f"row {len(rows) + 2}: {exc}")
     if not rows:
         raise TraceSchemaError("trace file has no rows")
 

@@ -462,3 +462,55 @@ def test_check_empty_iterate_cell_is_config_error(tmp_path, capsys, column):
     block = column[:-2]
     assert captured.err == (f"config error: row 5: {block} has an empty or non-finite cell; "
                             "the solver stores only finite iterates\n")
+
+
+@pytest.mark.parametrize("kind, option, message", [
+    ("aagd", "eta0 = 1e-3\ntheta = 1.5", "theta=1.5 is infeasible"),
+    ("aagd", "eta0 = 1e-3\ngamma = 0.5", "gamma=0.5 outside"),
+    ("aagd", "eta0 = 0", "eta0 must be positive"),
+    ("gd", "eta = -1", "gd requires a positive stepsize eta"),
+], ids=["theta", "gamma", "eta0", "eta"])
+def test_run_invalid_method_value_is_config_error_before_any_run(tmp_path, capsys, kind,
+                                                                 option, message):
+    # the invalid method comes second: the first one must not run either
+    cfg = write_cfg(tmp_path, GOLDEN_CFG + f"\n[method bad]\nkind = {kind}\n{option}\n"
+                                           "max_iters = 20\n")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("cell", ["0", ""])
+def test_check_nonpositive_or_empty_first_stepsize_is_config_error(tmp_path, capsys, cell):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    lines = trace.read_text().splitlines()
+    row = lines[1].split(",")
+    row[lines[0].split(",").index("eta")] = cell
+    lines[1] = ",".join(row)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: eta0 must be positive\n"
+
+
+def test_check_cell_over_the_csv_field_limit_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    lines = trace.read_text().splitlines()
+    row = lines[3].split(",")
+    row[lines[0].split(",").index("x_0")] = "1" * 140001
+    lines[3] = ",".join(row)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: row 4: field larger than field limit")

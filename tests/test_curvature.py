@@ -7,7 +7,7 @@ from aagd import (GRAD_GUARD, DimensionMismatchError, Oracle, OracleResult,
                   bregman, evaluate, identity_quadratic, lambda_option1, lambda_option2,
                   local_curvature, logistic_problem, logsumexp_problem,
                   make_classification_dataset, make_quadratic)
-from aagd.curvature import BREG_NOISE_REL, _gaps, _grad_gap_sq
+from aagd.curvature import BREG_NOISE_REL, _gaps
 
 
 def diag_quadratic():
@@ -105,8 +105,8 @@ def test_guard_test_symmetric():
         b = evaluate(o, rng.standard_normal(8))
         near = evaluate(o, a.x + 1e-17 * rng.standard_normal(8))
         for u, v in [(a, b), (a, near)]:
-            _, fired_uv = _grad_gap_sq(u, v, guard=1e-10)
-            _, fired_vu = _grad_gap_sq(v, u, guard=1e-10)
+            *_, fired_uv = _gaps(u, v, guard=1e-10)
+            *_, fired_vu = _gaps(v, u, guard=1e-10)
             assert fired_uv == fired_vu
             assert math.isinf(lambda_option2(u, v)) == math.isinf(lambda_option2(v, u))
 
@@ -198,7 +198,7 @@ def test_hand_built_guard_uses_gradient_scale():
     p = identity_quadratic(3)
     x = np.full(3, 1e4)
     a, b = hand_built(p.oracle, x), hand_built(p.oracle, np.nextafter(x, np.inf))
-    gap2, fired = _grad_gap_sq(a, b, GRAD_GUARD)
+    gap2, _, _, fired = _gaps(a, b, GRAD_GUARD)
     assert gap2 > GRAD_GUARD and fired
     assert lambda_option1(a, b) == lambda_option2(a, b) == math.inf
 

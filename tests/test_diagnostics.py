@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,3 +306,59 @@ def test_nan_stepsize_sum_fails_at_its_iteration(identity_run):
             assert not e.passed and math.isnan(e.worst_violation) and e.worst_k == 10, e.line()
         else:
             assert e.passed, e.line()
+
+
+def test_fresh_call_counts_pinned(identity_run):
+    # one forward sweep evaluates x_bar[k] and x_tilde[k] for k = 0..K; the
+    # endpoint bound alone evaluates x_bar[K], x[0] and the reference point
+    p, params, tr = identity_run
+    K = tr.n_iters
+    oracle, calls = _counting(p.oracle)
+    lyapunov_series(tr, p.x_star, oracle, params)
+    assert calls[0] == 2 * (K + 1) + 1
+    calls[0] = 0
+    check_corollary_bound(tr, p.x_star, oracle, params)
+    assert calls[0] == 3
+    calls[0] = 0
+    lemma_suite(tr, params, L=p.L, oracle=oracle)
+    assert calls[0] == 2 * (K + 1)
+    calls[0] = 0
+    run_certificates(tr, oracle, params, L=p.L, x_refs={"xstar": p.x_star, "x0": np.ones(10)})
+    assert calls[0] == 2 * (K + 1) + 2 + 1
+
+
+def test_pass_evaluates_through_the_module_global(identity_run, monkeypatch):
+    # perfbench counts fresh calls by wrapping aagd.diagnostics.evaluate
+    import aagd.diagnostics
+
+    p, params, tr = identity_run
+    seen = []
+    real = aagd.diagnostics.evaluate
+
+    def counting(oracle, x):
+        seen.append(x)
+        return real(oracle, x)
+
+    monkeypatch.setattr(aagd.diagnostics, "evaluate", counting)
+    refs = {"xstar": p.x_star, "x0": np.ones(10)}
+    run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs)
+    assert len(seen) == 2 * (tr.n_iters + 1) + len(refs) + 1
+
+
+def test_certificate_memory_does_not_hold_the_trace_results():
+    # the sweep holds the fresh results at k-1 and k only: the peak stays
+    # below one stored iterate block (K * d floats), where caching every
+    # fresh gradient took about 2 (K + 1) * d floats
+    p, params = make_quadratic(9137, 100, 1e4), default_params(eta0=1e-6)
+    K = 2000
+    tr = run(p.oracle, np.zeros(100), params, StopRule(max_iters=K), store_iterates=True)
+    assert tr.n_iters == K
+    refs = {"xstar": p.x_star, "x0": np.zeros(100)}
+    tracemalloc.start()
+    try:
+        report = run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < K * 100 * 8

@@ -388,3 +388,13 @@ def test_read_csv_streams_rows(tmp_path):
         "k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde", "grad_norm_tilde",
         "evals_cum", "x", "x_bar", "x_tilde"))
     assert peak < 3 * returned
+
+
+@pytest.mark.parametrize("line", [0, 3])
+def test_cell_over_the_csv_field_limit_is_a_schema_error(tmp_path, line):
+    # csv.reader refuses a cell over csv.field_size_limit() (131072 characters)
+    path, lines = _small_csv(tmp_path)
+    _edit_cell(lines, line, 11, "1" * 140001)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceSchemaError, match=f"^row {line + 1}: field larger than field limit"):
+        read_csv(path)
