@@ -10,7 +10,9 @@ divergence. Inputs that the config parser, the dataset reader, the
 problem constructors, the method parameters or the trace reader reject
 (an empty dataset, an infeasible theta, say) are config errors: all of
 them raise ``ValueError``, and ``run`` validates every method before the
-first one runs, so a config error leaves no trace CSV behind.
+first one runs, so a config error leaves no trace CSV behind. A psi or
+corollary check with a reference point on an aagd method without
+``store_iterates`` is one of them.
 """
 from __future__ import annotations
 
@@ -153,6 +155,16 @@ def cmd_run(config_path: str) -> int:
         problem = build_problem(cfg.problem, cfg.seed)
         _check_smoothness(cfg, problem)
         runs = [_method(spec, problem) for spec in cfg.methods]
+        notes: list[str] = []
+        x0 = _start_point(cfg.problem, problem, cfg.seed)
+        refs = (_reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
+                if any(m.kind == "aagd" for m in cfg.methods) else {})
+        # the reference checks replay stored iterates: the condition under
+        # which run_certificates would raise, tested before any method runs
+        if refs and {"psi", "corollary"} & set(cfg.checks) and any(
+                m.kind == "aagd" and not m.options.get("store_iterates", False)
+                for m in cfg.methods):
+            raise diagnostics.MissingIteratesError()
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -160,13 +172,9 @@ def cmd_run(config_path: str) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary: list[str] = [f"problem: {problem.label} (dim={problem.dim}, L={problem.L})"]
-    notes: list[str] = []
     any_diverged = False
     certs_passed = True
 
-    x0 = _start_point(cfg.problem, problem, cfg.seed)
-    refs = (_reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
-            if any(m.kind == "aagd" for m in cfg.methods) else {})
     for spec, run in zip(cfg.methods, runs):
         trace = run(x0)
         trace.method, trace.problem = spec.name, problem.meta()
@@ -183,13 +191,8 @@ def cmd_run(config_path: str) -> int:
         summary.append(line)
 
         if spec.kind == "aagd" and not trace.diverged and cfg.checks:
-            try:
-                report = diagnostics.run_certificates(
-                    trace, problem.oracle, trace.params, L=problem.L,
-                    x_refs=refs, checks=cfg.checks)
-            except diagnostics.MissingIteratesError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            report = diagnostics.run_certificates(
+                trace, problem.oracle, trace.params, L=problem.L, x_refs=refs, checks=cfg.checks)
             summary.extend("  " + ln for ln in report.lines())
             if not report.passed:
                 certs_passed = False

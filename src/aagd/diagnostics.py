@@ -38,6 +38,9 @@ ABS_TOL = 1e-12
 class MissingIteratesError(ValueError):
     """The requested check needs stored iterates (store_iterates required)."""
 
+    def __init__(self):
+        super().__init__("store_iterates required for this check")
+
 
 class ConvergedWindowError(ValueError):
     """All or part of the fit window has nonpositive gaps."""
@@ -115,7 +118,7 @@ def _params(trace: Trace, params: SolverParams | None) -> SolverParams:
 def _reference(trace: Trace, oracle: Oracle, x_ref) -> tuple[np.ndarray, float]:
     """A reference point as floats with its fresh objective value."""
     if not trace.has_iterates:
-        raise MissingIteratesError("store_iterates required for this check")
+        raise MissingIteratesError()
     if trace.n_iters < 1:
         raise ValueError("trace has no iterations")
     x_ref = np.asarray(x_ref, dtype=np.float64)

@@ -8,7 +8,8 @@ the kernels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +41,10 @@ class SparseDataset:
     """CSR-stored rows of (feature, value) pairs with +-1 labels.
 
     Feature indices are stored 0-based internally; the on-disk format is
-    1-based with strictly increasing indices per row. ``row`` is derived
-    at construction: the row of each stored entry, which the logistic
-    kernel and the spectral-norm estimate share.
+    1-based with strictly increasing indices per row. ``indptr`` and
+    ``indices`` must be integer arrays. ``layout``, the segment-sum
+    layout of ``A x`` and ``A' u`` that the logistic kernel and the
+    spectral-norm estimate share, is built on first use and kept.
     """
 
     indptr: np.ndarray
@@ -50,10 +52,12 @@ class SparseDataset:
     data: np.ndarray
     labels: np.ndarray
     n_features: int
-    row: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, nnz = len(self.labels), len(self.indices)
+        for name in ("indptr", "indices"):
+            if not np.issubdtype(np.asarray(getattr(self, name)).dtype, np.integer):
+                raise ValueError(f"{name} must be an integer array")
         if self.n_features < 1:
             raise ValueError("n_features must be >= 1")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
@@ -74,7 +78,6 @@ class SparseDataset:
         bad = (np.diff(self.indices) <= 0) & (np.diff(row) == 0)
         if bad.any():
             raise ValueError(f"row {row[np.argmax(bad)]}: feature indices not strictly increasing")
-        object.__setattr__(self, "row", row)
 
     @property
     def n_samples(self) -> int:
@@ -84,9 +87,13 @@ class SparseDataset:
     def nnz(self) -> int:
         return len(self.data)
 
+    @cached_property
+    def layout(self) -> kernels.CsrLayout:
+        return kernels.CsrLayout(self.indptr, self.indices, self.data, self.n_features)
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_samples, self.n_features))
-        out[self.row, self.indices] = self.data
+        out[np.repeat(np.arange(self.n_samples), np.diff(self.indptr)), self.indices] = self.data
         return out
 
 
@@ -273,13 +280,8 @@ def _gram_spectral_norm(dataset: SparseDataset, tol: float = 1e-10,
     T_k is solved densely at every k up to 16 and then about every k/8
     steps, so the solves stay cheap next to the products.
     """
-    n, d = dataset.n_samples, dataset.n_features
-    row, cols, vals = dataset.row, dataset.indices, dataset.data
-
-    def gram_matvec(v):
-        av = np.bincount(row, weights=vals * v[cols], minlength=n)
-        return np.bincount(cols, weights=vals * av[row], minlength=d)
-
+    d = dataset.n_features
+    layout = dataset.layout
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(d)
     q /= np.linalg.norm(q)
@@ -290,7 +292,7 @@ def _gram_spectral_norm(dataset: SparseDataset, tol: float = 1e-10,
     steps = min(max_iters, d)
     solve_at = 1
     for k in range(1, steps + 1):
-        w = gram_matvec(q) - beta * q_prev
+        w = layout.rmatvec(layout.matvec(q)) - beta * q_prev
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
         beta = float(np.linalg.norm(w))
@@ -321,10 +323,10 @@ def logistic_problem(data: SparseDataset, reg: float = 0.0) -> Problem:
     if reg < 0.0:
         raise ValueError("reg must be nonnegative")
     L = _gram_spectral_norm(data) / (4.0 * data.n_samples) + reg
-    row, indices, vals, y = data.row, data.indices, data.data, data.labels
+    layout, y = data.layout, data.labels
 
     def fn(w):
-        return kernels.logistic_value_grad(row, indices, vals, y, reg, w)
+        return kernels.logistic_value_grad(layout, y, reg, w)
 
     return Problem(
         oracle=Oracle(fn, data.n_features,

@@ -168,6 +168,36 @@ def test_check_requires_iterates_for_psi(tmp_path, capsys):
     assert "store_iterates required" in err
 
 
+def test_run_psi_without_stored_iterates_is_config_error_before_any_run(tmp_path, capsys):
+    # gd comes first: it must not run, and no CSV may be left behind
+    cfg = write_cfg(tmp_path, """
+[experiment]
+outdir = {out}
+checks = psi, corollary
+x_ref = x0
+
+[problem]
+kind = quadratic
+dim = 5
+cond = 10
+
+[method gd]
+kind = gd
+eta = auto
+max_iters = 20
+
+[method a]
+kind = aagd
+eta0 = 1e-3
+max_iters = 20
+""")
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: store_iterates required for this check\n"
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
 def test_check_schema_mismatch(tmp_path, capsys):
     cfg = write_cfg(tmp_path, GOLDEN_CFG)
     bad = tmp_path / "junk.csv"

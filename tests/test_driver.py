@@ -1,8 +1,10 @@
 """The run loop shared by the solver and the baselines.
 
 The pinned digests fix every scalar column, the notes and the divergence
-flag of one run per method on one seeded quadratic, and of aagd and adgd
-with the Bregman estimate on one seeded smoothed max. They were recorded
+flag of one run per method on one seeded quadratic, of aagd and adgd
+with the Bregman estimate on one seeded smoothed max, and of aagd, gd
+and adgd on one seeded sparse logistic problem with a bias column. They
+were recorded
 with numpy 2.4 and its bundled OpenBLAS on x86-64; another BLAS may
 round the matrix-vector products differently and change them.
 """
@@ -13,7 +15,8 @@ import warnings
 import numpy as np
 import pytest
 
-from aagd import (BaselineMethod, Oracle, StopRule, default_params, logsumexp_problem,
+from aagd import (BaselineMethod, Oracle, SparseDataset, StopRule, default_params,
+                  logistic_problem, logsumexp_problem, make_classification_dataset,
                   make_quadratic, run, run_baseline)
 
 COLUMNS = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
@@ -93,6 +96,37 @@ def test_pinned_trace_logsumexp(name):
         tr = run_baseline(BaselineMethod(kind="adgd", eta0=1e-6, option2=True),
                           p.oracle, x0, stop)
     assert digest(tr) == PINNED_LOGSUMEXP[name]
+
+
+PINNED_LOGISTIC = {
+    # recorded with the bincount logistic kernel the segment-sum layout replaced
+    "aagd":
+        "165a982f6c8fd048dae57115aa7f6da91d4691cebc775918c9b0a77c2ce3b4c8",
+    "gd":
+        "0412196be66b6e8e572ed52a3037efe1ecf9ac8768f0d95d01b53f374c6ee9ca",
+    "adgd":
+        "283d361c67678efc2bef5191bf48dd7957a6158369cb3178b6988e49a962d532",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOGISTIC))
+def test_pinned_trace_logistic(name):
+    base = make_classification_dataset(7, 400, 60, density=0.1)
+    # a bias feature makes one column present in every row
+    n, d, ends = base.n_samples, base.n_features, base.indptr[1:]
+    data = SparseDataset(base.indptr + np.arange(n + 1), np.insert(base.indices, ends, d),
+                         np.insert(base.data, ends, 1.0), base.labels, d + 1)
+    p = logistic_problem(data, reg=1e-3)
+    assert p.L.hex() == "0x1.05c74c129c01dp-2"
+    x0 = np.zeros(p.dim)
+    stop = StopRule(max_iters=200)
+    if name == "aagd":
+        tr = run(p.oracle, x0, default_params(eta0=1e-6), stop)
+    else:
+        method = {"gd": BaselineMethod(kind="gd", eta=1.0 / p.L),
+                  "adgd": BaselineMethod(kind="adgd", eta0=1e-6)}[name]
+        tr = run_baseline(method, p.oracle, x0, stop)
+    assert digest(tr) == PINNED_LOGISTIC[name]
 
 
 STEEP = Oracle(lambda x: (0.5e160 * float(x @ x), 1e160 * x), 2)

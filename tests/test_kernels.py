@@ -4,9 +4,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import aagd
-from aagd import kernels
+from aagd import kernels, load_libsvm, make_classification_dataset
+from aagd.problems import SparseDataset, _gram_spectral_norm
 
 
 def _quad_case():
@@ -47,6 +49,123 @@ def test_logsumexp_kernel_bit_identical_to_reference():
                 assert float(value).hex() == float(want_value).hex()
                 assert type(value) is type(want_value)
                 assert grad.tobytes() == want_grad.tobytes()
+
+
+def _logistic_value_grad_reference(row, indices, data, y, reg, w):
+    # the bincount kernel as it read before the segment-sum layout, kept verbatim
+    n = y.shape[0]
+    d = w.shape[0]
+    margins = np.bincount(row, weights=data * w[indices], minlength=n)
+    t = y * margins
+    loss = float(np.mean(np.logaddexp(0.0, -t)))
+    # coef_i = -y_i * sigmoid(-t_i) / n, computed branch-wise for stability
+    sig = np.empty(n)
+    pos = t >= 0.0
+    e = np.exp(-t[pos])
+    sig[pos] = e / (1.0 + e)
+    e = np.exp(t[~pos])
+    sig[~pos] = 1.0 / (1.0 + e)
+    coef = -y * sig / n
+    g = np.bincount(indices, weights=data * coef[row], minlength=d)
+    if reg != 0.0:
+        loss += 0.5 * reg * float(w @ w)
+        g = g + reg * w
+    return loss, g
+
+
+def _gram_matvec_reference(dataset, v):
+    # the Gram product of the spectral-norm estimate as it read with bincount
+    n, d = dataset.n_samples, dataset.n_features
+    row = np.repeat(np.arange(n), np.diff(dataset.indptr))
+    cols, vals = dataset.indices, dataset.data
+    av = np.bincount(row, weights=vals * v[cols], minlength=n)
+    return np.bincount(cols, weights=vals * av[row], minlength=d)
+
+
+def with_bias(dataset):
+    """``dataset`` with one more feature, 1.0 in every row: a lone, full column."""
+    n, d = dataset.n_samples, dataset.n_features
+    ends = dataset.indptr[1:]
+    return SparseDataset(dataset.indptr + np.arange(n + 1), np.insert(dataset.indices, ends, d),
+                         np.insert(dataset.data, ends, 1.0), dataset.labels, d + 1)
+
+
+def power_law(seed, n, d):
+    """Column c present in a row with probability 2/(c+2): lengths from n down to 2n/(d+1)."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, d)) < 2.0 / np.arange(2, d + 2)
+    cols = np.nonzero(mask)[1]
+    return SparseDataset(np.concatenate([[0], np.cumsum(mask.sum(axis=1))]), cols,
+                         rng.standard_normal(cols.size),
+                         np.where(rng.random(n) < 0.5, -1.0, 1.0), d)
+
+
+def _gaps(tmp_path):
+    # label-only lines give empty rows; features 3 and 7 are never stored
+    path = tmp_path / "gaps.svm"
+    path.write_text("1 1:0.5 2:-1.5\n-1\n1 4:2.0 5:0.25 6:-3.0\n-1\n"
+                    "-1 1:1.0 2:1.0 4:-0.5 5:0.75 6:1.25 8:2.5\n1 2:-0.125\n")
+    return load_libsvm(path, n_features=8)
+
+
+DATASETS = {
+    "logistic_sparse": lambda tmp: make_classification_dataset(9137, 5000, 500, density=0.05),
+    "full_density": lambda tmp: make_classification_dataset(12, 200, 20),
+    "gaps": _gaps,
+    "bias_column": lambda tmp: with_bias(make_classification_dataset(8, 300, 40, density=0.1)),
+    "power_law": lambda tmp: power_law(3, 600, 80),
+    "all_zero": lambda tmp: SparseDataset(np.array([0, 2, 2, 5]), np.array([0, 3, 1, 2, 3]),
+                                          np.zeros(5), np.array([1.0, -1.0, 1.0]), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_logistic_kernel_bit_identical_to_reference(name, tmp_path):
+    data = DATASETS[name](tmp_path)
+    row = np.repeat(np.arange(data.n_samples), np.diff(data.indptr))
+    rng = np.random.default_rng(5)
+    d = data.n_features
+    # scale 0 gives margins of +-0.0; 1e4 pushes |t| past 750, where exp(-|t|) is 0
+    points = [np.zeros(d)] + [s * rng.standard_normal(d) for s in (1e-3, 1.0, 1e4)]
+    if name != "logistic_sparse":
+        points += [rng.standard_normal(d) for _ in range(20)]
+    for reg in (0.0, 1e-3):
+        for w in points:
+            value, grad = kernels.logistic_value_grad(data.layout, data.labels, reg, w)
+            want_value, want_grad = _logistic_value_grad_reference(
+                row, data.indices, data.data, data.labels, reg, w)
+            assert float(value).hex() == float(want_value).hex()
+            assert grad.tobytes() == want_grad.tobytes()
+    for v in points:
+        gram = data.layout.rmatvec(data.layout.matvec(v))
+        assert gram.tobytes() == _gram_matvec_reference(data, v).tobytes()
+
+
+PINNED_DATASETS = {
+    "full_density": lambda: make_classification_dataset(4, 200, 20),
+    "bias_column": lambda: with_bias(make_classification_dataset(8, 2000, 200, density=0.05)),
+    "power_law": lambda: power_law(3, 1500, 120),
+}
+
+
+@pytest.mark.parametrize("name", ["bias_column", "power_law"])
+def test_layout_padding_near_nnz(name):
+    data = PINNED_DATASETS[name]()
+    for side in (data.layout.rows, data.layout.cols):
+        assert data.nnz <= side.take.size <= 1.25 * data.nnz
+
+
+SPECTRAL_NORM_HEX = {
+    # recorded with the bincount Gram product the layout replaced
+    "full_density": "0x1.4faa257fd0636p+8",
+    "bias_column": "0x1.f6df0647a26d2p+10",
+    "power_law": "0x1.74d78e42a691bp+10",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_NORM_HEX))
+def test_spectral_norm_pinned(name):
+    assert _gram_spectral_norm(PINNED_DATASETS[name]()).hex() == SPECTRAL_NORM_HEX[name]
 
 
 def test_kernels_deterministic():
