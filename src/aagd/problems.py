@@ -1,7 +1,7 @@
 """Problem instances with oracles and metadata.
 
-Synthetic quadratics, least-squares-style logistic regression over
-sparse data, and smoothed-max (log-sum-exp) objectives. All randomness
+Synthetic quadratics, regularized logistic regression over sparse
+data, and smoothed-max (log-sum-exp) objectives. All randomness
 sits behind a named 64-bit seed so instances are bit-identical across
 runs. Dense vectors only; sparse data is densified into gradients by
 the kernels.
@@ -42,8 +42,8 @@ class SparseDataset:
 
     Feature indices are stored 0-based internally; the on-disk format is
     1-based with strictly increasing indices per row. ``indptr`` and
-    ``indices`` must be integer arrays. ``layout``, the segment-sum
-    layout of ``A x`` and ``A' u`` that the logistic kernel and the
+    ``indices`` must be integer arrays. ``layout``, the scipy CSR pair
+    for ``A x`` and ``A' u`` that the logistic kernel and the
     spectral-norm estimate share, is built on first use and kept.
     """
 
@@ -111,8 +111,8 @@ def make_quadratic(seed: int, dim: int, cond: float) -> Problem:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if cond < 1.0:
-        raise ValueError("cond must be >= 1")
+    if not 1.0 <= cond < np.inf:
+        raise ValueError("cond must be finite and >= 1")
     rng = np.random.default_rng(seed)
     if cond == 1.0 or dim == 1:
         A = np.eye(dim)
@@ -320,8 +320,8 @@ def logistic_problem(data: SparseDataset, reg: float = 0.0) -> Problem:
     """
     if data.n_samples < 1:
         raise ValueError("empty dataset")
-    if reg < 0.0:
-        raise ValueError("reg must be nonnegative")
+    if not 0.0 <= reg < np.inf:
+        raise ValueError("reg must be finite and nonnegative")
     L = _gram_spectral_norm(data) / (4.0 * data.n_samples) + reg
     layout, y = data.layout, data.labels
 
@@ -351,8 +351,8 @@ def logsumexp_problem(seed: int, dim: int, n_terms: int, smoothing: float) -> Pr
     """
     if n_terms < 2:
         raise ValueError("n_terms must be >= 2")
-    if not smoothing > 0.0:
-        raise ValueError("smoothing must be positive")
+    if not 0.0 < smoothing < np.inf:
+        raise ValueError("smoothing must be positive and finite")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_terms, dim))
     b = rng.standard_normal(n_terms)

@@ -544,3 +544,23 @@ def test_check_cell_over_the_csv_field_limit_is_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: row 4: field larger than field limit")
+
+
+@pytest.mark.parametrize("problem", [
+    "kind = quadratic\ndim = 5\ncond = nan",
+    "kind = quadratic\ndim = 5\ncond = inf",
+    "kind = logistic\nn = 20\ndim = 4\nreg = nan",
+    "kind = logistic\nn = 20\ndim = 4\nreg = inf",
+    "kind = logsumexp\ndim = 4\nterms = 6\nsmoothing = inf",
+], ids=["cond_nan", "cond_inf", "reg_nan", "reg_inf", "smoothing_inf"])
+def test_run_non_finite_problem_constant_is_config_error(tmp_path, capsys, problem):
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nchecks = evals\n\n"
+                              f"[problem]\n{problem}\n\n"
+                              "[method a]\nkind = aagd\neta0 = 1e-3\nmax_iters = 20\n")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    # one line of report, no traceback
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "finite" in err
+    assert not list(tmp_path.glob("out/*.csv"))

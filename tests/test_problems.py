@@ -263,18 +263,18 @@ def test_spectral_norm_converges_in_few_products(monkeypatch):
     # Lanczos 46, and it must stop on its residual test, not at max_iters
     data = make_classification_dataset(3, 2000, 200, density=0.05)
     calls = []
-    segment_sums = kernels._segment_sums
+    matvec = kernels.CsrLayout.matvec
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return segment_sums(*args, **kwargs)
+        return matvec(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "_segment_sums", counting)
+    monkeypatch.setattr(kernels.CsrLayout, "matvec", counting)
     lam = _gram_spectral_norm(data, max_iters=150)
     monkeypatch.undo()
     top = np.linalg.svd(data.to_dense(), compute_uv=False)[0] ** 2
     assert top <= lam <= top * (1.0 + 2e-10)
-    assert 0 < len(calls) // 2 <= 60  # two segment-sum passes per Gram product
+    assert 0 < len(calls) <= 60  # one matvec per Gram product
 
 
 # ---------------------------------------------------------------------------
