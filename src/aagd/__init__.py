@@ -8,8 +8,7 @@ reference baselines, problem generators, and a diagnostics suite that
 numerically certifies the solver's decay and rate guarantees along
 recorded traces.
 """
-from .baselines import (BaselineMethod, adagrad_stepsize, adgd_stepsize,
-                        bb_stepsize, run_baseline)
+from .baselines import BaselineMethod, run_baseline
 from .curvature import GRAD_GUARD, bregman, lambda_option1, lambda_option2, local_curvature
 from .diagnostics import (CertificateEntry, CertificateReport, ConvergedWindowError,
                           LyapunovSeries, MissingIteratesError, check_corollary_bound,
@@ -38,8 +37,7 @@ __all__ = [
     "MissingIteratesError", "NonFiniteError", "Oracle",
     "OracleError", "OracleResult", "ParamReport", "Problem", "RateConstants",
     "SolverParams", "SparseDataset", "StopRule", "Trace", "TraceSchemaError",
-    "adagrad_stepsize", "adgd_stepsize", "bb_stepsize", "bregman",
-    "check_corollary_bound", "check_eval_schedule", "check_h_envelope",
+    "bregman", "check_corollary_bound", "check_eval_schedule", "check_h_envelope",
     "check_monotone_psi", "default_params", "evaluate", "finite_diff_check",
     "fit_rate", "identity_quadratic", "init", "lambda_option1", "lambda_option2",
     "lemma_suite", "load_libsvm", "local_curvature", "logistic_problem",

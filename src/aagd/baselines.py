@@ -37,7 +37,6 @@ class BaselineMethod:
     nu: float = 0.5
     option2: bool = False
     f_star: float | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in _METHODS:
@@ -51,38 +50,6 @@ class BaselineMethod:
         if self.kind == "polyak" and self.f_star is None:
             raise ValueError("polyak requires f_star")
 
-    @property
-    def name(self) -> str:
-        return self.label or self.kind
-
-
-def adgd_stepsize(eta: float, eta_prev: float, lam: float, gamma: float, nu: float) -> float:
-    """min of the gated growth branch and the curvature branch.
-
-    An infinite curvature estimate resolves to the growth branch.
-    """
-    if not (eta > 0.0 and eta_prev > 0.0):
-        raise ValueError("stepsizes must be positive")
-    grow = eta * math.sqrt(1.0 + gamma * eta / eta_prev)
-    return min(grow, nu * lam)
-
-
-def adagrad_stepsize(eta_scale: float, sq_grad_sum: float) -> float:
-    """eta / sqrt(sum of squared gradient norms). Zero sum means converged."""
-    if sq_grad_sum < 0.0:
-        raise ValueError("sq_grad_sum must be nonnegative")
-    if sq_grad_sum == 0.0:
-        return 0.0
-    return eta_scale / math.sqrt(sq_grad_sum)
-
-
-def bb_stepsize(dx: np.ndarray, dg: np.ndarray, guard: float = 0.0) -> float:
-    """Secant ratio <dx, dg> / ||dg||^2; undefined for a vanishing dg."""
-    dg2 = float(dg @ dg)
-    if dg2 <= guard:
-        raise ZeroDivisionError("gradient difference too small for a secant step")
-    return float(dx @ dg) / dg2
-
 
 def run_baseline(method: BaselineMethod, oracle: Oracle, x0, stop: StopRule) -> Trace:
     """Run a baseline and record a trace in the shared scalar schema.
@@ -95,7 +62,7 @@ def run_baseline(method: BaselineMethod, oracle: Oracle, x0, stop: StopRule) -> 
     notes: list = []
     res = evaluate(oracle, np.asarray(x0, dtype=np.float64), counter)
     state, advance = _METHODS[method.kind](method, oracle, counter, notes, res)
-    return _drive(state, advance, _row, stop, counter, notes=notes, method=method.name)
+    return _drive(state, advance, _row, stop, counter, notes=notes)
 
 
 class _State(NamedTuple):
@@ -135,7 +102,9 @@ def _gd(method, oracle, counter, notes, res):
 
 def _adagrad(method, oracle, counter, notes, res):
     def start(k, res, sq_sum):
-        return _State(k, res, adagrad_stepsize(method.eta, sq_sum), carry=sq_sum)
+        # eta / sqrt(sum of squared gradient norms); a zero sum means converged
+        eta = 0.0 if sq_sum == 0.0 else method.eta / math.sqrt(sq_sum)
+        return _State(k, res, eta, carry=sq_sum)
 
     def advance(s):
         if s.eta == 0.0:
@@ -162,10 +131,10 @@ def _polyak(method, oracle, counter, notes, res):
 def _bb(method, oracle, counter, notes, res):
     def advance(s):
         nxt = _descend(oracle, s, counter)
-        try:
-            cand = bb_stepsize(nxt.x - s.bar_res.x, nxt.grad - s.bar_res.grad)
-        except ZeroDivisionError:
-            cand = -1.0
+        # secant ratio <dx, dg> / ||dg||^2, undefined for a vanishing dg
+        dg = nxt.grad - s.bar_res.grad
+        dg2 = float(dg @ dg)
+        cand = float((nxt.x - s.bar_res.x) @ dg) / dg2 if dg2 > 0.0 else -1.0
         if cand > 0.0:
             return _State(s.k + 1, nxt, cand)
         notes.append((s.k + 1, "bb stepsize undefined or nonpositive, kept previous"))
@@ -180,7 +149,9 @@ def _adgd(method, oracle, counter, notes, res):
     def advance(s):
         nxt = _descend(oracle, s, counter)
         lam = estimator(nxt, s.bar_res)
-        eta = adgd_stepsize(s.eta, s.carry, lam, method.gamma, method.nu)
+        # the gated growth branch, capped by the curvature branch (which an
+        # infinite estimate leaves inactive)
+        eta = min(s.eta * math.sqrt(1.0 + method.gamma * s.eta / s.carry), method.nu * lam)
         return _State(s.k + 1, nxt, eta, lam, carry=s.eta)
 
     return _State(0, res, method.eta0, carry=method.eta0), advance

@@ -81,9 +81,8 @@ def _check_smoothness(cfg: ExperimentConfig, problem: problems.Problem) -> None:
 
 
 def _method_params(spec: MethodSpec, eta0: float) -> SolverParams:
-    theta = spec.options.get("theta", 2.0)
-    gamma = spec.options.get("gamma")
-    return make_params(theta=theta, gamma=gamma, eta0=eta0)
+    given = {key: spec.options[key] for key in ("theta", "gamma") if key in spec.options}
+    return make_params(eta0=eta0, **given)
 
 
 def _resolve_eta(opts: dict, problem: problems.Problem) -> float:
@@ -107,26 +106,23 @@ def _start_point(spec: dict, problem: problems.Problem, seed: int) -> np.ndarray
 def _method(spec: MethodSpec, problem: problems.Problem):
     """Validate one method section and return a function that runs it from x0.
 
-    An invalid setting raises ValueError here, before any method runs.
+    Only the settings the section gives are passed on, so the defaults are
+    those of the solver and of BaselineMethod. An invalid setting raises
+    ValueError here, before any method runs.
     """
     stop = _stop_rule(spec.options, problem)
     if spec.kind == "aagd":
         params = _method_params(spec, spec.options["eta0"])
-        return lambda x0: solver.run(
-            problem.oracle, x0, params, stop,
-            growth_cap=spec.options.get("growth_cap", False),
-            store_iterates=spec.options.get("store_iterates", False),
-        )
-    method = baselines.BaselineMethod(
-        kind=spec.kind,
-        eta=_resolve_eta(spec.options, problem) if "eta" in spec.options else None,
-        eta0=spec.options.get("eta0"),
-        gamma=spec.options.get("gamma", 1.0),
-        nu=spec.options.get("nu", 0.5),
-        option2=spec.options.get("option2", False),
-        f_star=problem.f_star if spec.kind == "polyak" else None,
-        label=spec.name,
-    )
+        flags = {key: spec.options[key] for key in ("growth_cap", "store_iterates")
+                 if key in spec.options}
+        return lambda x0: solver.run(problem.oracle, x0, params, stop, **flags)
+    given = {key: spec.options[key] for key in ("eta0", "gamma", "nu", "option2")
+             if key in spec.options}
+    if "eta" in spec.options:
+        given["eta"] = _resolve_eta(spec.options, problem)
+    if spec.kind == "polyak":
+        given["f_star"] = problem.f_star
+    method = baselines.BaselineMethod(kind=spec.kind, **given)
     return lambda x0: baselines.run_baseline(method, problem.oracle, x0, stop)
 
 
@@ -177,7 +173,6 @@ def cmd_run(config_path: str) -> int:
 
     for spec, run in zip(cfg.methods, runs):
         trace = run(x0)
-        trace.method, trace.problem = spec.name, problem.meta()
         csv_path = outdir / f"{problem.label}__{spec.name}.csv"
         traceio.write_csv(trace, csv_path)
         final_f = trace.f_bar[-1]
@@ -308,9 +303,7 @@ def main(argv=None) -> int:
         return cmd_run(args.config)
     if args.command == "params":
         return cmd_params(args.theta, args.gamma)
-    if args.command == "check":
-        return cmd_check(args.trace, args.config)
-    return EXIT_CONFIG
+    return cmd_check(args.trace, args.config)
 
 
 if __name__ == "__main__":

@@ -63,8 +63,6 @@ def _gaps(a: OracleResult, b: OracleResult, guard: float):
     differ through internal rounding. Both tests are symmetric in the
     two arguments.
     """
-    if guard < 0.0:
-        raise ValueError("guard must be nonnegative")
     if a.x.shape != b.x.shape:
         raise DimensionMismatchError(f"curvature pair has shapes {a.x.shape} and {b.x.shape}")
     gap2 = sq_norm(a.grad - b.grad)
@@ -75,13 +73,13 @@ def _gaps(a: OracleResult, b: OracleResult, guard: float):
     return gap2, dx, dx2, dx2 <= guard * max(1.0, a.x_sq, b.x_sq)
 
 
-def lambda_option1(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) -> float:
+def lambda_option1(a: OracleResult, b: OracleResult) -> float:
     """Secant estimate ||a - b|| / ||grad f(a) - grad f(b)||, or +inf."""
-    gap2, _, dx2, coincide = _gaps(a, b, guard)
+    gap2, _, dx2, coincide = _gaps(a, b, GRAD_GUARD)
     return math.inf if coincide else _secant(dx2, gap2)
 
 
-def lambda_option2(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) -> float:
+def lambda_option2(a: OracleResult, b: OracleResult) -> float:
     """Bregman estimate 2 B(a; b) / ||grad f(a) - grad f(b)||^2, or +inf.
 
     Convexity makes the analytic Bregman value nonnegative, so a computed
@@ -89,7 +87,7 @@ def lambda_option2(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) 
     included) is cancellation noise; the cancellation-free option-1
     estimate is substituted for it.
     """
-    gap2, dx, dx2, coincide = _gaps(a, b, guard)
+    gap2, dx, dx2, coincide = _gaps(a, b, GRAD_GUARD)
     if coincide:
         return math.inf
     breg = _bregman(a, b, dx)
@@ -98,17 +96,10 @@ def lambda_option2(a: OracleResult, b: OracleResult, guard: float = GRAD_GUARD) 
     return 2.0 * breg / gap2
 
 
-def local_curvature(
-    bar_next: OracleResult,
-    tilde_cur: OracleResult,
-    tilde_next: OracleResult,
-    guard: float = GRAD_GUARD,
-) -> float:
+def local_curvature(bar_next: OracleResult, tilde_cur: OracleResult,
+                    tilde_next: OracleResult) -> float:
     """Composite estimator: min of the two Bregman estimates anchored at
     the new averaged point, against the current and the new lookahead
     points. Works on cached results only; performs no oracle calls.
     """
-    return min(
-        lambda_option2(bar_next, tilde_cur, guard=guard),
-        lambda_option2(bar_next, tilde_next, guard=guard),
-    )
+    return min(lambda_option2(bar_next, tilde_cur), lambda_option2(bar_next, tilde_next))

@@ -69,12 +69,6 @@ class CertificateReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def entry(self, name: str) -> CertificateEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def lines(self) -> list[str]:
         return [e.line() for e in self.entries]
 
@@ -189,17 +183,13 @@ def lyapunov_series(trace: Trace, x_ref, oracle: Oracle,
     return _replay(trace, oracle, _params(trace, params), [ref]).series[0]
 
 
-def check_monotone_psi(series: LyapunovSeries, rel: float = REL_TOL,
-                       abs_floor: float | None = None,
-                       name: str = "psi_monotone") -> CertificateEntry:
-    """Pass iff each value is below its predecessor up to the slacks.
-
-    The absolute floor defaults to 1e-12 * (1 + |first value|).
+def check_monotone_psi(series: LyapunovSeries, name: str = "psi_monotone") -> CertificateEntry:
+    """Pass iff each value is below its predecessor up to the slacks:
+    relative 1e-10 and absolute 1e-12 * (1 + |first value|).
     """
     psi = series.total
-    if abs_floor is None:
-        abs_floor = ABS_TOL * (1.0 + abs(float(psi[0]))) if len(psi) else ABS_TOL
-    return _sweep(name, series.k[1:], psi[1:] - (psi[:-1] * (1.0 + rel) + abs_floor),
+    abs_floor = ABS_TOL * (1.0 + abs(float(psi[0]))) if len(psi) else ABS_TOL
+    return _sweep(name, series.k[1:], psi[1:] - (psi[:-1] * (1.0 + REL_TOL) + abs_floor),
                   pass_k=int(series.k[0]) if len(psi) else 0)
 
 
@@ -220,7 +210,8 @@ def check_h_envelope(trace: Trace, params: SolverParams, L: float,
         raise ValueError("a positive smoothness constant L is required")
     rc = rate_constants(replace(params, eta0=float(trace.eta[0])), L)
     ks = np.arange(trace.n_iters + 1)
-    return _sweep(name, ks, rc.c / math.sqrt(L) * (ks - rc.m) - np.sqrt(trace.H) - ABS_TOL,
+    # m as a float: a tiny gamma and eta0 give an m beyond int64 (exact below 2**53)
+    return _sweep(name, ks, rc.c / math.sqrt(L) * (ks - float(rc.m)) - np.sqrt(trace.H) - ABS_TOL,
                   f"c={rc.c:.4e} m={rc.m}")
 
 

@@ -99,7 +99,8 @@ def nu_from(theta: float, gamma: float) -> float:
 
 
 def make_params(theta: float = DEFAULT_THETA, gamma: float | None = None, eta0: float = 1.0) -> SolverParams:
-    """Build feasible parameters: gamma defaults to gamma_max(theta)."""
+    """Build feasible parameters, gamma defaulting to gamma_max(theta); raises
+    ValueError if they fail :func:`validate` (nu underflows for a huge theta)."""
     if not eta0 > 0.0:
         raise ValueError("eta0 must be positive")
     gmax = max_gamma(theta)
@@ -107,7 +108,11 @@ def make_params(theta: float = DEFAULT_THETA, gamma: float | None = None, eta0: 
         gamma = gmax
     elif not 0.0 < gamma <= gmax * (1.0 + 1e-12):
         raise ValueError(f"gamma={gamma:g} outside (0, gamma_max(theta)={gmax:g}]")
-    return SolverParams(theta=theta, gamma=gamma, nu=nu_from(theta, gamma), eta0=eta0)
+    params = SolverParams(theta=theta, gamma=gamma, nu=nu_from(theta, gamma), eta0=eta0)
+    report = validate(params)
+    if not report.passed:
+        raise ValueError("invalid solver parameters:\n" + "\n".join(report.lines()))
+    return params
 
 
 def default_params(eta0: float = 1.0) -> SolverParams:
@@ -120,14 +125,15 @@ def default_params(eta0: float = 1.0) -> SolverParams:
     )
 
 
-def validate(params: SolverParams, rel_tol: float = 1e-12) -> ParamReport:
-    """Check both parameter relations, reporting residuals."""
+def validate(params: SolverParams) -> ParamReport:
+    """Check both parameter relations to 1e-12, reporting residuals; the
+    inequality is taken in its t = theta/(1+theta) form, which cannot overflow."""
     th, ga, nu = params.theta, params.gamma, params.nu
     positive_ok = th > 0.0 and ga > 0.0 and nu > 0.0 and params.eta0 > 0.0
     if positive_ok:
         eq_resid = abs(4.0 * nu * th * (1.0 + ga) ** 2 - ga) / ga
-        lhs = 1.0 + 2.0 * ga + ga * th**2 / (1.0 + th) ** 2
-        rhs = th / (1.0 + th) + th**2 / (1.0 + th) ** 2
+        t = th / (1.0 + th)
+        lhs, rhs = 1.0 + 2.0 * ga + ga * (t * t), t + t * t
     else:
         eq_resid = math.inf
         lhs, rhs = math.inf, 0.0
@@ -135,11 +141,11 @@ def validate(params: SolverParams, rel_tol: float = 1e-12) -> ParamReport:
     return ParamReport(
         positive_ok=positive_ok,
         equality_residual=eq_resid,
-        equality_ok=eq_resid <= rel_tol,
+        equality_ok=eq_resid <= 1e-12,
         inequality_lhs=lhs,
         inequality_rhs=rhs,
         inequality_slack=slack,
-        inequality_ok=lhs <= rhs + rel_tol,
+        inequality_ok=lhs <= rhs + 1e-12,
     )
 
 
@@ -151,6 +157,12 @@ def rate_constants(params: SolverParams, L: float) -> RateConstants:
     c1 = math.sqrt(nu) / (3.0 * (2.0 + ga))
     c2 = math.sqrt(nu) * ga / (16.0 * (ga * (1.0 + ga) ** 5 * (2.0 + ga) ** 3) ** 0.25)
     c = min(c1, c2)
-    arg = 4.0 * c * c / (ga * eta0 * L)
-    m = math.ceil(max(2.0, math.log(arg) / math.log1p(ga)))
+    if c == 0.0:  # c underflowed: the envelope is vacuous
+        return RateConstants(c=0.0, m=2)
+    den = ga * eta0 * L
+    arg = 4.0 * c * c / den if den > 0.0 else 0.0
+    # where the quotient under- or overflows, its log is taken as a sum of logs
+    log_arg = (math.log(arg) if 0.0 < arg < math.inf else
+               2.0 * math.log(2.0 * c) - math.log(ga) - math.log(eta0) - math.log(L))
+    m = math.ceil(max(2.0, log_arg / math.log1p(ga)))
     return RateConstants(c=c, m=int(m))

@@ -26,14 +26,14 @@ class Problem:
     """An objective with whatever metadata is exactly known for it."""
 
     oracle: Oracle
-    dim: int
     L: float | None = None
     f_star: float | None = None
     x_star: np.ndarray | None = None
     label: str = ""
 
-    def meta(self) -> dict:
-        return {"label": self.label, "dim": self.dim, "L": self.L, "f_star": self.f_star}
+    @property
+    def dim(self) -> int:
+        return self.oracle.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +132,6 @@ def make_quadratic(seed: int, dim: int, cond: float) -> Problem:
 
     return Problem(
         oracle=Oracle(fn, dim, label=f"quadratic(seed={seed},dim={dim},cond={cond:g})"),
-        dim=dim,
         L=float(cond),
         f_star=f_star,
         x_star=x_star,
@@ -154,7 +153,6 @@ def identity_quadratic(dim: int) -> Problem:
 
     return Problem(
         oracle=Oracle(fn, dim, label=f"identity_quadratic(dim={dim})"),
-        dim=dim,
         L=1.0,
         f_star=0.0,
         x_star=np.zeros(dim),
@@ -331,7 +329,6 @@ def logistic_problem(data: SparseDataset, reg: float = 0.0) -> Problem:
     return Problem(
         oracle=Oracle(fn, data.n_features,
                       label=f"logistic(n={data.n_samples},d={data.n_features},reg={reg:g})"),
-        dim=data.n_features,
         L=float(L),
         label=f"logistic_n{data.n_samples}_d{data.n_features}",
     )
@@ -364,7 +361,6 @@ def logsumexp_problem(seed: int, dim: int, n_terms: int, smoothing: float) -> Pr
 
     return Problem(
         oracle=Oracle(fn, dim, label=f"logsumexp(seed={seed},dim={dim},terms={n_terms},mu={mu:g})"),
-        dim=dim,
         L=L,
         label=f"logsumexp_d{dim}_t{n_terms}_mu{mu:g}_s{seed}",
     )

@@ -110,8 +110,6 @@ class Trace:
     x_bar: np.ndarray | None = None
     x_tilde: np.ndarray | None = None
     params: SolverParams | None = None
-    method: str = ""
-    problem: dict = field(default_factory=dict)
     diverged: bool = False
     notes: list = field(default_factory=list)
 
@@ -188,9 +186,8 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
                      tilde_res=tilde_res, bar_res=bar_res)
 
 
-def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule,
-        growth_cap: bool = False, store_iterates: bool = False,
-        problem_meta: dict | None = None, check_params: bool = True) -> Trace:
+def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule, growth_cap: bool = False,
+        store_iterates: bool = False, check_params: bool = True) -> Trace:
     """Run the solver until the first satisfied stop rule.
 
     The reported solution is the averaged iterate of the last recorded
@@ -200,13 +197,8 @@ def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule,
     """
     counter = EvalCounter()
     state = init(x0, params, oracle, counter, check_params=check_params)
-    return _drive(
-        state, lambda st: step(st, oracle, params, counter, growth_cap=growth_cap),
-        _row, stop, counter, notes=[], store_iterates=store_iterates,
-        params=params,
-        method="aagd" + ("+cap" if growth_cap else ""),
-        problem=dict(problem_meta or {}),
-    )
+    return _drive(state, lambda st: step(st, oracle, params, counter, growth_cap=growth_cap),
+                  _row, stop, counter, notes=[], store_iterates=store_iterates, params=params)
 
 
 def _row(st: IterState) -> tuple:
@@ -214,8 +206,10 @@ def _row(st: IterState) -> tuple:
             st.bar_res.value, st.tilde_res.value, st.tilde_res)
 
 
+# the scalar columns of a trace, in recorded (and CSV) order
 _COLUMNS = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
             "grad_norm_tilde", "evals_cum")
+_INT_COLUMNS = ("k", "evals_cum")
 
 
 def _grad_norm(res: OracleResult) -> float:
@@ -232,7 +226,7 @@ def _grad_norm(res: OracleResult) -> float:
 
 
 def _drive(state, advance, row, stop: StopRule, counter: EvalCounter, notes: list,
-           store_iterates: bool = False, **fields) -> Trace:
+           store_iterates: bool = False, params: SolverParams | None = None) -> Trace:
     """The run loop of the solver and of every baseline.
 
     ``state`` is a method's state after its first evaluation; it carries
@@ -265,10 +259,10 @@ def _drive(state, advance, row, stop: StopRule, counter: EvalCounter, notes: lis
             break
         state = nxt
 
-    cols = {name: np.asarray(vals, dtype=np.int64 if name in ("k", "evals_cum") else np.float64)
+    cols = {name: np.asarray(vals, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
             for name, vals in zip(_COLUMNS, zip(*rows))}
     # an infinite curvature estimate is stored as nan, like the undefined one at k=0
     cols["lam"][np.isinf(cols["lam"])] = math.nan
     if store_iterates:
         cols["x"], cols["x_bar"], cols["x_tilde"] = (np.asarray(v) for v in zip(*iterates))
-    return Trace(**cols, **fields, diverged=diverged, notes=notes)
+    return Trace(**cols, params=params, diverged=diverged, notes=notes)

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import csv
 import math
+from operator import itemgetter
 
 import numpy as np
 
-from .solver import Trace
+from .solver import _COLUMNS, _INT_COLUMNS, Trace
 
-SCALAR_COLUMNS = ("k", "eta", "H", "alpha", "beta", "lambda", "f_bar",
-                  "f_tilde", "grad_norm_tilde", "evals_cum")
+# the header names of the trace's scalar columns; only lam is renamed
+SCALAR_COLUMNS = tuple("lambda" if name == "lam" else name for name in _COLUMNS)
+# a row's integer cells, as text, in _INT_COLUMNS order
+_int_cells = itemgetter(*(_COLUMNS.index(name) for name in _INT_COLUMNS))
 
 
 class TraceSchemaError(ValueError):
@@ -37,10 +40,9 @@ def write_csv(trace: Trace, path) -> None:
                                      for i in range(d)]
     # one format per row; a finite %.17g never contains "inf" or "nan", so
     # deleting those tokens empties exactly the non-finite cells
-    line = "%d" + ",%.17g" * 8 + ",%d" + ",%.17g" * (3 * d) + "\r\n"
-    rows = zip(trace.k.tolist(), trace.eta.tolist(), trace.H.tolist(), trace.alpha.tolist(),
-               trace.beta.tolist(), trace.lam.tolist(), trace.f_bar.tolist(),
-               trace.f_tilde.tolist(), trace.grad_norm_tilde.tolist(), trace.evals_cum.tolist())
+    line = (",".join("%d" if name in _INT_COLUMNS else "%.17g" for name in _COLUMNS)
+            + ",%.17g" * (3 * d) + "\r\n")
+    rows = zip(*(getattr(trace, name).tolist() for name in _COLUMNS))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for r, row in enumerate(rows):
@@ -81,7 +83,7 @@ def read_csv(path) -> Trace:
                 if len(row) != width:
                     raise ValueError(f"expected {width} cells, got {len(row)}")
                 rows.append(np.array([math.nan if c == "" else float(c) for c in row]))
-                int_cells.append((row[0], row[9]))  # k, evals_cum
+                int_cells.append(_int_cells(row))
         except (ValueError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
             raise TraceSchemaError(f"row {len(rows) + 2}: {exc}")
     if not rows:
@@ -89,8 +91,8 @@ def read_csv(path) -> Trace:
 
     table = np.vstack(rows)
     del rows  # free the row arrays before the columns are copied out
-    cols = {name: table[:, j].copy() for j, name in enumerate(SCALAR_COLUMNS)}
-    for j, name in ((0, "k"), (1, "evals_cum")):
+    cols = {name: table[:, j].copy() for j, name in enumerate(_COLUMNS)}
+    for j, name in enumerate(_INT_COLUMNS):
         v = cols[name]
         bad = ~((np.abs(v) < 2.0**53) & (v == np.trunc(v)))
         if bad.any():
@@ -102,9 +104,4 @@ def read_csv(path) -> Trace:
     x, x_bar, x_tilde = ((table[:, base + i * d:base + (i + 1) * d].copy() for i in range(3))
                          if extra else (None, None, None))
 
-    return Trace(
-        k=cols["k"], eta=cols["eta"], H=cols["H"], alpha=cols["alpha"], beta=cols["beta"],
-        lam=cols["lambda"], f_bar=cols["f_bar"], f_tilde=cols["f_tilde"],
-        grad_norm_tilde=cols["grad_norm_tilde"], evals_cum=cols["evals_cum"],
-        x=x, x_bar=x_bar, x_tilde=x_tilde,
-    )
+    return Trace(**cols, x=x, x_bar=x_bar, x_tilde=x_tilde)

@@ -79,6 +79,40 @@ def test_params_with_user_gamma(capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize("theta, exits", [("1e200", {"params": 0, "run": 3}),
+                                           ("1e308", {"params": 2, "run": 2})],
+                         ids=["1e200", "1e308"])
+@pytest.mark.parametrize("command", ["params", "run"])
+def test_huge_theta_exits_without_traceback(tmp_path, capsys, command, theta, exits):
+    # theta**2 overflows above ~1.3e154; at 1e308 nu underflows to 0, which
+    # fails validation before any method runs
+    cfg = write_cfg(tmp_path, GOLDEN_CFG.replace("eta0 = 0.1", f"eta0 = 0.1\ntheta = {theta}"))
+    argv = ["params", "--theta", theta] if command == "params" else ["run", str(cfg)]
+    assert main(argv) == exits[command]
+    if exits[command] == 2:
+        captured = capsys.readouterr()
+        assert "invalid solver parameters" in captured.out + captured.err
+        assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("option", [
+    "eta0 = 5e-324",
+    "eta0 = 1e-3\ngamma = 1e-300",
+    "eta0 = 1e-40\ngamma = 1e-18",
+], ids=["product_underflows", "c_underflows", "m_beyond_int64"])
+def test_h_envelope_at_float_extremes_passes_in_run_and_check(tmp_path, capsys, option):
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\n\n"
+                              "[problem]\nkind = quadratic\ndim = 5\ncond = 10\n\n"
+                              f"[method a]\nkind = aagd\n{option}\nmax_iters = 50\n"
+                              "store_iterates = true\n")
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*__a.csv"))
+    assert main(["check", str(trace), "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert len(re.findall(r"^\s*h_envelope\s+pass", captured.out, re.M)) == 2
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_run_writes_csvs_and_summary(tmp_path, capsys):
     cfg = write_cfg(tmp_path, QUAD_CFG)
     assert main(["run", str(cfg)]) == 0

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -104,6 +105,33 @@ def test_rate_constants_tiny_eta0():
 def test_rate_constants_huge_product_clamps_m():
     rc = rate_constants(default_params(eta0=1e6), L=1e6)
     assert rc.m == 2
+
+
+def test_rate_constants_underflowing_product_takes_the_log_of_each_factor():
+    # gamma * eta0 * L rounds to 0; the envelope's m comes from the exact log
+    params = default_params(eta0=5e-324)
+    rc = rate_constants(params, L=10.0)
+    arg = (4 * Decimal(rc.c) ** 2 / (Decimal(params.gamma) * Decimal(5e-324) * 10)).ln()
+    assert rc.m == math.ceil(arg / Decimal(math.log1p(params.gamma)))
+    assert rc.m > 2
+
+
+def test_rate_constants_underflowing_c_is_vacuous():
+    rc = rate_constants(make_params(theta=2.0, gamma=1e-300, eta0=1e-3), L=10.0)
+    assert (rc.c, rc.m) == (0.0, 2)
+
+
+def test_validate_huge_theta_does_not_overflow():
+    params = make_params(theta=1e200)
+    report = validate(params)
+    assert report.passed
+    assert report.inequality_rhs == 2.0
+
+
+def test_make_params_rejects_an_underflowed_nu():
+    with pytest.raises(ValueError, match="invalid solver parameters"):
+        make_params(theta=1e308)
+    assert nu_from(1e308, max_gamma(1e308)) == 0.0
 
 
 def test_rate_constants_rejects_bad_L():
