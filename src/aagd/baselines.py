@@ -41,10 +41,11 @@ class BaselineMethod:
     def __post_init__(self):
         if self.kind not in _METHODS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.kind in ("gd", "agd", "adagrad") and not (self.eta and self.eta > 0.0):
-            raise ValueError(f"{self.kind} requires a positive stepsize eta")
-        if self.kind in ("adgd", "bb") and not (self.eta0 and self.eta0 > 0.0):
-            raise ValueError(f"{self.kind} requires a positive initial stepsize eta0")
+        if self.kind in ("gd", "agd", "adagrad") and not 0.0 < (self.eta or 0.0) < math.inf:
+            raise ValueError(f"{self.kind} requires a positive stepsize eta (0 < eta < inf)")
+        if self.kind in ("adgd", "bb") and not 0.0 < (self.eta0 or 0.0) < math.inf:
+            raise ValueError(f"{self.kind} requires a positive initial stepsize eta0 "
+                             "(0 < eta0 < inf)")
         if self.kind == "adgd" and not (self.gamma > 0.0 and self.nu > 0.0):
             raise ValueError("adgd requires positive gamma and nu")
         if self.kind == "polyak" and self.f_star is None:

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import baselines, diagnostics, problems, solver, traceio
 from .config import ConfigError, ExperimentConfig, MethodSpec, parse_config
-from .params import (InfeasibleThetaError, SolverParams, make_params, max_gamma,
-                     nu_from, rate_constants, validate)
+from .params import SolverParams, make_params, max_gamma, validate
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -203,24 +202,17 @@ def cmd_run(config_path: str) -> int:
 
 def cmd_params(theta: float, gamma: float | None) -> int:
     try:
-        gmax = max_gamma(theta)
-    except InfeasibleThetaError as exc:
-        print(f"infeasible: {exc}")
-        return EXIT_CONFIG
-    chosen = gamma if gamma is not None else gmax
-    try:
-        params = make_params(theta=theta, gamma=chosen, eta0=1.0)
+        params = make_params(theta=theta, gamma=gamma, eta0=1.0)
     except ValueError as exc:
         print(f"infeasible: {exc}")
         return EXIT_CONFIG
-    report = validate(params)
     print(f"theta      = {theta:.17g}")
-    print(f"gamma_max  = {gmax:.17g}")
+    print(f"gamma_max  = {max_gamma(theta):.17g}")
     print(f"gamma      = {params.gamma:.17g}")
     print(f"nu         = {params.nu:.17g}")
-    for line in report.lines():
+    for line in validate(params).lines():
         print(line)
-    return EXIT_OK if report.passed else EXIT_CONFIG
+    return EXIT_OK
 
 
 def _check_stored_iterates(trace: solver.Trace, dim: int) -> None:

@@ -27,7 +27,8 @@ Sections::
     # bb:      eta0
     # polyak:  no extras (optimal value comes from the problem)
 
-Unknown sections or keys are rejected with their path.
+Unknown sections or keys are rejected with their path. A ``;`` or ``#``
+after whitespace starts an inline comment, as in the lines above.
 """
 from __future__ import annotations
 
@@ -39,26 +40,52 @@ class ConfigError(ValueError):
     pass
 
 
-_EXPERIMENT_KEYS = {"seed", "outdir", "checks", "x_ref"}
-_PROBLEM_KEYS = {
-    "quadratic": {"kind", "dim", "cond", "seed", "x0"},
-    "identity": {"kind", "dim", "x0"},
-    "logistic": {"kind", "reg", "path", "n", "dim", "seed", "x0"},
-    "logsumexp": {"kind", "dim", "terms", "smoothing", "seed", "x0"},
+def _flag(raw):
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _one_of(*allowed):
+    def parse(raw):
+        if raw not in allowed:
+            raise ValueError(raw)
+        return raw
+    return parse
+
+
+def _list_of(*allowed):
+    one = _one_of(*allowed)
+    return lambda raw: tuple(one(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+
+# how each key's value is read; any key not named here is a float
+_PARSERS = {
+    "seed": int, "dim": int, "n": int, "terms": int, "max_iters": int,
+    "store_iterates": _flag, "growth_cap": _flag, "option2": _flag,
+    "x0": _one_of("zeros", "ones", "random"),
+    "eta": lambda raw: "auto" if raw.lower() == "auto" else float(raw),
+    "outdir": str, "path": str,
+    "checks": _list_of("psi", "corollary", "h_envelope", "lemmas", "evals"),
+    "x_ref": _list_of("xstar", "x0", "random"),
 }
-_X0_NAMES = {"zeros", "ones", "random"}
-_METHOD_KEYS = {
-    "aagd": {"kind", "max_iters", "grad_tol", "gap_tol", "eta0", "theta", "gamma",
-             "store_iterates", "growth_cap"},
-    "gd": {"kind", "max_iters", "grad_tol", "gap_tol", "eta"},
-    "agd": {"kind", "max_iters", "grad_tol", "gap_tol", "eta"},
-    "adagrad": {"kind", "max_iters", "grad_tol", "gap_tol", "eta"},
-    "adgd": {"kind", "max_iters", "grad_tol", "gap_tol", "eta0", "gamma", "nu", "option2"},
-    "bb": {"kind", "max_iters", "grad_tol", "gap_tol", "eta0"},
-    "polyak": {"kind", "max_iters", "grad_tol", "gap_tol"},
+
+# per section, kind -> (required keys, optional keys); [experiment] has no kind
+_STOP = ("grad_tol", "gap_tol")
+_EXPERIMENT = {None: ((), ("seed", "outdir", "checks", "x_ref"))}
+_PROBLEM = {
+    "quadratic": (("dim", "cond"), ("seed", "x0")),
+    "identity": (("dim",), ("x0",)),
+    "logistic": ((), ("reg", "path", "n", "dim", "seed", "x0")),  # path or (n, dim)
+    "logsumexp": (("dim", "terms", "smoothing"), ("seed", "x0")),
 }
-_CHECK_NAMES = {"psi", "corollary", "h_envelope", "lemmas", "evals"}
-_XREF_NAMES = {"xstar", "x0", "random"}
+_METHOD = {
+    "aagd": (("max_iters", "eta0"), _STOP + ("theta", "gamma", "store_iterates", "growth_cap")),
+    "gd": (("max_iters", "eta"), _STOP),
+    "agd": (("max_iters", "eta"), _STOP),
+    "adagrad": (("max_iters", "eta"), _STOP),
+    "adgd": (("max_iters", "eta0"), _STOP + ("gamma", "nu", "option2")),
+    "bb": (("max_iters", "eta0"), _STOP),
+    "polyak": (("max_iters",), _STOP),
+}
 
 
 @dataclass
@@ -78,28 +105,29 @@ class ExperimentConfig:
     methods: list
 
 
-def _typed(section: str, key: str, raw: str, kind: type):
-    try:
-        if kind is bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"{section}: key {key!r} has invalid value {raw!r}")
-
-
-def _check_keys(section: str, present, allowed):
-    unknown = set(present) - allowed
+def _section(section: str, items: dict, kinds: dict) -> tuple:
+    """Check a section against its kind's keys; return (kind, typed values)."""
+    kind = None if None in kinds else items.pop("kind", None)
+    if kind not in kinds:
+        raise ConfigError(f"{section}: kind must be one of {sorted(kinds)}, got {kind!r}")
+    required, optional = kinds[kind]
+    unknown = [key for key in items if key not in required and key not in optional]
     if unknown:
-        raise ConfigError(f"{section}: unknown key {sorted(unknown)[0]!r}")
+        raise ConfigError(f"{section}: unknown key {min(unknown)!r}")
+    missing = [key for key in required if key not in items]
+    if missing:
+        raise ConfigError(f"{section}: {kind} needs {', '.join(missing)}")
+    values = {}
+    for key, raw in items.items():
+        try:
+            values[key] = _PARSERS.get(key, float)(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{section}: key {key!r} has invalid value {raw!r}")
+    return kind, values
 
 
 def parse_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -107,31 +135,25 @@ def parse_config(path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
-    seed = 0
-    outdir = None
-    checks: tuple = ()
-    x_ref: tuple = ()
+    experiment: dict = {}
     problem: dict | None = None
     methods: list[MethodSpec] = []
-
     for section in parser.sections():
         items = dict(parser.items(section))
+        head, _, name = section.partition(" ")
+        name = name.strip()
         if section == "experiment":
-            _check_keys(section, items, _EXPERIMENT_KEYS)
-            if "seed" in items:
-                seed = _typed(section, "seed", items["seed"], int)
-            outdir = items.get("outdir")
-            if "checks" in items:
-                checks = _split_list(section, "checks", items["checks"], _CHECK_NAMES)
-            if "x_ref" in items:
-                x_ref = _split_list(section, "x_ref", items["x_ref"], _XREF_NAMES)
+            experiment = _section(section, items, _EXPERIMENT)[1]
         elif section == "problem":
-            problem = _parse_problem(section, items)
-        elif section.startswith("method ") or section.startswith("method."):
-            name = (section.split(None, 1) if " " in section else section.split(".", 1))[1].strip()
+            kind, values = _section(section, items, _PROBLEM)
+            problem = {"kind": kind, **values}
+            if kind == "logistic" and "path" not in problem and not {"n", "dim"} <= problem.keys():
+                raise ConfigError(f"{section}: logistic needs path or (n, dim)")
+        elif head == "method" and name:
             if any(m.name == name for m in methods):
                 raise ConfigError(f"{section}: method name {name!r} is already used")
-            methods.append(_parse_method(section, name, items))
+            kind, options = _section(section, items, _METHOD)
+            methods.append(MethodSpec(name=name, kind=kind, options=options))
         else:
             raise ConfigError(f"unknown section {section!r}")
 
@@ -139,75 +161,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("missing [problem] section")
     if not methods:
         raise ConfigError("no [method ...] sections")
-    if not checks:
-        checks = ("psi", "corollary", "h_envelope", "lemmas", "evals")
-    if not x_ref:
-        x_ref = ("xstar", "x0")
-    return ExperimentConfig(seed=seed, outdir=outdir, checks=checks, x_ref=x_ref,
-                            problem=problem, methods=methods)
-
-
-def _split_list(section: str, key: str, raw: str, allowed: set) -> tuple:
-    names = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    for n in names:
-        if n not in allowed:
-            raise ConfigError(f"{section}: {key} entry {n!r} not in {sorted(allowed)}")
-    return names
-
-
-def _parse_problem(section: str, items: dict) -> dict:
-    kind = items.get("kind")
-    if kind not in _PROBLEM_KEYS:
-        raise ConfigError(f"{section}: kind must be one of {sorted(_PROBLEM_KEYS)}, got {kind!r}")
-    _check_keys(section, items, _PROBLEM_KEYS[kind])
-    out = {"kind": kind}
-    for key, val in items.items():
-        if key == "kind":
-            continue
-        if key in ("dim", "n", "terms", "seed"):
-            out[key] = _typed(section, key, val, int)
-        elif key in ("cond", "reg", "smoothing"):
-            out[key] = _typed(section, key, val, float)
-        elif key == "x0":
-            if val not in _X0_NAMES:
-                raise ConfigError(f"{section}: x0 must be one of {sorted(_X0_NAMES)}")
-            out[key] = val
-        else:
-            out[key] = val
-    if kind == "quadratic" and ("dim" not in out or "cond" not in out):
-        raise ConfigError(f"{section}: quadratic needs dim and cond")
-    if kind == "identity" and "dim" not in out:
-        raise ConfigError(f"{section}: identity needs dim")
-    if kind == "logistic" and "path" not in out and ("n" not in out or "dim" not in out):
-        raise ConfigError(f"{section}: logistic needs path or (n, dim)")
-    if kind == "logsumexp" and not {"dim", "terms", "smoothing"} <= out.keys():
-        raise ConfigError(f"{section}: logsumexp needs dim, terms, smoothing")
-    return out
-
-
-def _parse_method(section: str, name: str, items: dict) -> MethodSpec:
-    kind = items.get("kind")
-    if kind not in _METHOD_KEYS:
-        raise ConfigError(f"{section}: kind must be one of {sorted(_METHOD_KEYS)}, got {kind!r}")
-    _check_keys(section, items, _METHOD_KEYS[kind])
-    if "max_iters" not in items:
-        raise ConfigError(f"{section}: max_iters is required")
-    opts: dict = {}
-    for key, val in items.items():
-        if key == "kind":
-            continue
-        if key == "max_iters":
-            opts[key] = _typed(section, key, val, int)
-        elif key in ("store_iterates", "growth_cap", "option2"):
-            opts[key] = _typed(section, key, val, bool)
-        elif key == "eta" and val.strip().lower() == "auto":
-            opts[key] = "auto"
-        else:
-            opts[key] = _typed(section, key, val, float)
-    if kind == "aagd" and "eta0" not in opts:
-        raise ConfigError(f"{section}: aagd needs eta0")
-    if kind in ("gd", "agd", "adagrad") and "eta" not in opts:
-        raise ConfigError(f"{section}: {kind} needs eta (a float or auto)")
-    if kind in ("adgd", "bb") and "eta0" not in opts:
-        raise ConfigError(f"{section}: {kind} needs eta0")
-    return MethodSpec(name=name, kind=kind, options=opts)
+    return ExperimentConfig(
+        seed=experiment.get("seed", 0), outdir=experiment.get("outdir"),
+        checks=experiment.get("checks") or ("psi", "corollary", "h_envelope", "lemmas", "evals"),
+        x_ref=experiment.get("x_ref") or ("xstar", "x0"), problem=problem, methods=methods)

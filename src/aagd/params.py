@@ -103,6 +103,8 @@ def make_params(theta: float = DEFAULT_THETA, gamma: float | None = None, eta0: 
     ValueError if they fail :func:`validate` (nu underflows for a huge theta)."""
     if not eta0 > 0.0:
         raise ValueError("eta0 must be positive")
+    if eta0 == math.inf:
+        raise ValueError("eta0 must be finite")
     gmax = max_gamma(theta)
     if gamma is None:
         gamma = gmax

@@ -55,13 +55,15 @@ class StopRule:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.grad_tol < 0.0:
+        if not self.grad_tol >= 0.0:
             raise ValueError("grad_tol must be nonnegative")
         if self.gap_tol is not None:
-            if self.gap_tol < 0.0:
+            if not self.gap_tol >= 0.0:
                 raise ValueError("gap_tol must be nonnegative")
             if self.f_star is None:
                 raise ValueError("gap_tol requires f_star")
+        if self.f_star is not None and not math.isfinite(self.f_star):
+            raise ValueError("f_star must be finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,6 +73,12 @@ def test_params_infeasible_theta(capsys):
     assert "infeasible" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("theta", ["0", "-2", "nan"])
+def test_params_nonpositive_theta_is_config_error(capsys, theta):
+    assert main(["params", "--theta", theta]) == 2
+    assert capsys.readouterr().out == "infeasible: theta must be positive\n"
+
+
 def test_params_with_user_gamma(capsys):
     assert main(["params", "--theta", "2", "--gamma", "0.01"]) == 0
     out = capsys.readouterr().out
@@ -597,4 +603,24 @@ def test_run_non_finite_problem_constant_is_config_error(tmp_path, capsys, probl
     # one line of report, no traceback
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert "finite" in err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("method, message", [
+    ("kind = aagd\neta0 = 1e-3\ngrad_tol = nan", "grad_tol must be nonnegative"),
+    ("kind = aagd\neta0 = 1e-3\ngap_tol = nan", "gap_tol must be nonnegative"),
+    ("kind = gd\neta = inf", "gd requires a positive stepsize eta"),
+    ("kind = adagrad\neta = inf", "adagrad requires a positive stepsize eta"),
+    ("kind = aagd\neta0 = inf", "eta0 must be finite"),
+    ("kind = bb\neta0 = inf", "bb requires a positive initial stepsize eta0"),
+], ids=["grad_tol_nan", "gap_tol_nan", "gd_eta_inf", "adagrad_eta_inf", "aagd_eta0_inf",
+        "bb_eta0_inf"])
+def test_run_non_finite_tolerance_or_stepsize_is_config_error(tmp_path, capsys, method, message):
+    # the invalid method comes second: the first one must not run either
+    cfg = write_cfg(tmp_path, GOLDEN_CFG + f"\n[method bad]\n{method}\nmax_iters = 20\n")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
     assert not list(tmp_path.glob("out/*.csv"))

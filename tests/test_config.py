@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from aagd.cli import main
@@ -124,6 +127,11 @@ max_iters = 10
     assert cfg.x_ref == ("xstar", "x0")
 
 
+def test_method_section_without_name_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="unknown section 'method '"):
+        parse_config(write(tmp_path, FULL.replace("[method gd]", "[method ]")))
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/place/cfg.ini")
@@ -131,7 +139,79 @@ def test_missing_file():
 
 def test_repeated_method_name_rejected(tmp_path):
     # both spellings name method "agraal"; the second CSV would replace the first
-    dup = FULL.replace("[method gd]", "[method.agraal]")
+    dup = FULL.replace("[method gd]", "[method  agraal]")
     with pytest.raises(ConfigError, match="'agraal' is already used"):
         parse_config(write(tmp_path, dup))
     assert main(["run", str(write(tmp_path, dup))]) == 2
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config(write(tmp_path, example))
+    assert cfg.problem == {"kind": "quadratic", "dim": 100, "cond": 1e4, "x0": "ones"}
+    assert cfg.methods[0].options == {"eta0": 1e-4, "max_iters": 2000, "store_iterates": True}
+    assert cfg.methods[1].options == {"eta": "auto", "max_iters": 2000}
+
+
+def test_inline_comment_needs_leading_whitespace(tmp_path):
+    text = ("[problem]\nkind = logistic   # a comment\npath = data#1.svm ; a comment\n\n"
+            "[method m]\nkind = polyak\nmax_iters = 10\n")
+    assert parse_config(write(tmp_path, text)).problem == {"kind": "logistic",
+                                                           "path": "data#1.svm"}
+
+
+# a complete section of each kind: the table's required keys and nothing else
+REQUIRED = {
+    ("problem", "quadratic"): {"dim": "5", "cond": "10"},
+    ("problem", "identity"): {"dim": "5"},
+    ("problem", "logsumexp"): {"dim": "4", "terms": "6", "smoothing": "0.1"},
+    ("method m", "aagd"): {"max_iters": "10", "eta0": "0.1"},
+    ("method m", "gd"): {"max_iters": "10", "eta": "auto"},
+    ("method m", "agd"): {"max_iters": "10", "eta": "0.1"},
+    ("method m", "adagrad"): {"max_iters": "10", "eta": "1"},
+    ("method m", "adgd"): {"max_iters": "10", "eta0": "0.1"},
+    ("method m", "bb"): {"max_iters": "10", "eta0": "0.1"},
+    ("method m", "polyak"): {"max_iters": "10"},
+}
+
+
+def _config(problem="kind = identity\ndim = 5", method="kind = aagd\neta0 = 0.1\nmax_iters = 10"):
+    return f"[problem]\n{problem}\n\n[method m]\n{method}\n"
+
+
+def _section_body(kind, keys):
+    return "\n".join([f"kind = {kind}"] + [f"{key} = {value}" for key, value in keys.items()])
+
+
+@pytest.mark.parametrize("section, kind, key", [
+    (section, kind, key) for (section, kind), keys in REQUIRED.items() for key in keys])
+def test_missing_required_key_names_section_kind_and_key(tmp_path, section, kind, key):
+    keys = REQUIRED[section, kind]
+    slot = "problem" if section == "problem" else "method"
+    parse_config(write(tmp_path, _config(**{slot: _section_body(kind, keys)})))
+    partial = {k: v for k, v in keys.items() if k != key}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write(tmp_path, _config(**{slot: _section_body(kind, partial)})))
+    assert str(exc.value) == f"{section}: {kind} needs {key}"
+
+
+@pytest.mark.parametrize("body", ["kind = logistic\nreg = 0.1", "kind = logistic\nn = 20"])
+def test_logistic_needs_path_or_n_and_dim(tmp_path, body):
+    with pytest.raises(ConfigError, match=re.escape("problem: logistic needs path or (n, dim)")):
+        parse_config(write(tmp_path, _config(problem=body)))
+
+
+@pytest.mark.parametrize("problem, method, key, raw", [
+    ("kind = identity\ndim = 2.5", None, "dim", "2.5"),
+    (None, "kind = aagd\neta0 = 0.1\nmax_iters = 10\nstore_iterates = maybe",
+     "store_iterates", "maybe"),
+    ("kind = identity\ndim = 5\nx0 = sideways", None, "x0", "sideways"),
+    (None, "kind = gd\neta = fast\nmax_iters = 10", "eta", "fast"),
+], ids=["int", "flag", "x0", "eta"])
+def test_bad_value_for_each_key_parser(tmp_path, problem, method, key, raw):
+    given = {name: body for name, body in (("problem", problem), ("method", method)) if body}
+    section = "problem" if problem else "method m"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write(tmp_path, _config(**given)))
+    assert str(exc.value) == f"{section}: key {key!r} has invalid value {raw!r}"

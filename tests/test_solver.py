@@ -180,6 +180,14 @@ def test_stop_rule_validation():
         StopRule(max_iters=10, grad_tol=-1.0)
 
 
+@pytest.mark.parametrize("rule", [dict(grad_tol=math.nan), dict(gap_tol=math.nan, f_star=0.0),
+                                  dict(gap_tol=1e-3, f_star=math.nan),
+                                  dict(gap_tol=1e-3, f_star=-math.inf)])
+def test_stop_rule_rejects_nan_tolerances_and_non_finite_optimum(rule):
+    with pytest.raises(ValueError):
+        StopRule(max_iters=10, **rule)
+
+
 def test_divergence_recorded_not_raised():
     # a steep scaling with a huge initial stepsize overflows the first
     # gradient step; curvature adaptation never gets a chance to react
