@@ -60,16 +60,16 @@ def logistic_value_grad(layout, y, reg, w):
     """Mean logistic loss over ``layout``'s rows plus ``reg/2 ||w||^2``, and its gradient.
 
     The margins ``A w`` and the gradient ``A' coef`` are the layout's two
-    CSR products. The sigmoid takes ``exp`` of ``-|t|`` only, so it
-    cannot overflow.
+    CSR products. One ``e = exp(-|t|)`` serves the loss ``log1p(e) +
+    max(-t, 0)``, within 2 ulps of ``logaddexp(0, -t)``, and the sigmoid
+    ``where(t >= 0, e, 1) / (1 + e)``, so neither can overflow.
     """
     n = y.shape[0]
     t = y * layout.matvec(w)
-    loss = float(np.mean(np.logaddexp(0.0, -t)))
-    # coef_i = -y_i * sigmoid(-t_i) / n
     e = np.exp(-np.abs(t))
-    q = 1.0 + e
-    sig = np.where(t >= 0.0, e / q, 1.0 / q)
+    loss = float(np.mean(np.log1p(e) + np.maximum(-t, 0.0)))
+    # coef_i = -y_i * sigmoid(-t_i) / n
+    sig = np.where(t >= 0.0, e, 1.0) / (1.0 + e)
     g = layout.rmatvec(-y * sig / n)
     if reg != 0.0:
         loss += 0.5 * reg * float(w @ w)

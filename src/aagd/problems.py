@@ -238,6 +238,10 @@ def save_libsvm(dataset: SparseDataset, path) -> None:
 def make_classification_dataset(seed: int, n_samples: int, n_features: int,
                                 density: float = 1.0) -> SparseDataset:
     """Seeded synthetic two-class dataset with noisy linear labels."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if n_features < 1:
+        raise ValueError("n_features must be >= 1")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
     rng = np.random.default_rng(seed)

@@ -606,6 +606,22 @@ def test_run_non_finite_problem_constant_is_config_error(tmp_path, capsys, probl
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+@pytest.mark.parametrize("shape, message", [
+    ("n = 0\ndim = 3", "n_samples must be >= 1"),
+    ("n = 5\ndim = 0", "n_features must be >= 1"),
+], ids=["n_zero", "dim_zero"])
+def test_run_empty_synthetic_logistic_is_config_error(tmp_path, capsys, shape, message):
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nchecks = evals\n\n"
+                              f"[problem]\nkind = logistic\n{shape}\n\n"
+                              "[method a]\nkind = aagd\neta0 = 1e-3\nmax_iters = 20\n")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
 @pytest.mark.parametrize("method, message", [
     ("kind = aagd\neta0 = 1e-3\ngrad_tol = nan", "grad_tol must be nonnegative"),
     ("kind = aagd\neta0 = 1e-3\ngap_tol = nan", "gap_tol must be nonnegative"),

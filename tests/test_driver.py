@@ -99,13 +99,13 @@ def test_pinned_trace_logsumexp(name):
 
 
 PINNED_LOGISTIC = {
-    # recorded with the bincount logistic kernel the segment-sum layout replaced
+    # recorded once the loss shared the sigmoid's exp(-|t|) (log1p(e) + max(-t, 0))
     "aagd":
-        "165a982f6c8fd048dae57115aa7f6da91d4691cebc775918c9b0a77c2ce3b4c8",
+        "fea7bc6d4e3d761c2d7a0569aeeab5451521a856bb6be23d1f284895f1dfe445",
     "gd":
-        "0412196be66b6e8e572ed52a3037efe1ecf9ac8768f0d95d01b53f374c6ee9ca",
+        "73db82a0c560df84ab8ab4a5a7c295333e06138e8e217c260fac27369b57b18c",
     "adgd":
-        "283d361c67678efc2bef5191bf48dd7957a6158369cb3178b6988e49a962d532",
+        "7bfcaae8149a0590483f633845e5e3e012785c171f09114f8553b80ca7fa48ae",
 }
 
 

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,47 @@ def test_logistic_kernel_bit_identical_to_reference(name, tmp_path):
     for v in points:
         gram = data.layout.rmatvec(data.layout.matvec(v))
         assert gram.tobytes() == _gram_matvec_reference(data, v).tobytes()
+
+
+# margins of a one-sample dataset, from +-0.0 to past where exp(-|t|) underflows (~745.1)
+ONE_SAMPLE_MARGINS = [s * t for t in (0.0, 1e-300, 1e-3, 1.0, 36.0, 745.0, 800.0, 1e4)
+                      for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("t", ONE_SAMPLE_MARGINS)
+def test_logistic_loss_of_one_margin(t):
+    # one feature with value t, label 1 and w = [1]: the margin is exactly t
+    data = SparseDataset(np.array([0, 1]), np.array([0]), np.array([t]), np.array([1.0]), 1)
+    w = np.ones(1)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        value, grad = kernels.logistic_value_grad(data.layout, data.labels, 0.0, w)
+    want = float(np.logaddexp(0.0, -t))
+    assert abs(value - want) <= 2.0 * np.spacing(want)
+    if t == 0.0:
+        assert value == math.log(2.0)
+    if np.exp(-abs(t)) == 0.0:
+        assert value == max(-t, 0.0)
+    _, want_grad = _logistic_value_grad_reference(np.zeros(1, dtype=np.int64), data.indices,
+                                                  data.data, data.labels, 0.0, w)
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def time_kernel(calls=200, rounds=7):
+    """Print best-of-``rounds`` µs per ``logistic_value_grad`` call on the logistic-sparse shape.
+
+        PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
+            import test_kernels as t; t.time_kernel()"
+    """
+    data = DATASETS["logistic_sparse"](None)
+    layout, y = data.layout, data.labels
+    w = np.random.default_rng(1).standard_normal(data.n_features)
+    best = math.inf
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for _ in range(calls):
+            kernels.logistic_value_grad(layout, y, 1e-3, w)
+        best = min(best, time.perf_counter() - start)
+    print(f"logistic-sparse kernel: {1e6 * best / calls:.1f} us/call")
 
 
 PINNED_DATASETS = {

@@ -213,7 +213,20 @@ def test_logistic_rejects_empty():
         logistic_problem(empty)
 
 
-def test_power_iteration_matches_svd():
+@pytest.mark.parametrize("n, d, message", [
+    (0, 3, "n_samples must be >= 1"),
+    (-1, 3, "n_samples must be >= 1"),
+    (4, 0, "n_features must be >= 1"),
+    (0, 0, "n_samples must be >= 1"),
+])
+def test_classification_dataset_rejects_empty_shape(monkeypatch, n, d, message):
+    # the shape is checked before anything is drawn
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_classification_dataset(1, n, d)
+
+
+def test_spectral_norm_matches_svd():
     data = make_classification_dataset(21, 120, 15)
     lam = _gram_spectral_norm(data)
     sigma = np.linalg.svd(data.to_dense(), compute_uv=False)[0]
