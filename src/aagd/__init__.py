@@ -17,14 +17,13 @@ from .diagnostics import (CertificateEntry, CertificateReport, ConvergedWindowEr
 from .kernels import BACKEND
 from .oracle import (DimensionMismatchError, EvalCounter, NonFiniteError, Oracle,
                      OracleError, OracleResult, evaluate, finite_diff_check)
-from .params import (GOLDEN_RATIO, InfeasibleThetaError, ParamReport, RateConstants,
-                     SolverParams, default_params, make_params, max_gamma, nu_from,
-                     rate_constants, validate)
+from .params import (GOLDEN_RATIO, InfeasibleThetaError, InvalidParamsError, ParamReport,
+                     RateConstants, SolverParams, default_params, make_params, max_gamma,
+                     nu_from, rate_constants, validate)
 from .problems import (DatasetFormatError, Problem, SparseDataset, identity_quadratic,
                        load_libsvm, logistic_problem, logsumexp_problem,
                        make_classification_dataset, make_quadratic, save_libsvm)
-from .solver import (DivergenceError, InvalidParamsError, IterState, StopRule, Trace,
-                     init, run, step)
+from .solver import DivergenceError, IterState, StopRule, Trace, init, run, step
 from .traceio import TraceSchemaError, read_csv, write_csv
 
 __version__ = "0.1.0"

@@ -203,12 +203,12 @@ def check_corollary_bound(trace: Trace, x_ref, oracle: Oracle,
                       evaluate(oracle, trace.x[0]).grad_sq, name)
 
 
-def check_h_envelope(trace: Trace, params: SolverParams, L: float,
+def check_h_envelope(trace: Trace, params: SolverParams | None, L: float,
                      name: str = "h_envelope") -> CertificateEntry:
     """sqrt of the stepsize sum stays above the linear envelope (c/sqrt(L))(k-m)."""
     if L is None or not L > 0.0:
         raise ValueError("a positive smoothness constant L is required")
-    rc = rate_constants(replace(params, eta0=float(trace.eta[0])), L)
+    rc = rate_constants(replace(_params(trace, params), eta0=float(trace.eta[0])), L)
     ks = np.arange(trace.n_iters + 1)
     # m as a float: a tiny gamma and eta0 give an m beyond int64 (exact below 2**53)
     return _sweep(name, ks, rc.c / math.sqrt(L) * (ks - float(rc.m)) - np.sqrt(trace.H) - ABS_TOL,
@@ -282,7 +282,7 @@ def fit_rate(trace: Trace, k_lo: int, k_hi: int, gap_fn) -> float:
     return float(slope)
 
 
-def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams,
+def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
                      L: float | None = None, x_refs: dict | None = None,
                      checks: tuple = ("psi", "corollary", "h_envelope", "lemmas", "evals"),
                      ) -> CertificateReport:
@@ -290,8 +290,10 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams,
 
     ``x_refs`` maps reference-point names to points for the decay and
     endpoint checks; each enabled check appears exactly once per name.
-    All checks share one forward sweep of fresh oracle calls.
+    All checks share one forward sweep of fresh oracle calls. ``params``
+    default to the trace's own; only the ``evals`` check runs without any.
     """
+    params = _params(trace, params) if set(checks) - {"evals"} else None
     report = CertificateReport()
     psi_refs, cor_refs = ((x_refs or {}) if c in checks else {} for c in ("psi", "corollary"))
     # both reference checks compare iterates at k >= 1; a run that stopped
@@ -304,20 +306,19 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams,
                            for r in cor_refs]
         psi_refs = cor_refs = {}
     refs = {r: _reference(trace, oracle, x) for r, x in {**psi_refs, **cor_refs}.items()}
-    p = _params(trace, params) if refs or "lemmas" in checks else params
-    fresh = (_replay(trace, oracle, p, [refs[r] for r in psi_refs])
+    fresh = (_replay(trace, oracle, params, [refs[r] for r in psi_refs])
              if psi_refs or ("lemmas" in checks and trace.has_iterates) else None)
     for j, r in enumerate(psi_refs):
         report.entries.append(check_monotone_psi(fresh.series[j], name=f"psi_monotone[{r}]"))
     if cor_refs:
         f_bar_K = fresh.f_bar[-1] if fresh else evaluate(oracle, trace.x_bar[trace.n_iters]).value
         grad0_sq = evaluate(oracle, trace.x[0]).grad_sq
-        report.entries += [_corollary(trace, p, *refs[r], f_bar_K, grad0_sq,
+        report.entries += [_corollary(trace, params, *refs[r], f_bar_K, grad0_sq,
                                       f"corollary_bound[{r}]") for r in cor_refs]
     if "h_envelope" in checks and L is not None:
         report.entries.append(check_h_envelope(trace, params, L))
     if "lemmas" in checks:
-        report.entries.extend(_lemmas(trace, p, L, fresh))
+        report.entries.extend(_lemmas(trace, params, L, fresh))
     if "evals" in checks:
         report.entries.append(check_eval_schedule(trace))
     return report

@@ -6,8 +6,8 @@ equality and one inequality:
     4 nu theta (1+gamma)^2 = gamma
     1 + 2 gamma + gamma theta^2/(1+theta)^2 <= theta/(1+theta) + theta^2/(1+theta)^2
 
-With t = theta/(1+theta) the inequality solves in closed form for the
-largest admissible growth rate, gamma_max = (t + t^2 - 1) / (2 + t^2),
+The inequality solves in closed form for the largest admissible growth
+rate, gamma_max = (theta^2 - theta - 1) / (3 theta^2 + 4 theta + 2),
 which is positive only for theta above the golden ratio. That threshold
 is a derived consequence of the inequality, not an assumption.
 """
@@ -19,11 +19,14 @@ from dataclasses import dataclass
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 DEFAULT_THETA = 2.0
-DEFAULT_GAMMA = 1.0 / 22.0  # gamma_max at theta = 2
 
 
 class InfeasibleThetaError(ValueError):
     """No positive growth rate exists for this extrapolation parameter."""
+
+
+class InvalidParamsError(ValueError):
+    """The constants fail :func:`validate`."""
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,13 @@ def max_gamma(theta: float) -> float:
     """
     if not theta > 0.0:
         raise ValueError("theta must be positive")
-    t = theta / (1.0 + theta)
-    num = t + t * t - 1.0
-    if num <= 0.0:
+    if not theta > GOLDEN_RATIO:
         raise InfeasibleThetaError(
             f"theta={theta:g} is infeasible: need theta > (1+sqrt(5))/2 ~ {GOLDEN_RATIO:.6f}"
         )
-    return num / (2.0 + t * t)
+    # in u = 1/theta nothing overflows, and at theta = 2 every step is exact
+    u = 1.0 / theta
+    return (1.0 - u - u * u) / (3.0 + u * (4.0 + 2.0 * u))
 
 
 def nu_from(theta: float, gamma: float) -> float:
@@ -100,7 +103,8 @@ def nu_from(theta: float, gamma: float) -> float:
 
 def make_params(theta: float = DEFAULT_THETA, gamma: float | None = None, eta0: float = 1.0) -> SolverParams:
     """Build feasible parameters, gamma defaulting to gamma_max(theta); raises
-    ValueError if they fail :func:`validate` (nu underflows for a huge theta)."""
+    :class:`InvalidParamsError` if they fail :func:`validate` (nu underflows
+    for a huge theta)."""
     if not eta0 > 0.0:
         raise ValueError("eta0 must be positive")
     if eta0 == math.inf:
@@ -110,21 +114,21 @@ def make_params(theta: float = DEFAULT_THETA, gamma: float | None = None, eta0: 
         gamma = gmax
     elif not 0.0 < gamma <= gmax * (1.0 + 1e-12):
         raise ValueError(f"gamma={gamma:g} outside (0, gamma_max(theta)={gmax:g}]")
-    params = SolverParams(theta=theta, gamma=gamma, nu=nu_from(theta, gamma), eta0=eta0)
-    report = validate(params)
-    if not report.passed:
-        raise ValueError("invalid solver parameters:\n" + "\n".join(report.lines()))
-    return params
+    return check_valid(SolverParams(theta=theta, gamma=gamma, nu=nu_from(theta, gamma), eta0=eta0))
 
 
 def default_params(eta0: float = 1.0) -> SolverParams:
     """Default choice theta=2: gamma_max is exactly 1/22 and nu is 11/2116."""
-    return SolverParams(
-        theta=DEFAULT_THETA,
-        gamma=DEFAULT_GAMMA,
-        nu=nu_from(DEFAULT_THETA, DEFAULT_GAMMA),
-        eta0=eta0,
-    )
+    return make_params(eta0=eta0)
+
+
+def check_valid(params: SolverParams) -> SolverParams:
+    """Return ``params`` if they pass :func:`validate`, else raise
+    :class:`InvalidParamsError` with the report."""
+    report = validate(params)
+    if not report.passed:
+        raise InvalidParamsError("invalid solver parameters:\n" + "\n".join(report.lines()))
+    return params
 
 
 def validate(params: SolverParams) -> ParamReport:

@@ -23,11 +23,7 @@ from . import kernels
 from .curvature import local_curvature
 from .oracle import (EvalCounter, NonFiniteError, Oracle, OracleResult, _evaluate, all_finite,
                      evaluate, sq_norm)
-from .params import SolverParams, validate
-
-
-class InvalidParamsError(ValueError):
-    pass
+from .params import InvalidParamsError, SolverParams, check_valid
 
 
 class DivergenceError(RuntimeError):
@@ -125,18 +121,14 @@ class Trace:
 
 
 def init(x0, params: SolverParams, oracle: Oracle,
-         counter: EvalCounter | None = None, check_params: bool = True) -> IterState:
+         counter: EvalCounter | None = None) -> IterState:
     """State at k=0: unit weights, sums seeded with eta0, all points at x0.
 
     Performs one oracle evaluation at x0, cached as both the lookahead
-    and the averaged result.
+    and the averaged result. Raises :class:`InvalidParamsError` if
+    ``params`` fail :func:`~aagd.params.validate`.
     """
-    if check_params:
-        report = validate(params)
-        if not report.passed:
-            raise InvalidParamsError(
-                "invalid solver parameters:\n" + "\n".join(report.lines())
-            )
+    check_valid(params)
     x0 = np.asarray(x0, dtype=np.float64)
     res = evaluate(oracle, x0, counter)
     eta0 = params.eta0
@@ -189,7 +181,7 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
 
 
 def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule, growth_cap: bool = False,
-        store_iterates: bool = False, check_params: bool = True) -> Trace:
+        store_iterates: bool = False) -> Trace:
     """Run the solver until the first satisfied stop rule.
 
     The reported solution is the averaged iterate of the last recorded
@@ -198,7 +190,7 @@ def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule, growth_cap: bo
     sweeps survive bad configurations.
     """
     counter = EvalCounter()
-    state = init(x0, params, oracle, counter, check_params=check_params)
+    state = init(x0, params, oracle, counter)
     return _drive(state, lambda st: step(st, oracle, params, counter, growth_cap=growth_cap),
                   _row, stop, counter, notes=[], store_iterates=store_iterates, params=params)
 

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -66,6 +67,50 @@ def test_params_theta_two(capsys):
     out = capsys.readouterr().out
     assert "0.045454545454545" in out  # gamma = 1/22
     assert "0.0051984877" in out  # nu = 11/2116
+
+
+def test_params_theta_two_is_the_library_default(capsys):
+    assert main(["params", "--theta", "2"]) == 0
+    assert "gamma      = 0.045454545454545456\n" in capsys.readouterr().out
+
+
+def test_params_just_above_the_golden_ratio(capsys):
+    theta = math.nextafter(aagd.GOLDEN_RATIO, 2.0)
+    assert main(["params", "--theta", repr(theta)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "FAIL" not in captured.out
+
+
+DEFAULT_AAGD_CFG = """
+[experiment]
+seed = 7
+outdir = {out}
+checks = evals
+
+[problem]
+kind = quadratic
+dim = 20
+cond = 100
+x0 = ones
+
+[method a]
+kind = aagd
+eta0 = 1e-3
+max_iters = 200
+store_iterates = true
+"""
+
+
+def test_run_without_theta_or_gamma_is_the_default_params_run(tmp_path):
+    assert main(["run", str(write_cfg(tmp_path, DEFAULT_AAGD_CFG))]) == 0
+    stored = aagd.traceio.read_csv(next((tmp_path / "out").glob("*__a.csv")))
+    problem = aagd.make_quadratic(7, 20, 100.0)
+    lib = aagd.run(problem.oracle, stored.x[0], aagd.default_params(eta0=1e-3),
+                   aagd.StopRule(max_iters=200))
+    for name in ("eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde", "grad_norm_tilde"):
+        assert ([float(v).hex() for v in getattr(stored, name)]
+                == [float(v).hex() for v in getattr(lib, name)]), name
 
 
 def test_params_infeasible_theta(capsys):

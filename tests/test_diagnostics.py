@@ -87,14 +87,16 @@ def test_monotone_psi_detects_increase():
 
 
 def test_violated_parameters_probe(identity_run):
-    # breaking the parameter equality (nu x10) voids the guarantee; the
-    # checker must still run and report. The observed outcome is not a
-    # theorem either way, so only the mechanics are asserted.
+    # checking against parameters that break the equality (nu x10) voids
+    # the guarantee; the checker must still run and report. The solver
+    # itself rejects such parameters, so the trace comes from valid ones.
+    # The observed outcome is not a theorem either way, so only the
+    # mechanics are asserted.
     p = make_quadratic(7, 30, 1e3)
     good = default_params(eta0=1e-3)
     bad = SolverParams(good.theta, good.gamma, good.nu * 10.0, eta0=1e-3)
-    tr = solver_run(p.oracle, np.zeros(30), bad, StopRule(max_iters=300),
-                    store_iterates=True, check_params=False)
+    tr = solver_run(p.oracle, np.zeros(30), good, StopRule(max_iters=300),
+                    store_iterates=True)
     series = lyapunov_series(tr, p.x_star, p.oracle, params=bad)
     entry = check_monotone_psi(series)
     assert entry.name == "psi_monotone"
@@ -277,6 +279,28 @@ def test_report_lines_pinned(identity_run):
     for name, report in reports.items():
         digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
         assert digest == REPORT_SHA256[name], name
+
+
+def test_run_certificates_defaults_to_the_trace_parameters():
+    p = identity_quadratic(3)
+    tr = run(p.oracle, np.ones(3), default_params(eta0=0.1), StopRule(max_iters=40),
+             store_iterates=True)
+    refs = {"xstar": p.x_star}
+    given = run_certificates(tr, p.oracle, tr.params, L=p.L, x_refs=refs)
+    assert len(given.entries) > 3
+    assert run_certificates(tr, p.oracle, None, L=p.L, x_refs=refs).lines() == given.lines()
+    assert check_h_envelope(tr, None, p.L) == check_h_envelope(tr, tr.params, p.L)
+
+
+def test_run_certificates_counts_evaluations_of_a_baseline_without_parameters():
+    p = make_quadratic(7, 20, 100.0)
+    gd = run_baseline(BaselineMethod(kind="gd", eta=1.0 / p.L), p.oracle, np.ones(20),
+                      StopRule(max_iters=50))
+    assert gd.params is None
+    report = run_certificates(gd, p.oracle, None, L=p.L, checks=("evals",))
+    assert report.entries == [check_eval_schedule(gd)]
+    with pytest.raises(ValueError, match="solver parameters required"):
+        run_certificates(gd, p.oracle, None, L=p.L, checks=("h_envelope", "evals"))
 
 
 def test_nan_columns_of_a_baseline_trace_fail():

@@ -72,6 +72,25 @@ def test_default_params_canonical():
     assert validate(params).passed
 
 
+def test_default_params_is_make_params():
+    assert make_params().gamma.hex() == default_params().gamma.hex() == (1.0 / 22.0).hex()
+    for eta0 in (1e-12, 1e-3, 1.0):
+        made, default = make_params(eta0=eta0), default_params(eta0=eta0)
+        for name in ("theta", "gamma", "nu", "eta0"):
+            assert getattr(made, name).hex() == getattr(default, name).hex(), (eta0, name)
+
+
+def test_max_gamma_at_the_golden_ratio_boundary():
+    for theta in (GOLDEN_RATIO, math.nextafter(GOLDEN_RATIO, 0.0), 1e-300):
+        with pytest.raises(InfeasibleThetaError):
+            max_gamma(theta)
+    # the next float above is feasible: the exact gamma_max there is 3.8e-17
+    theta = math.nextafter(GOLDEN_RATIO, 2.0)
+    gamma = max_gamma(theta)
+    assert 0.0 < gamma < 1e-16
+    assert validate(make_params(theta=theta)).passed
+
+
 def test_make_params_rejects_gamma_above_max():
     with pytest.raises(ValueError):
         make_params(theta=2.0, gamma=0.05)

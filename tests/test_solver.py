@@ -50,7 +50,6 @@ def test_init_rejects_invalid_params():
     bad = SolverParams(1.0, 1.0, 1.0 / 16.0, eta0=0.1)
     with pytest.raises(InvalidParamsError):
         init(np.ones(2), bad, p.oracle)
-    init(np.ones(2), bad, p.oracle, check_params=False)
 
 
 def test_golden_first_step():
