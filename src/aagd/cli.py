@@ -31,6 +31,11 @@ EXIT_CERT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+# the method keys of the stop rule, and those that make aagd's SolverParams
+# with eta0; every other key of a method section goes to the method itself
+_STOP_KEYS = ("max_iters", "grad_tol", "gap_tol")
+_PARAM_KEYS = ("theta", "gamma")
+
 
 def build_problem(spec: dict, default_seed: int) -> problems.Problem:
     kind = spec["kind"]
@@ -68,7 +73,7 @@ def _check_smoothness(cfg: ExperimentConfig, problem: problems.Problem) -> None:
     All-zero logistic data with ``reg = 0`` gives L = 0; ``eta = auto``
     and the h_envelope and lemma checks of an aagd run all need L > 0.
     """
-    if problem.L is None or problem.L > 0.0:
+    if problem.L > 0.0:
         return
     users = [f"method {m.name} (eta = auto)" for m in cfg.methods
              if m.options.get("eta") == "auto"]
@@ -80,17 +85,8 @@ def _check_smoothness(cfg: ExperimentConfig, problem: problems.Problem) -> None:
 
 
 def _method_params(spec: MethodSpec, eta0: float) -> SolverParams:
-    given = {key: spec.options[key] for key in ("theta", "gamma") if key in spec.options}
+    given = {key: spec.options[key] for key in _PARAM_KEYS if key in spec.options}
     return make_params(eta0=eta0, **given)
-
-
-def _resolve_eta(opts: dict, problem: problems.Problem) -> float:
-    eta = opts["eta"]
-    if eta == "auto":
-        if problem.L is None:
-            raise ConfigError("eta = auto requires a problem with known L")
-        return 1.0 / problem.L
-    return float(eta)
 
 
 def _start_point(spec: dict, problem: problems.Problem, seed: int) -> np.ndarray:
@@ -106,19 +102,18 @@ def _method(spec: MethodSpec, problem: problems.Problem):
     """Validate one method section and return a function that runs it from x0.
 
     Only the settings the section gives are passed on, so the defaults are
-    those of the solver and of BaselineMethod. An invalid setting raises
-    ValueError here, before any method runs.
+    those of the solver and of BaselineMethod; config's key table decides
+    which settings a kind takes. An invalid setting raises ValueError here,
+    before any method runs.
     """
     stop = _stop_rule(spec.options, problem)
+    given = {key: value for key, value in spec.options.items() if key not in _STOP_KEYS}
     if spec.kind == "aagd":
-        params = _method_params(spec, spec.options["eta0"])
-        flags = {key: spec.options[key] for key in ("growth_cap", "store_iterates")
-                 if key in spec.options}
+        params = _method_params(spec, given.pop("eta0"))
+        flags = {key: value for key, value in given.items() if key not in _PARAM_KEYS}
         return lambda x0: solver.run(problem.oracle, x0, params, stop, **flags)
-    given = {key: spec.options[key] for key in ("eta0", "gamma", "nu", "option2")
-             if key in spec.options}
-    if "eta" in spec.options:
-        given["eta"] = _resolve_eta(spec.options, problem)
+    if given.get("eta") == "auto":
+        given["eta"] = 1.0 / problem.L
     if spec.kind == "polyak":
         given["f_star"] = problem.f_star
     method = baselines.BaselineMethod(kind=spec.kind, **given)
@@ -255,17 +250,12 @@ def cmd_check(trace_path: str, config_path: str) -> int:
         if trace.has_iterates:
             _check_stored_iterates(trace, problem.dim)
         params = _method_params(_aagd_spec(cfg, trace_path), float(trace.eta[0]))
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    notes: list[str] = []
-    x0 = trace.x[0] if trace.has_iterates else _start_point(cfg.problem, problem, cfg.seed)
-    refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
-    try:
+        notes: list[str] = []
+        x0 = trace.x[0] if trace.has_iterates else _start_point(cfg.problem, problem, cfg.seed)
+        refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
         report = diagnostics.run_certificates(
             trace, problem.oracle, params, L=problem.L, x_refs=refs, checks=cfg.checks)
-    except diagnostics.MissingIteratesError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for line in report.lines():

@@ -8,6 +8,7 @@ the kernels.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,15 +107,16 @@ def make_quadratic(seed: int, dim: int, cond: float) -> Problem:
 
     Eigenvalues span [1, cond] exactly (log-spaced, diagonal in a random
     orthogonal basis from a seeded QR factorization), so the gradient
-    Lipschitz constant is exactly ``cond``. The minimizer and optimal
-    value are computed at construction.
+    Lipschitz constant is exactly ``cond``; with dim = 1 the single
+    eigenvalue is ``cond``. The minimizer and optimal value are computed
+    at construction.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if not 1.0 <= cond < np.inf:
         raise ValueError("cond must be finite and >= 1")
     rng = np.random.default_rng(seed)
-    if cond == 1.0 or dim == 1:
+    if cond == 1.0:
         A = np.eye(dim)
     else:
         q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -280,10 +282,14 @@ def _gram_spectral_norm(dataset: SparseDataset, tol: float = 1e-10,
     min(max_iters, d) steps. Its rate is set by the square root of the
     relative spectral gap, where power iteration's is set by the gap.
     T_k is solved densely at every k up to 16 and then about every k/8
-    steps, so the solves stay cheap next to the products.
+    steps, so the solves stay cheap next to the products. The products
+    run on A/s, s the power of two just above max |a_ij|, so that no
+    square under- or overflows; scaling by a power of two is exact, and
+    normal-range data gets the bits it would get unscaled.
     """
     d = dataset.n_features
     layout = dataset.layout
+    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(dataset.data), initial=0.0)))[1])
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(d)
     q /= np.linalg.norm(q)
@@ -294,7 +300,7 @@ def _gram_spectral_norm(dataset: SparseDataset, tol: float = 1e-10,
     steps = min(max_iters, d)
     solve_at = 1
     for k in range(1, steps + 1):
-        w = layout.rmatvec(layout.matvec(q)) - beta * q_prev
+        w = layout.rmatvec(layout.matvec(q) / s) / s - beta * q_prev
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
         beta = float(np.linalg.norm(w))
@@ -308,7 +314,7 @@ def _gram_spectral_norm(dataset: SparseDataset, tol: float = 1e-10,
         q_prev, q = q, w / beta
     # Ritz values approach the eigenvalue from below; nudge up by the
     # tolerance so downstream bounds never divide by an underestimate
-    return theta * (1.0 + tol)
+    return theta * s * s * (1.0 + tol)
 
 
 def logistic_problem(data: SparseDataset, reg: float = 0.0) -> Problem:
@@ -317,8 +323,10 @@ def logistic_problem(data: SparseDataset, reg: float = 0.0) -> Problem:
     The smoothness constant uses the classical bound: spectral norm of
     the data Gram matrix over 4n (Lanczos, relative tolerance 1e-10, at
     most 1e4 steps; see :func:`_gram_spectral_norm`) plus the ridge
-    weight. All-zero data with ``reg = 0`` gives L = 0. No optimal value
-    is attached; estimate one with a long reference run when needed.
+    weight. The estimate never falls below the true norm for data of any
+    scale from 1e-150 to 1e150. All-zero data with ``reg = 0`` gives
+    L = 0. No optimal value is attached; estimate one with a long
+    reference run when needed.
     """
     if data.n_samples < 1:
         raise ValueError("empty dataset")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import aagd.traceio
+from aagd import config
 from aagd.cli import main
 
 QUAD_CFG = """
@@ -684,4 +685,40 @@ def test_run_non_finite_tolerance_or_stepsize_is_config_error(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and message in captured.err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+# a valid value for every method key of config's table
+METHOD_VALUES = {
+    "max_iters": "20", "grad_tol": "0", "gap_tol": "1e-9", "eta0": "1e-3", "eta": "auto",
+    "theta": "2", "gamma": "0.04", "growth_cap": "true", "store_iterates": "true",
+    "nu": "0.5", "option2": "true",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(config._METHOD))
+def test_run_passes_every_method_key_to_its_method(tmp_path, kind):
+    # the CLI passes a section's keys on by name: a key the table admits but
+    # no constructor takes would end in a TypeError here
+    required, optional = config._METHOD[kind]
+    keys = "".join(f"{key} = {METHOD_VALUES[key]}\n" for key in required + optional)
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nchecks = evals\n\n"
+                              "[problem]\nkind = quadratic\ndim = 5\ncond = 10\n\n"
+                              f"[method m]\nkind = {kind}\n{keys}")
+    assert main(["run", str(cfg)]) == 0
+    assert len(list(tmp_path.glob("out/*__m.csv"))) == 1
+
+
+@pytest.mark.parametrize("method", ["kind = aagd\neta0 = 1e-3", "kind = gd\neta = auto"],
+                         ids=["aagd", "gd"])
+def test_run_gap_tol_without_known_optimum_is_config_error(tmp_path, capsys, method):
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nchecks = evals\n\n"
+                              "[problem]\nkind = logistic\nn = 20\ndim = 4\n\n"
+                              f"[method a]\n{method}\nmax_iters = 20\ngap_tol = 1e-9\n")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: gap_tol requires a problem with a known "
+                            "optimal value\n")
     assert not list(tmp_path.glob("out/*.csv"))

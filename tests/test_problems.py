@@ -26,6 +26,16 @@ def test_quadratic_cond_one_is_identity_matrix():
     assert p.L == 1.0
 
 
+@pytest.mark.parametrize("cond", [1.0, 100.0, 1e8])
+@pytest.mark.parametrize("dim", [1, 2, 40])
+def test_quadratic_L_is_the_top_eigenvalue_of_its_hessian(dim, cond):
+    # the Hessian, one column per unit vector, from differences of gradients at 0 and e_j
+    p = make_quadratic(0, dim, cond)
+    g0 = evaluate(p.oracle, np.zeros(dim)).grad
+    H = np.column_stack([evaluate(p.oracle, e).grad - g0 for e in np.eye(dim)])
+    assert np.linalg.eigvalsh(0.5 * (H + H.T))[-1] == pytest.approx(p.L, rel=1e-9)
+
+
 def test_quadratic_deterministic_across_constructions():
     p1 = make_quadratic(42, 25, 300.0)
     p2 = make_quadratic(42, 25, 300.0)
@@ -248,20 +258,33 @@ def _block_data(seed):
     return _from_dense(A)
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("make", [
+SPECTRAL_DATA = [
     pytest.param(lambda s: make_classification_dataset(s, 10, 1), id="d1"),
     pytest.param(lambda s: make_classification_dataset(s, 5, 40), id="n_below_d"),
     pytest.param(lambda s: make_classification_dataset(s, 60, 20), id="dense"),
     pytest.param(lambda s: make_classification_dataset(s, 400, 60, density=0.05), id="sparse"),
     pytest.param(_block_data, id="repeated_top"),
-])
-def test_spectral_norm_never_below_svd(make, seed):
-    data = make(100 + seed)
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("make", SPECTRAL_DATA)
+def test_spectral_norm_never_below_svd(make, seed, scale=1.0):
+    base = make(100 + seed)
+    data = SparseDataset(base.indptr, base.indices, base.data * scale, base.labels,
+                         base.n_features)
     tol = 1e-10
     lam = _gram_spectral_norm(data, tol=tol, seed=seed)
     top = np.linalg.svd(data.to_dense(), compute_uv=False)[0] ** 2
     assert top <= lam <= top * (1.0 + 2.0 * tol)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-80, 1e80, 1e150])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("make", SPECTRAL_DATA)
+def test_spectral_norm_never_below_svd_at_extreme_scales(make, seed, scale):
+    # unscaled, the squares in the Lanczos products and norms under- or overflow here
+    test_spectral_norm_never_below_svd(make, seed, scale)
 
 
 def test_spectral_norm_of_zero_data_is_exactly_zero():
