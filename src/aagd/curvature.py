@@ -12,7 +12,9 @@ serves every estimate it enters (up to four in the solver) without its
 gradient or point being squared again. Only the differences between the
 two points are formed here, each once per estimate: the guards, the
 Bregman inner product and the secant fallback of option 2 all reuse
-them.
+them. :func:`lambda_option2_rows` is option 2 with its Bregman value
+over many pairs at once, for the certificate replay; the solver keeps
+the scalar estimator.
 """
 from __future__ import annotations
 
@@ -94,6 +96,30 @@ def lambda_option2(a: OracleResult, b: OracleResult) -> float:
     if breg <= BREG_NOISE_REL * (1.0 + abs(a.value) + abs(b.value)):
         return _secant(dx2, gap2)
     return 2.0 * breg / gap2
+
+
+def lambda_option2_rows(a: OracleResult, b: OracleResult) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lambda_option2` and :func:`bregman` of n pairs at once.
+
+    ``a`` and ``b`` are results whose fields stack n results along axis
+    0: (n,) values and squared norms, (n, d) gradients and points.
+    Returns ``(lam, breg)``; row r holds ``lambda_option2(a_r, b_r)`` and
+    ``bregman(a_r, b_r)`` bit for bit. Every branch is computed on every
+    row and the guards pick among them. The arithmetic that the scalar
+    estimator does on Python floats, and the squared norms, which
+    :func:`~aagd.oracle.sq_norm` forms silently, raise no warnings here.
+    """
+    if a.x.shape != b.x.shape:
+        raise DimensionMismatchError(f"curvature pairs have shapes {a.x.shape} and {b.x.shape}")
+    g, dx = a.grad - b.grad, a.x - b.x
+    breg = a.value - b.value - np.vecdot(b.grad, dx)
+    with np.errstate(all="ignore"):
+        gap2, dx2 = np.vecdot(g, g), np.vecdot(dx, dx)
+        coincide = ((gap2 <= GRAD_GUARD * np.maximum(np.maximum(1.0, a.grad_sq), b.grad_sq))
+                    | (dx2 <= GRAD_GUARD * np.maximum(np.maximum(1.0, a.x_sq), b.x_sq)))
+        noise = breg <= BREG_NOISE_REL * (1.0 + np.abs(a.value) + np.abs(b.value))
+        lam = np.where(noise, np.sqrt(dx2) / np.sqrt(gap2), 2.0 * breg / gap2)
+    return np.where(coincide, np.inf, lam), breg
 
 
 def local_curvature(bar_next: OracleResult, tilde_cur: OracleResult,

@@ -11,12 +11,18 @@ never from solver-internal caches, so the checks validate the solver
 independently.
 
 The fresh calls of one trace form one forward sweep over k: x_bar[k] and
-x_tilde[k] are evaluated once each, in order, and only the results at
-k-1 and k are held. The same loop builds the per-k arrays that the decay
-series at every reference point, the endpoint bound and the lemma suite
-read; the endpoint bound alone evaluates only x_bar[K], x[0] and the
-reference point. Each check sweeps an array of violations; a positive or
-NaN one fails it.
+x_tilde[k] are evaluated once each, in order. The sweep runs in blocks
+of B = max(1, ROW_BLOCK // d) rows. A block's fresh values, gradients
+and squared norms are copied into buffers of B + 1 rows; the first row
+of the lookahead buffer carries the last row of the block before. The
+block's Bregman values, curvature estimates, momentum terms and
+distances are then formed row-wise, with the bits of the per-k
+formulas. So the sweep holds O(B d) floats per temporary plus O(K)
+scalars, never the trace's fresh gradients. It builds the per-k arrays
+that the decay series at every reference point, the endpoint bound and
+the lemma suite read; the endpoint bound alone evaluates only x_bar[K],
+x[0] and the reference point. Each check sweeps an array of violations;
+a positive or NaN one fails it.
 """
 from __future__ import annotations
 
@@ -26,13 +32,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import bregman, local_curvature
-from .oracle import Oracle, evaluate
+from .curvature import lambda_option2_rows
+from .oracle import Oracle, OracleResult, evaluate
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
+# doubles per row of a replay block: a block holds max(1, ROW_BLOCK // d) rows
+ROW_BLOCK = 8192
 
 
 class MissingIteratesError(ValueError):
@@ -126,32 +134,79 @@ class _Pass(NamedTuple):  # the per-k arrays of one forward sweep over a trace
     series: list       # one LyapunovSeries per reference point
 
 
+class _Block:
+    """Fresh results of one block of rows, stacked in rows 1..B; row 0 is
+    for the last row of the block before. The points are the trace's own
+    rows, which the results were evaluated at."""
+
+    def __init__(self, rows: int, dim: int, points: np.ndarray):
+        self.value, self.grad_sq, self.x_sq = np.empty((3, rows))
+        self.grad = np.empty((rows, dim))
+        self.points = points
+
+    def put(self, r: int, res: OracleResult) -> None:
+        self.value[r], self.grad[r], self.grad_sq[r], self.x_sq[r] = (
+            res.value, res.grad, res.grad_sq, res.x_sq)
+
+    def rows(self, k0: int, lo: int, hi: int) -> OracleResult:
+        """Rows lo..hi-1 of the block that starts at iteration k0."""
+        return OracleResult(self.value[lo:hi], self.grad[lo:hi],
+                            self.points[k0 - 1 + lo:k0 - 1 + hi],
+                            self.grad_sq[lo:hi], self.x_sq[lo:hi])
+
+    def carry_over(self, r: int) -> None:
+        for a in (self.value, self.grad, self.grad_sq, self.x_sq):
+            a[0] = a[r]
+
+
 def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pass:
-    """Evaluate x_bar[k] and x_tilde[k] once each, k = 0..K in order, holding
-    only the results at k-1 and k; ``refs`` holds (x_ref, f_ref) pairs."""
+    """Evaluate x_bar[k] and x_tilde[k] once each, k = 0..K in order, in
+    blocks of B = max(1, ROW_BLOCK // d) rows; ``refs`` holds (x_ref,
+    f_ref) pairs.
+
+    After each block's evaluations, two pair families are estimated
+    row-wise: (x_bar[k], x_tilde[k]) gives the carry-over and the second
+    curvature estimate, (x_bar[k], x_tilde[k-1]) the look-ahead Bregman
+    value and the first. Only the (B+1)-row buffers, their O(B d)
+    temporaries and O(K) scalars are held; the decay terms are formed
+    from those scalars after the sweep.
+    """
     tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
-    f_bar = np.empty(K + 1)
-    carry, ahead, breg, mom = np.empty((4, K))
+    B = max(1, ROW_BLOCK // oracle.dim)
+    bar, til = (_Block(B + 1, oracle.dim, np.asarray(p, dtype=np.float64))
+                for p in (tr.x_bar, tr.x_tilde))
+    f_bar, f_til = np.empty((2, K + 1))
+    carry, ahead, lam_ahead, lam_same, mom = np.empty((5, K))
     dist = np.empty((len(refs), K))
-    for k in range(K + 1):
-        bar, til = evaluate(oracle, tr.x_bar[k]), evaluate(oracle, tr.x_tilde[k])
-        f_bar[k] = bar.value
-        if k:
-            i = k - 1
-            carry[i], ahead[i] = bregman(bar_prev, til_prev), bregman(bar, til_prev)
-        if k and refs:  # the decay terms serve only the series
-            lam_k = local_curvature(bar, til_prev, til)
-            if math.isinf(lam_k):
-                scale = 1.0 + abs(bar_prev.value) + abs(til_prev.value)
-                breg[i] = 0.0 if abs(carry[i]) <= 1e-9 * scale else math.nan
-            else:
-                breg[i] = th * tr.eta[k] * tr.eta[i] / lam_k * carry[i]
-            dk = tr.x[k] - tr.x[i]
-            mom[i] = 0.5 * ga * th * float(dk @ dk)
+    for k0 in range(0, K + 1, B):
+        k1 = min(k0 + B, K + 1)
+        n, a = k1 - k0, max(k0, 1)  # rows 1..n hold k0..k1-1; pairs with k-1 start at a
+        for r in range(1, n + 1):
+            bar.put(r, evaluate(oracle, tr.x_bar[k0 + r - 1]))
+            til.put(r, evaluate(oracle, tr.x_tilde[k0 + r - 1]))
+        f_bar[k0:k1], f_til[k0:k1] = bar.value[1:n + 1], til.value[1:n + 1]
+        lam, breg = lambda_option2_rows(bar.rows(k0, 1, n + 1), til.rows(k0, 1, n + 1))
+        carry[k0:k1] = breg[:min(k1, K) - k0]
+        lam_same[a - 1:k1 - 1] = lam[a - k0:]
+        lo = a - k0 + 1
+        lam_ahead[a - 1:k1 - 1], ahead[a - 1:k1 - 1] = lambda_option2_rows(
+            bar.rows(k0, lo, n + 1), til.rows(k0, lo - 1, n))
+        if refs:  # the decay terms serve only the series
+            dk = tr.x[a:k1] - tr.x[a - 1:k1 - 1]
+            mom[a - 1:k1 - 1] = 0.5 * ga * th * np.vecdot(dk, dk)
             for j, (x_ref, _) in enumerate(refs):
-                dx = tr.x[k] - x_ref
-                dist[j, i] = 0.5 * float(dx @ dx)
-        bar_prev, til_prev = bar, til
+                dx = tr.x[a:k1] - x_ref
+                dist[j, a - 1:k1 - 1] = 0.5 * np.vecdot(dx, dx)
+        til.carry_over(n)  # x_tilde[k1-1] pairs with x_bar[k1] in the next block
+    if not refs:
+        return _Pass(f_bar, carry, ahead, [])
+    lam = np.where(lam_same < lam_ahead, lam_same, lam_ahead)  # Python's min, NaN included
+    with np.errstate(over="ignore"):  # Python floats in the per-k formula
+        scale = 1.0 + np.abs(f_bar[:-1]) + np.abs(f_til[:-1])
+    # an infinite estimate zeroes the term; a carry-over that does not vanish makes it NaN
+    breg = np.where(np.abs(carry) <= 1e-9 * scale, 0.0, math.nan)
+    f = ~np.isinf(lam)
+    breg[f] = th * tr.eta[1:][f] * tr.eta[:-1][f] / lam[f] * carry[f]
     gaps = [tr.H[:-1] * (f_bar[1:] - f_ref) for _, f_ref in refs]
     series = [LyapunovSeries(np.arange(1, K + 1), d + g + breg + mom, d, g, breg, mom)
               for d, g in zip(dist, gaps)]

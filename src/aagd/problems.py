@@ -324,15 +324,19 @@ def logistic_problem(data: SparseDataset, reg: float = 0.0) -> Problem:
     the data Gram matrix over 4n (Lanczos, relative tolerance 1e-10, at
     most 1e4 steps; see :func:`_gram_spectral_norm`) plus the ridge
     weight. The estimate never falls below the true norm for data of any
-    scale from 1e-150 to 1e150. All-zero data with ``reg = 0`` gives
-    L = 0. No optimal value is attached; estimate one with a long
-    reference run when needed.
+    scale from 1e-150 to 1e150; data whose Gram norm overflows (entries
+    above about 1e154) raise ``ValueError``. All-zero data with
+    ``reg = 0`` gives L = 0. No optimal value is attached; estimate one
+    with a long reference run when needed.
     """
     if data.n_samples < 1:
         raise ValueError("empty dataset")
     if not 0.0 <= reg < np.inf:
         raise ValueError("reg must be finite and nonnegative")
     L = _gram_spectral_norm(data) / (4.0 * data.n_samples) + reg
+    if not math.isfinite(L):
+        raise ValueError(f"logistic smoothness constant L = {L} is not finite: the data's "
+                         f"Gram norm overflows (largest |a_ij| = {np.max(np.abs(data.data)):.3e})")
     layout, y = data.layout, data.labels
 
     def fn(w):

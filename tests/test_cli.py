@@ -652,6 +652,20 @@ def test_run_non_finite_problem_constant_is_config_error(tmp_path, capsys, probl
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+@pytest.mark.parametrize("method, eta", [("aagd", "1e-3"), ("gd", "auto")])
+def test_run_logistic_data_whose_gram_norm_overflows_is_config_error(tmp_path, capsys,
+                                                                     method, eta):
+    # entries near 1e160 square past the float range, so L cannot be formed
+    cfg = _zero_logistic_cfg(tmp_path, "huge", "1 1:1e160 2:3e159\n-1 1:-2e160 2:5e159\n",
+                             method=method, eta=eta, checks="evals")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: logistic smoothness constant L = inf is not finite: the data's Gram"
+        " norm overflows (largest |a_ij| = 2.000e+160)\n")
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
 @pytest.mark.parametrize("shape, message", [
     ("n = 0\ndim = 3", "n_samples must be >= 1"),
     ("n = 5\ndim = 0", "n_features must be >= 1"),

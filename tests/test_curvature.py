@@ -7,7 +7,7 @@ from aagd import (GRAD_GUARD, DimensionMismatchError, Oracle, OracleResult,
                   bregman, evaluate, identity_quadratic, lambda_option1, lambda_option2,
                   local_curvature, logistic_problem, logsumexp_problem,
                   make_classification_dataset, make_quadratic)
-from aagd.curvature import BREG_NOISE_REL, _gaps
+from aagd.curvature import BREG_NOISE_REL, _gaps, lambda_option2_rows
 
 
 def diag_quadratic():
@@ -247,3 +247,85 @@ def test_estimators_reject_points_of_different_shapes():
     for est in (bregman, lambda_option1, lambda_option2):
         with pytest.raises(DimensionMismatchError):
             est(a, b)
+
+
+def stacked(results):
+    """One result whose fields stack those of ``results`` row by row."""
+    return OracleResult(*(np.array(field) for field in zip(*results)))
+
+
+def branch(a, b):
+    """Which branch the scalar option-2 estimator takes for (a, b)."""
+    _, dx, _, coincide = _gaps(a, b, GRAD_GUARD)
+    if coincide:
+        return "gradient_guard" if dx is None else "point_guard"
+    noise = bregman(a, b) <= BREG_NOISE_REL * (1.0 + abs(a.value) + abs(b.value))
+    return "secant" if noise else "ratio"
+
+
+@pytest.mark.parametrize("problem", [
+    identity_quadratic(6),
+    make_quadratic(5, 20, 1e4),
+    logsumexp_problem(6, 20, 60, 0.1),
+    logistic_problem(make_classification_dataset(11, 100, 12), reg=1e-3),
+], ids=lambda p: p.label)
+def test_row_estimator_matches_the_scalar_bits(problem):
+    # random and nearby pairs take the ratio and the secant branch, a
+    # repeated point the gradient guard; a hand-built pair whose points are
+    # one ulp apart while its gradients differ takes the point guard
+    rng = np.random.default_rng(31)
+    d = problem.dim
+    near, repeated = [], []
+    for _ in range(200):
+        x = 10.0 ** rng.uniform(-1, 1) * rng.standard_normal(d)
+        step = 10.0 ** rng.uniform(-9, 0) * np.linalg.norm(x) * rng.standard_normal(d)
+        a, b = evaluate(problem.oracle, x), evaluate(problem.oracle, x + step)
+        near.append((a, b))
+        repeated.append((a, a))
+    x = np.full(d, 1e4)
+    ulp = [(OracleResult(0.0, np.ones(d), x),
+            OracleResult(0.0, np.full(d, 2.0), np.nextafter(x, 2e4)))]
+    pairs = near + repeated + ulp
+    lam, breg = lambda_option2_rows(stacked(a for a, _ in pairs), stacked(b for _, b in pairs))
+    assert [v.hex() for v in lam] == [lambda_option2(a, b).hex() for a, b in pairs]
+    assert [v.hex() for v in breg] == [bregman(a, b).hex() for a, b in pairs]
+    seen = [branch(a, b) for a, b in pairs]
+    assert set(seen) == {"gradient_guard", "point_guard", "secant", "ratio"}, seen
+    assert min(seen.count("secant"), seen.count("ratio")) >= 20
+    # local_curvature(a, b, c) is the smaller estimate of (a, b) and (a, c);
+    # pairing each near pair with itself ties the two
+    lam_near, lam_same = lam[:len(near)], lam[len(near):2 * len(near)]
+    for lam0, lam1, triples in [(lam_near, lam_same, [(a, b, a) for a, b in near]),
+                                (lam_same, lam_near, [(a, a, b) for a, b in near]),
+                                (lam_near, lam_near, [(a, b, b) for a, b in near])]:
+        assert [v.hex() for v in np.where(lam1 < lam0, lam1, lam0)] == [
+            local_curvature(*t).hex() for t in triples]
+
+
+def test_row_estimator_matches_the_scalar_bits_on_hand_built_results():
+    # near the float limit: inf Bregman values, squared differences that
+    # overflow and a NaN estimate (inf / inf); and squared norms given by
+    # hand, so that only the larger scale of a pair fires a guard
+    big = 1e154
+    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    rows = [OracleResult(0.0, big * e0, big * e0),
+            OracleResult(0.0, -big * e0, -big * e0),
+            OracleResult(1e308, e0, 1e150 * e0),
+            OracleResult(-1e308, 3.0 * e0, -1e150 * e0),
+            OracleResult(1.0, e0 + 2.0 * e1, 3.0 * e0 + 4.0 * e1),
+            OracleResult(1.0, e0 + (2.0 + 1e-14) * e1, 5.0 * e0 + 4.0 * e1, grad_sq=1e4),
+            OracleResult(1.0, e0, 3.0 * e0 + (4.0 + 1e-13) * e1, x_sq=1e4)]
+    pairs = [(a, b) for a in rows for b in rows]
+    with np.errstate(all="ignore"):
+        lam, breg = lambda_option2_rows(stacked(a for a, _ in pairs),
+                                        stacked(b for _, b in pairs))
+        assert [v.hex() for v in lam] == [lambda_option2(a, b).hex() for a, b in pairs]
+        assert [v.hex() for v in breg] == [bregman(a, b).hex() for a, b in pairs]
+    assert np.isnan(lam).any() and np.isinf(breg).any() and np.isfinite(lam).any()
+
+
+def test_row_estimator_rejects_points_of_different_shapes():
+    a = stacked([OracleResult(1.0, np.ones(1), np.ones(1))])
+    b = stacked([OracleResult(2.0, np.full(3, 2.0), np.full(3, 3.0))])
+    with pytest.raises(DimensionMismatchError):
+        lambda_option2_rows(a, b)

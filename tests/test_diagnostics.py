@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from aagd import (BaselineMethod, ConvergedWindowError, MissingIteratesError, Oracle,
-                  StopRule, Trace, check_corollary_bound, check_eval_schedule,
-                  check_h_envelope, check_monotone_psi, default_params, fit_rate,
-                  identity_quadratic, lemma_suite, lyapunov_series, make_quadratic,
-                  read_csv, run, run_baseline, run_certificates, write_csv)
-from aagd.diagnostics import LyapunovSeries
+                  StopRule, Trace, bregman, check_corollary_bound, check_eval_schedule,
+                  check_h_envelope, check_monotone_psi, default_params, evaluate, fit_rate,
+                  identity_quadratic, lemma_suite, local_curvature, logistic_problem,
+                  logsumexp_problem, lyapunov_series, make_classification_dataset,
+                  make_params, make_quadratic, read_csv, run, run_baseline, run_certificates,
+                  write_csv)
+from aagd.diagnostics import ROW_BLOCK, LyapunovSeries, _Pass, _reference, _replay
 from aagd.params import SolverParams
 from aagd.solver import run as solver_run
 
@@ -370,9 +372,10 @@ def test_pass_evaluates_through_the_module_global(identity_run, monkeypatch):
 
 
 def test_certificate_memory_does_not_hold_the_trace_results():
-    # the sweep holds the fresh results at k-1 and k only: the peak stays
-    # below one stored iterate block (K * d floats), where caching every
-    # fresh gradient took about 2 (K + 1) * d floats
+    # the sweep holds one block of fresh results (about 8192 floats per
+    # buffer) and O(K) scalars: the peak stays below one stored iterate
+    # block (K * d floats), where caching every fresh gradient took about
+    # 2 (K + 1) * d floats
     p, params = make_quadratic(9137, 100, 1e4), default_params(eta0=1e-6)
     K = 2000
     tr = run(p.oracle, np.zeros(100), params, StopRule(max_iters=K), store_iterates=True)
@@ -386,3 +389,114 @@ def test_certificate_memory_does_not_hold_the_trace_results():
         tracemalloc.stop()
     assert report.passed
     assert peak < K * 100 * 8
+
+
+def _replay_reference(trace, oracle, params, refs=()):
+    """The per-k sweep that the block sweep replaced, kept verbatim as its
+    reference: evaluate x_bar[k] and x_tilde[k] once each, k = 0..K in
+    order, holding only the results at k-1 and k."""
+    tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
+    f_bar = np.empty(K + 1)
+    carry, ahead, breg, mom = np.empty((4, K))
+    dist = np.empty((len(refs), K))
+    for k in range(K + 1):
+        bar, til = evaluate(oracle, tr.x_bar[k]), evaluate(oracle, tr.x_tilde[k])
+        f_bar[k] = bar.value
+        if k:
+            i = k - 1
+            carry[i], ahead[i] = bregman(bar_prev, til_prev), bregman(bar, til_prev)
+        if k and refs:  # the decay terms serve only the series
+            lam_k = local_curvature(bar, til_prev, til)
+            if math.isinf(lam_k):
+                scale = 1.0 + abs(bar_prev.value) + abs(til_prev.value)
+                breg[i] = 0.0 if abs(carry[i]) <= 1e-9 * scale else math.nan
+            else:
+                breg[i] = th * tr.eta[k] * tr.eta[i] / lam_k * carry[i]
+            dk = tr.x[k] - tr.x[i]
+            mom[i] = 0.5 * ga * th * float(dk @ dk)
+            for j, (x_ref, _) in enumerate(refs):
+                dx = tr.x[k] - x_ref
+                dist[j, i] = 0.5 * float(dx @ dx)
+        bar_prev, til_prev = bar, til
+    gaps = [tr.H[:-1] * (f_bar[1:] - f_ref) for _, f_ref in refs]
+    series = [LyapunovSeries(np.arange(1, K + 1), d + g + breg + mom, d, g, breg, mom)
+              for d, g in zip(dist, gaps)]
+    return _Pass(f_bar, carry, ahead, series)
+
+
+def _pass_bytes(fresh):
+    arrays = {"f_bar": fresh.f_bar, "carry": fresh.carry, "ahead": fresh.ahead}
+    for j, s in enumerate(fresh.series):
+        arrays |= {f"series[{j}].{f.name}": getattr(s, f.name) for f in dataclasses.fields(s)}
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
+B100 = ROW_BLOCK // 100  # rows per replay block at d = 100
+
+
+def _classification(seed):
+    return logistic_problem(make_classification_dataset(seed, 20, 3))
+
+
+# (problem, eta0, theta, K): block edges at d = 100 (K + 1 in {B - 1, B,
+# B + 1, 2B}), one iteration, d = 1, one row per block (d > ROW_BLOCK), a
+# theta other than 2 (whose products round), and the large-eta0 runs whose
+# psi reads NaN or whose beta_f_value fails; at eta0 = 1e200 both sweeps
+# overflow
+REPLAY_CASES = [
+    pytest.param(lambda: make_quadratic(5, 100, 1e3), 1e-3, 2.0, B100 - 2, id="rows_B-1"),
+    pytest.param(lambda: make_quadratic(5, 100, 1e3), 1e-3, 2.0, B100 - 1, id="rows_B"),
+    pytest.param(lambda: make_quadratic(5, 100, 1e3), 1e-3, 3.0, B100, id="rows_B+1"),
+    pytest.param(lambda: make_quadratic(6, 100, 1e4), 1e-6, 2.0, 2 * B100 - 1, id="rows_2B"),
+    pytest.param(lambda: make_quadratic(7, 30, 1e2), 1e-2, 2.0, 1, id="one_iteration"),
+    pytest.param(lambda: identity_quadratic(1), 0.1, 2.0, 60, id="dim_one"),
+    pytest.param(lambda: make_quadratic(3, 1, 1e2), 1e-4, 1.7, 40, id="dim_one_quadratic"),
+    pytest.param(lambda: identity_quadratic(ROW_BLOCK + 808), 0.1, 2.0, 5, id="one_row_blocks"),
+    pytest.param(lambda: logsumexp_problem(0, 3, 4, 0.1), 1e6, 2.0, 50, id="logsumexp_eta0_1e6"),
+    pytest.param(lambda: logsumexp_problem(0, 3, 4, 0.1), 1e12, 2.0, 50,
+                 id="logsumexp_eta0_1e12"),
+    pytest.param(lambda: _classification(7), 1e150, 2.0, 50, id="logistic_eta0_1e150"),
+    pytest.param(lambda: _classification(5), 1e20, 2.0, 50, id="logistic_eta0_1e20"),
+    pytest.param(lambda: logsumexp_problem(0, 3, 4, 0.1), 1e200, 2.0, 50,
+                 id="logsumexp_eta0_1e200",
+                 marks=[pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+                        pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")]),
+]
+
+
+def _assert_replays_match(tr, oracle, params, points):
+    refs = [_reference(tr, oracle, x) for x in points]
+    for r in ([], refs[:1], refs):
+        assert _pass_bytes(_replay(tr, oracle, params, r)) == _pass_bytes(
+            _replay_reference(tr, oracle, params, r))
+
+
+@pytest.mark.parametrize("make, eta0, theta, K", REPLAY_CASES)
+def test_block_replay_matches_the_per_k_reference_bits(make, eta0, theta, K):
+    p = make()
+    # start away from the minimizer
+    x0 = np.ones(p.dim) if p.x_star is not None and not p.x_star.any() else np.zeros(p.dim)
+    params = make_params(theta=theta, eta0=eta0)
+    tr = run(p.oracle, x0, params, StopRule(max_iters=K), store_iterates=True)
+    assert tr.n_iters == K
+    points = [x0, np.random.default_rng(K).standard_normal(p.dim)]
+    points += [p.x_star] if p.x_star is not None else []
+    _assert_replays_match(tr, p.oracle, params, points)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_block_replay_matches_the_reference_on_a_tampered_trace():
+    # points near 1e154 across a block edge: the pair (x_bar[B], x_tilde[B-1])
+    # squares past the float range, so its estimate is inf / inf = NaN while
+    # (x_bar[B], x_tilde[B]) gives a number; the min must keep the NaN
+    p, params = identity_quadratic(100), default_params(eta0=0.1)
+    tr = run(p.oracle, np.ones(100), params, StopRule(max_iters=B100 + 2), store_iterates=True)
+    x_bar, x_tilde, e0 = tr.x_bar.copy(), tr.x_tilde.copy(), np.eye(100)[0]
+    x_bar[B100] = 1e154 * e0
+    x_tilde[B100 - 1] = -1e154 * e0
+    x_tilde[B100] = 1e154 * e0 + np.eye(100)[1]
+    tampered = dataclasses.replace(tr, x_bar=x_bar, x_tilde=x_tilde)
+    _assert_replays_match(tampered, p.oracle, params, [np.ones(100), p.x_star])
+    fresh = _replay(tampered, p.oracle, params, [_reference(tampered, p.oracle, p.x_star)])
+    assert math.isnan(fresh.series[0].bregman_term[B100 - 1])

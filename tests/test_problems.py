@@ -216,6 +216,17 @@ def test_logistic_L_at_least_reg():
     assert p.L >= 0.7
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+def test_logistic_rejects_data_whose_gram_norm_overflows(scale):
+    data = SparseDataset(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+                         scale * np.array([1.0, 0.3, -2.0, 0.5]), np.array([1.0, -1.0]), 2)
+    with pytest.raises(ValueError) as info:
+        logistic_problem(data)
+    message = str(info.value)
+    assert message.startswith("logistic smoothness constant L = inf is not finite")
+    assert message.endswith(f"(largest |a_ij| = {2 * scale:.3e})")
+
+
 def test_logistic_rejects_empty():
     empty = SparseDataset(np.array([0]), np.array([], dtype=np.int64),
                           np.array([]), np.array([]), 3)
