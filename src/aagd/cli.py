@@ -12,7 +12,9 @@ problem constructors, the method parameters or the trace reader reject
 them raise ``ValueError``, and ``run`` validates every method before the
 first one runs, so a config error leaves no trace CSV behind. A psi or
 corollary check with a reference point on an aagd method without
-``store_iterates`` is one of them.
+``store_iterates`` is one of them, and so is an oracle failure: at the
+start point, which ``run`` evaluates before any method, or at a stored
+iterate that ``check`` replays.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import baselines, diagnostics, problems, solver, traceio
 from .config import ConfigError, ExperimentConfig, MethodSpec, parse_config
+from .oracle import OracleError, evaluate
 from .params import SolverParams, make_params, max_gamma, validate
 
 EXIT_OK = 0
@@ -147,6 +150,7 @@ def cmd_run(config_path: str) -> int:
         runs = [_method(spec, problem) for spec in cfg.methods]
         notes: list[str] = []
         x0 = _start_point(cfg.problem, problem, cfg.seed)
+        evaluate(problem.oracle, x0)  # an oracle that fails here fails every method
         refs = (_reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
                 if any(m.kind == "aagd" for m in cfg.methods) else {})
         # the reference checks replay stored iterates: the condition under
@@ -155,7 +159,7 @@ def cmd_run(config_path: str) -> int:
                 m.kind == "aagd" and not m.options.get("store_iterates", False)
                 for m in cfg.methods):
             raise diagnostics.MissingIteratesError()
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OracleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -255,7 +259,7 @@ def cmd_check(trace_path: str, config_path: str) -> int:
         refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
         report = diagnostics.run_certificates(
             trace, problem.oracle, params, L=problem.L, x_refs=refs, checks=cfg.checks)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OracleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for line in report.lines():

@@ -11,12 +11,10 @@ never from solver-internal caches, so the checks validate the solver
 independently.
 
 The fresh calls of one trace form one forward sweep over k: x_bar[k] and
-x_tilde[k] are evaluated once each, in order. The sweep runs in blocks
-of B = max(1, ROW_BLOCK // d) rows. A block's fresh values, gradients
-and squared norms are copied into buffers of B + 1 rows; the first row
-of the lookahead buffer carries the last row of the block before. The
-block's Bregman values, curvature estimates, momentum terms and
-distances are then formed row-wise, with the bits of the per-k
+x_tilde[k] are evaluated once each, in order, in blocks of B = max(1,
+ROW_BLOCK // d) rows. Each block's results are stacked into one result
+per point family, and its Bregman values, curvature estimates, momentum
+terms and distances are formed row-wise, with the bits of the per-k
 formulas. So the sweep holds O(B d) floats per temporary plus O(K)
 scalars, never the trace's fresh gradients. It builds the per-k arrays
 that the decay series at every reference point, the endpoint bound and
@@ -134,29 +132,10 @@ class _Pass(NamedTuple):  # the per-k arrays of one forward sweep over a trace
     series: list       # one LyapunovSeries per reference point
 
 
-class _Block:
-    """Fresh results of one block of rows, stacked in rows 1..B; row 0 is
-    for the last row of the block before. The points are the trace's own
-    rows, which the results were evaluated at."""
-
-    def __init__(self, rows: int, dim: int, points: np.ndarray):
-        self.value, self.grad_sq, self.x_sq = np.empty((3, rows))
-        self.grad = np.empty((rows, dim))
-        self.points = points
-
-    def put(self, r: int, res: OracleResult) -> None:
-        self.value[r], self.grad[r], self.grad_sq[r], self.x_sq[r] = (
-            res.value, res.grad, res.grad_sq, res.x_sq)
-
-    def rows(self, k0: int, lo: int, hi: int) -> OracleResult:
-        """Rows lo..hi-1 of the block that starts at iteration k0."""
-        return OracleResult(self.value[lo:hi], self.grad[lo:hi],
-                            self.points[k0 - 1 + lo:k0 - 1 + hi],
-                            self.grad_sq[lo:hi], self.x_sq[lo:hi])
-
-    def carry_over(self, r: int) -> None:
-        for a in (self.value, self.grad, self.grad_sq, self.x_sq):
-            a[0] = a[r]
+def _stack(results, points) -> OracleResult:
+    """Fresh results at the trace rows ``points``, stacked along axis 0."""
+    value, grad, _, grad_sq, x_sq = zip(*results)
+    return OracleResult(np.array(value), np.array(grad), points, np.array(grad_sq), np.array(x_sq))
 
 
 def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pass:
@@ -164,43 +143,42 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pas
     blocks of B = max(1, ROW_BLOCK // d) rows; ``refs`` holds (x_ref,
     f_ref) pairs.
 
-    After each block's evaluations, two pair families are estimated
-    row-wise: (x_bar[k], x_tilde[k]) gives the carry-over and the second
-    curvature estimate, (x_bar[k], x_tilde[k-1]) the look-ahead Bregman
-    value and the first. Only the (B+1)-row buffers, their O(B d)
-    temporaries and O(K) scalars are held; the decay terms are formed
-    from those scalars after the sweep.
+    A block's stacked results give two pair families row-wise:
+    (x_bar[k], x_tilde[k]) the carry-over and the second curvature
+    estimate, (x_bar[k], x_tilde[k-1]) the look-ahead Bregman value and
+    the first. Only the result at x_tilde[k0-1] outlives its block; the
+    decay terms are formed from O(K) scalars after the sweep.
     """
     tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
     B = max(1, ROW_BLOCK // oracle.dim)
-    bar, til = (_Block(B + 1, oracle.dim, np.asarray(p, dtype=np.float64))
-                for p in (tr.x_bar, tr.x_tilde))
-    f_bar, f_til = np.empty((2, K + 1))
-    carry, ahead, lam_ahead, lam_same, mom = np.empty((5, K))
+    x_bar, x_til = (np.asarray(p, dtype=np.float64) for p in (tr.x_bar, tr.x_tilde))
+    f_bar, f_til, lam_same = np.empty((3, K + 1))  # at k = 0..K, the rest at k = 1..K
+    carry, ahead, lam_ahead, mom = np.empty((4, K))
     dist = np.empty((len(refs), K))
+    behind = ()  # the result at x_tilde[k0-1]; the first block has none
     for k0 in range(0, K + 1, B):
         k1 = min(k0 + B, K + 1)
-        n, a = k1 - k0, max(k0, 1)  # rows 1..n hold k0..k1-1; pairs with k-1 start at a
-        for r in range(1, n + 1):
-            bar.put(r, evaluate(oracle, tr.x_bar[k0 + r - 1]))
-            til.put(r, evaluate(oracle, tr.x_tilde[k0 + r - 1]))
-        f_bar[k0:k1], f_til[k0:k1] = bar.value[1:n + 1], til.value[1:n + 1]
-        lam, breg = lambda_option2_rows(bar.rows(k0, 1, n + 1), til.rows(k0, 1, n + 1))
-        carry[k0:k1] = breg[:min(k1, K) - k0]
-        lam_same[a - 1:k1 - 1] = lam[a - k0:]
-        lo = a - k0 + 1
-        lam_ahead[a - 1:k1 - 1], ahead[a - 1:k1 - 1] = lambda_option2_rows(
-            bar.rows(k0, lo, n + 1), til.rows(k0, lo - 1, n))
+        bars, tils = zip(*[(evaluate(oracle, x_bar[k]), evaluate(oracle, x_til[k]))
+                           for k in range(k0, k1)])
+        bar, til = _stack(bars, x_bar[k0:k1]), _stack(tils, x_til[k0:k1])
+        f_bar[k0:k1], f_til[k0:k1] = bar.value, til.value
+        lam_same[k0:k1], breg = lambda_option2_rows(bar, til)
+        carry[k0:k1] = breg[:K - k0]
+        a = max(k0, 1)  # the block's first k that pairs with x_tilde[k-1]
+        if a < k1:  # a one-row first block (K = 0 or B = 1) has no such pair
+            lam_ahead[a - 1:k1 - 1], ahead[a - 1:k1 - 1] = lambda_option2_rows(
+                OracleResult(*(f[a - k0:] for f in bar)),
+                _stack(behind + tils[:-1], x_til[a - 1:k1 - 1]))
         if refs:  # the decay terms serve only the series
             dk = tr.x[a:k1] - tr.x[a - 1:k1 - 1]
             mom[a - 1:k1 - 1] = 0.5 * ga * th * np.vecdot(dk, dk)
             for j, (x_ref, _) in enumerate(refs):
                 dx = tr.x[a:k1] - x_ref
                 dist[j, a - 1:k1 - 1] = 0.5 * np.vecdot(dx, dx)
-        til.carry_over(n)  # x_tilde[k1-1] pairs with x_bar[k1] in the next block
+        behind = tils[-1:]
     if not refs:
         return _Pass(f_bar, carry, ahead, [])
-    lam = np.where(lam_same < lam_ahead, lam_same, lam_ahead)  # Python's min, NaN included
+    lam = np.where(lam_same[1:] < lam_ahead, lam_same[1:], lam_ahead)  # Python's min, NaN included
     with np.errstate(over="ignore"):  # Python floats in the per-k formula
         scale = 1.0 + np.abs(f_bar[:-1]) + np.abs(f_til[:-1])
     # an infinite estimate zeroes the term; a carry-over that does not vanish makes it NaN

@@ -359,8 +359,9 @@ def logsumexp_problem(seed: int, dim: int, n_terms: int, smoothing: float) -> Pr
 
     Local curvature varies by orders of magnitude across the domain,
     which is the regime where adaptive stepsizes pay off. The recorded
-    smoothness constant is the upper bound max_i ||a_i||^2 / mu; the
-    shifted-exponent evaluation cannot overflow.
+    smoothness constant is the upper bound max_i ||a_i||^2 / mu; a
+    smoothing so small that this bound overflows raises ``ValueError``.
+    The shifted-exponent evaluation cannot overflow.
     """
     if n_terms < 2:
         raise ValueError("n_terms must be >= 2")
@@ -371,6 +372,9 @@ def logsumexp_problem(seed: int, dim: int, n_terms: int, smoothing: float) -> Pr
     b = rng.standard_normal(n_terms)
     mu = float(smoothing)
     L = float(np.max(np.sum(A * A, axis=1))) / mu
+    if not math.isfinite(L):
+        raise ValueError(f"logsumexp smoothness constant L = {L} is not finite: "
+                         f"max_i ||a_i||^2 / mu overflows (mu = {mu:g})")
 
     def fn(x):
         return kernels.logsumexp_value_grad(A, b, mu, x)

@@ -666,6 +666,59 @@ def test_run_logistic_data_whose_gram_norm_overflows_is_config_error(tmp_path, c
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+@pytest.mark.parametrize("method, step", [("aagd", "eta0 = 1e-3"), ("gd", "eta = auto")])
+def test_run_logsumexp_smoothing_whose_L_overflows_is_config_error(tmp_path, capsys,
+                                                                  method, step):
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nchecks = evals\n\n"
+                              "[problem]\nkind = logsumexp\ndim = 3\nterms = 4\n"
+                              "smoothing = 1e-308\n\n"
+                              f"[method a]\nkind = {method}\n{step}\nmax_iters = 20\n")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: logsumexp smoothness constant L = inf is not finite: "
+        "max_i ||a_i||^2 / mu overflows (mu = 1e-308)\n")
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_run_oracle_failure_at_the_start_point_is_config_error(tmp_path, capsys):
+    # L = 8.9e307 is finite, but the oracle's value at x0 = 0 is not
+    cfg = write_cfg(tmp_path, "[experiment]\nseed = 7\noutdir = {out}\nchecks = evals\n\n"
+                              "[problem]\nkind = logsumexp\ndim = 1\nterms = 2\n"
+                              "smoothing = 1e-309\n\n"
+                              "[method a]\nkind = aagd\neta0 = 1e-3\nmax_iters = 20\n")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: oracle 'logsumexp(seed=7,dim=1,terms=2,mu=1e-309)' "
+        "returned non-finite output\n")
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_check_oracle_failure_at_a_stored_iterate_is_config_error(tmp_path, capsys):
+    # finite averaged iterates near the float maximum: the fresh replay's
+    # oracle output at that row is not finite
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nx_ref = x0\n\n"
+                              "[problem]\nkind = logsumexp\ndim = 3\nterms = 4\n"
+                              "smoothing = 0.1\n\n"
+                              "[method a]\nkind = aagd\neta0 = 1e-3\nmax_iters = 10\n"
+                              "store_iterates = true\n")
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*__a.csv"))
+    lines = trace.read_text().splitlines()
+    header, row = lines[0].split(","), lines[4].split(",")
+    for i in range(3):
+        row[header.index(f"xbar_{i}")] = "1.7e308"
+    lines[4] = ",".join(row)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: oracle 'logsumexp(seed=0,dim=3,terms=4,mu=0.1)' "
+                            "returned non-finite output\n")
+
+
 @pytest.mark.parametrize("shape, message", [
     ("n = 0\ndim = 3", "n_samples must be >= 1"),
     ("n = 5\ndim = 0", "n_features must be >= 1"),

@@ -369,13 +369,16 @@ def test_pass_evaluates_through_the_module_global(identity_run, monkeypatch):
     refs = {"xstar": p.x_star, "x0": np.ones(10)}
     run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs)
     assert len(seen) == 2 * (tr.n_iters + 1) + len(refs) + 1
+    # the references first, then x_bar[0], x_tilde[0], x_bar[1], ... in order
+    swept = np.stack([tr.x_bar, tr.x_tilde], axis=1).reshape(-1, 10)
+    assert np.array_equal(np.array(seen[len(refs):len(refs) + len(swept)]), swept)
 
 
 def test_certificate_memory_does_not_hold_the_trace_results():
-    # the sweep holds one block of fresh results (about 8192 floats per
-    # buffer) and O(K) scalars: the peak stays below one stored iterate
-    # block (K * d floats), where caching every fresh gradient took about
-    # 2 (K + 1) * d floats
+    # the sweep holds one block's fresh results and their row stacks (about
+    # 8192 floats per stacked gradient) and O(K) scalars: the peak stays
+    # below one stored iterate block (K * d floats), where caching every
+    # fresh gradient took about 2 (K + 1) * d floats
     p, params = make_quadratic(9137, 100, 1e4), default_params(eta0=1e-6)
     K = 2000
     tr = run(p.oracle, np.zeros(100), params, StopRule(max_iters=K), store_iterates=True)
@@ -439,10 +442,10 @@ def _classification(seed):
 
 
 # (problem, eta0, theta, K): block edges at d = 100 (K + 1 in {B - 1, B,
-# B + 1, 2B}), one iteration, d = 1, one row per block (d > ROW_BLOCK), a
-# theta other than 2 (whose products round), and the large-eta0 runs whose
-# psi reads NaN or whose beta_f_value fails; at eta0 = 1e200 both sweeps
-# overflow
+# B + 1, 2B}), one iteration, d = 1, one row per block (d > ROW_BLOCK), no
+# iterations (no pair looks back), a theta other than 2 (whose products
+# round), and the large-eta0 runs whose psi reads NaN or whose
+# beta_f_value fails; at eta0 = 1e200 both sweeps overflow
 REPLAY_CASES = [
     pytest.param(lambda: make_quadratic(5, 100, 1e3), 1e-3, 2.0, B100 - 2, id="rows_B-1"),
     pytest.param(lambda: make_quadratic(5, 100, 1e3), 1e-3, 2.0, B100 - 1, id="rows_B"),
@@ -452,6 +455,9 @@ REPLAY_CASES = [
     pytest.param(lambda: identity_quadratic(1), 0.1, 2.0, 60, id="dim_one"),
     pytest.param(lambda: make_quadratic(3, 1, 1e2), 1e-4, 1.7, 40, id="dim_one_quadratic"),
     pytest.param(lambda: identity_quadratic(ROW_BLOCK + 808), 0.1, 2.0, 5, id="one_row_blocks"),
+    pytest.param(lambda: make_quadratic(5, 100, 1e3), 1e-3, 2.0, 0, id="no_iterations"),
+    pytest.param(lambda: identity_quadratic(ROW_BLOCK + 808), 0.1, 2.0, 0,
+                 id="no_iterations_one_row_blocks"),
     pytest.param(lambda: logsumexp_problem(0, 3, 4, 0.1), 1e6, 2.0, 50, id="logsumexp_eta0_1e6"),
     pytest.param(lambda: logsumexp_problem(0, 3, 4, 0.1), 1e12, 2.0, 50,
                  id="logsumexp_eta0_1e12"),
@@ -465,7 +471,8 @@ REPLAY_CASES = [
 
 
 def _assert_replays_match(tr, oracle, params, points):
-    refs = [_reference(tr, oracle, x) for x in points]
+    # a trace without iterations has no reference pass (_reference rejects it)
+    refs = [_reference(tr, oracle, x) for x in points] if tr.n_iters else []
     for r in ([], refs[:1], refs):
         assert _pass_bytes(_replay(tr, oracle, params, r)) == _pass_bytes(
             _replay_reference(tr, oracle, params, r))

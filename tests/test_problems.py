@@ -357,3 +357,11 @@ def test_logsumexp_validation():
         logsumexp_problem(0, 4, 1, 0.1)
     with pytest.raises(ValueError):
         logsumexp_problem(0, 4, 5, 0.0)
+
+
+@pytest.mark.parametrize("smoothing", [1e-310, 1e-308])
+def test_logsumexp_rejects_a_smoothing_whose_L_overflows(smoothing):
+    with pytest.raises(ValueError) as info:
+        logsumexp_problem(1, 3, 4, smoothing)
+    assert str(info.value) == ("logsumexp smoothness constant L = inf is not finite: "
+                               f"max_i ||a_i||^2 / mu overflows (mu = {smoothing:g})")
