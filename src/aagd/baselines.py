@@ -92,7 +92,7 @@ def _descend(oracle, s: _State, counter):
 
 # Each method below maps (method, oracle, counter, notes, result at x0) to
 # its state at k=0 and the function that advances that state by one step;
-# adagrad and polyak end the run at a zero stepsize, which cannot move.
+# the run loop ends at a zero stepsize (adagrad's and polyak's at an optimum).
 
 def _gd(method, oracle, counter, notes, res):
     def advance(s):
@@ -108,8 +108,6 @@ def _adagrad(method, oracle, counter, notes, res):
         return _State(k, res, eta, carry=sq_sum)
 
     def advance(s):
-        if s.eta == 0.0:
-            return None
         nxt = _descend(oracle, s, counter)
         return start(s.k + 1, nxt, s.carry + nxt.grad_sq)
 
@@ -121,12 +119,7 @@ def _polyak(method, oracle, counter, notes, res):
         gap = res.value - method.f_star
         return _State(k, res, 0.0 if res.grad_sq == 0.0 or gap <= 0.0 else gap / res.grad_sq)
 
-    def advance(s):
-        if s.eta == 0.0:
-            return None
-        return start(s.k + 1, _descend(oracle, s, counter))
-
-    return start(0, res), advance
+    return start(0, res), lambda s: start(s.k + 1, _descend(oracle, s, counter))
 
 
 def _bb(method, oracle, counter, notes, res):

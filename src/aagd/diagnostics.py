@@ -236,11 +236,16 @@ def check_corollary_bound(trace: Trace, x_ref, oracle: Oracle,
                       evaluate(oracle, trace.x[0]).grad_sq, name)
 
 
+def _check_L(L: float | None) -> None:
+    """Raise unless 0 < L < inf; at any other L h_envelope and lambda_floor say nothing."""
+    if L is None or not 0.0 < L < math.inf:
+        raise ValueError("a positive smoothness constant L is required")
+
+
 def check_h_envelope(trace: Trace, params: SolverParams | None, L: float,
                      name: str = "h_envelope") -> CertificateEntry:
     """sqrt of the stepsize sum stays above the linear envelope (c/sqrt(L))(k-m)."""
-    if L is None or not L > 0.0:
-        raise ValueError("a positive smoothness constant L is required")
+    _check_L(L)
     rc = rate_constants(replace(_params(trace, params), eta0=float(trace.eta[0])), L)
     ks = np.arange(trace.n_iters + 1)
     # m as a float: a tiny gamma and eta0 give an m beyond int64 (exact below 2**53)
@@ -275,6 +280,7 @@ def _lemmas(trace: Trace, params: SolverParams, L: float | None,
             H[:-1] - H[1:], H[1:] - (2.0 + ga) * H[:-1] * (1.0 + REL_TOL))),
     ]
     if L is not None:
+        _check_L(L)
         floor = 1.0 / L - 1e-9
         entries.append(_sweep("lambda_floor", ks[1:],
                               np.where(np.isnan(trace.lam[1:]), 0.0, floor - trace.lam[1:]),
@@ -325,6 +331,7 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
     endpoint checks; each enabled check appears exactly once per name.
     All checks share one forward sweep of fresh oracle calls. ``params``
     default to the trace's own; only the ``evals`` check runs without any.
+    Without ``L`` the checks that read it, h_envelope and lambda_floor, are skipped.
     """
     params = _params(trace, params) if set(checks) - {"evals"} else None
     report = CertificateReport()

@@ -66,7 +66,7 @@ class StopRule:
 class IterState:
     """All per-iteration quantities at index k.
 
-    ``lam`` is nan at k=0 (no curvature estimate exists yet).
+    ``lam`` is nan at k=0 (no estimate yet) and +inf where the guard fired.
     """
 
     k: int
@@ -89,9 +89,9 @@ class IterState:
 class Trace:
     """Recorded scalars (always) and iterates (optional) of one run.
 
-    The lam column stores nan both at k=0 (undefined) and where the
-    curvature estimate took its infinite branch; the two serialize
-    identically and no check distinguishes them.
+    The lam column holds each curvature estimate as the estimator
+    returned it: nan at k=0 and in baselines that form none, +inf where
+    its guard fired.
     """
 
     k: np.ndarray
@@ -143,8 +143,10 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
     """One transition k -> k+1, exactly two new oracle evaluations.
 
     With ``growth_cap`` the geometric growth branch (1+gamma) eta_k is
-    replaced by (1+1/k) eta_k for k >= 1; the first step keeps the
-    geometric branch since the cap is undefined at k=0.
+    replaced by (1+1/k) eta_k for k >= 1 (k=0 keeps the geometric branch,
+    where the cap is undefined). Below k = 1/gamma the cap outgrows that
+    branch and beta is clamped: these traces lie outside the certificates'
+    hypotheses, and ``aagd run`` reports eta_coupling and eta_growth FAILs.
     """
     th, ga, nu = params.theta, params.gamma, params.nu
     grow = (1.0 + ga) * state.eta
@@ -168,11 +170,9 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
         grow = (state.k + 1.0) / state.k * state.eta
     eta_next = min(grow, nu * state.H_prev * lam_next / state.eta_prev)
     H_next = state.H + eta_next
-    beta_next = eta_next / (alpha_next * H_next)
-    if beta_next > 1.0:
-        # analytically beta <= 1 always, with equality on the growth
-        # branch; rounding can overshoot by ulps
-        beta_next = 1.0
+    # analytically beta <= 1 always, with equality on the growth branch;
+    # rounding can overshoot by ulps (min keeps a nan)
+    beta_next = min(eta_next / (alpha_next * H_next), 1.0)
 
     return IterState(k=state.k + 1, x=x_next, x_bar=xbar_next, x_tilde=xt_next, x_hat=xhat_next,
                      eta=eta_next, eta_prev=state.eta, H=H_next, H_prev=state.H,
@@ -223,14 +223,15 @@ def _drive(state, advance, row, stop: StopRule, counter: EvalCounter, notes: lis
            store_iterates: bool = False, params: SolverParams | None = None) -> Trace:
     """The run loop of the solver and of every baseline.
 
-    ``state`` is a method's state after its first evaluation; it carries
-    the iteration ``k`` and ``bar_res``, the oracle result at the
-    solution estimate that the stop rule tests. ``advance`` returns the
-    next state, or None when the method cannot move (a zero stepsize).
-    ``row`` gives a state's scalar columns up to ``f_tilde`` and then the
-    oracle result whose gradient norm is recorded; the driver adds that
-    norm and the evaluation count. A non-finite iterate or oracle output
-    ends the run with ``diverged`` set and a note instead of raising.
+    ``state`` is a method's state after its first evaluation, with the
+    iteration ``k``, the stepsize ``eta`` and ``bar_res``, the oracle
+    result at the solution estimate that the stop rules test; after them
+    a zero stepsize ends the run, as no method moves from it. ``advance``
+    returns the next state. ``row`` gives a state's scalar columns up to
+    ``f_tilde`` and then the oracle result whose gradient norm is
+    recorded; the driver adds that norm and the evaluation count. A
+    non-finite iterate or oracle output ends the run with ``diverged``
+    set and a note instead of raising.
     """
     rows, iterates = [], []
     diverged = False
@@ -241,22 +242,18 @@ def _drive(state, advance, row, stop: StopRule, counter: EvalCounter, notes: lis
             iterates.append((state.x, state.x_bar, state.x_tilde))
         res = state.bar_res
         if (state.k >= stop.max_iters or _grad_norm(res) <= stop.grad_tol
-                or (stop.gap_tol is not None and res.value - stop.f_star <= stop.gap_tol)):
+                or (stop.gap_tol is not None and res.value - stop.f_star <= stop.gap_tol)
+                or state.eta == 0.0):
             break
         try:
-            nxt = advance(state)
+            state = advance(state)
         except (DivergenceError, NonFiniteError) as exc:
             diverged = True
             notes.append((state.k + 1, f"divergence: {exc}"))
             break
-        if nxt is None:
-            break
-        state = nxt
 
     cols = {name: np.asarray(vals, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
             for name, vals in zip(_COLUMNS, zip(*rows))}
-    # an infinite curvature estimate is stored as nan, like the undefined one at k=0
-    cols["lam"][np.isinf(cols["lam"])] = math.nan
     if store_iterates:
         cols["x"], cols["x_bar"], cols["x_tilde"] = (np.asarray(v) for v in zip(*iterates))
     return Trace(**cols, params=params, diverged=diverged, notes=notes)

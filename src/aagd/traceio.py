@@ -3,11 +3,11 @@
 Columns, in order: k, eta, H, alpha, beta, lambda, f_bar, f_tilde,
 grad_norm_tilde, evals_cum, then x_0..x_{d-1}, xbar_0.., xtilde_0..
 when the trace stores iterates. Floats are written with 17 significant
-digits so a parse of an emitted file reproduces every finite value
-bit-exactly. Every non-finite value (lambda on the estimator's infinite
-branch or at k=0, the columns a baseline does not use, an overflowed
-iterate) is an empty cell, so nan and +-inf all read back as nan. Lines
-end in \r\n, as csv.writer writes them.
+digits so a parse of an emitted file reproduces every non-nan value
+bit-exactly: a nan (lambda at k=0, the columns a baseline does not use)
+is an empty cell, and +-inf (lambda where the estimator's guard fired,
+an overflowed iterate) is written as inf or -inf. Lines end in \r\n,
+as csv.writer writes them.
 
 The reader streams: it checks the header first, then parses each row as
 csv.reader yields it into one float64 array, and stacks those arrays
@@ -38,8 +38,8 @@ def write_csv(trace: Trace, path) -> None:
     d = trace.x.shape[1] if trace.has_iterates else 0
     header = list(SCALAR_COLUMNS) + [f"{block}_{i}" for block in ("x", "xbar", "xtilde")
                                      for i in range(d)]
-    # one format per row; a finite %.17g never contains "inf" or "nan", so
-    # deleting those tokens empties exactly the non-finite cells
+    # one format per row; only a nan formats as "nan", so deleting that
+    # token empties exactly the nan cells
     line = (",".join("%d" if name in _INT_COLUMNS else "%.17g" for name in _COLUMNS)
             + ",%.17g" * (3 * d) + "\r\n")
     rows = zip(*(getattr(trace, name).tolist() for name in _COLUMNS))
@@ -49,7 +49,7 @@ def write_csv(trace: Trace, path) -> None:
             if d:
                 row += (*trace.x[r].tolist(), *trace.x_bar[r].tolist(),
                         *trace.x_tilde[r].tolist())
-            fh.write((line % row).replace("-inf", "").replace("inf", "").replace("nan", ""))
+            fh.write((line % row).replace("nan", ""))
 
 
 def read_csv(path) -> Trace:

@@ -76,8 +76,7 @@ def bare_aagd(fn, x0, iters, theta, gamma, nu, eta0):
         eta_prev, H_prev = eta, H
         eta, H = eta_next, H + eta_next
         beta = min(1.0, eta / (alpha * H))
-        rows.append((eta, H, alpha, beta, math.nan if math.isinf(lam) else lam,
-                     bar[0], tilde[0]))
+        rows.append((eta, H, alpha, beta, lam, bar[0], tilde[0]))
     return rows
 
 
@@ -86,7 +85,12 @@ ITERS = 300
 
 
 def cases():
-    return [make_quadratic(7, 100, 1e4), logsumexp_problem(8, 40, 100, 0.1)]
+    # the second logsumexp takes the curvature guard (lam = inf) on most rows
+    return [make_quadratic(7, 100, 1e4), logsumexp_problem(8, 40, 100, 0.1),
+            logsumexp_problem(1, 40, 100, 0.1)]
+
+
+GUARD_CASE = "logsumexp_d40_t100_mu0.1_s1"
 
 
 @pytest.mark.parametrize("problem", cases(), ids=lambda p: p.label)
@@ -97,6 +101,8 @@ def test_bare_loop_matches_run_bit_for_bit(problem):
     rows = bare_aagd(problem.oracle.fn, x0, ITERS, params.theta, params.gamma, params.nu,
                      params.eta0)
     assert not tr.diverged and tr.n_iters == ITERS
+    if problem.label == GUARD_CASE:
+        assert np.isinf(tr.lam).sum() > ITERS // 2
     for name, col in zip(COLUMNS, zip(*rows)):
         assert [v.hex() for v in col] == [float(v).hex() for v in getattr(tr, name)], name
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aagd
 import aagd.traceio
 from aagd import config
 from aagd.cli import main
@@ -789,3 +790,71 @@ def test_run_gap_tol_without_known_optimum_is_config_error(tmp_path, capsys, met
     assert captured.err == ("config error: gap_tol requires a problem with a known "
                             "optimal value\n")
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+GUARD_CFG = """
+[experiment]
+seed = 1
+outdir = {out}
+checks = psi, corollary, h_envelope, lemmas, evals
+x_ref = x0
+
+[problem]
+kind = logsumexp
+dim = 40
+terms = 100
+smoothing = 0.1
+x0 = random
+
+[method aagd]
+kind = aagd
+eta0 = 1e-6
+max_iters = 300
+store_iterates = true
+"""
+
+CERT_LINE = re.compile(r"^\s*(\S+\s+(?:pass|FAIL)\s+worst.*)$", re.M)
+
+
+def test_guard_rows_round_trip_as_inf_through_run_and_check(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GUARD_CFG)
+    assert main(["run", str(cfg)]) == 0
+    ran = CERT_LINE.findall(capsys.readouterr().out)
+    path = next((tmp_path / "out").glob("*__aagd.csv"))
+    stored = aagd.traceio.read_csv(path)
+    problem = aagd.logsumexp_problem(1, 40, 100, 0.1)
+    lib = aagd.run(problem.oracle, stored.x[0], aagd.make_params(theta=2.0, eta0=1e-6),
+                   aagd.StopRule(max_iters=300))
+    guard = np.isinf(lib.lam)
+    assert guard.sum() > 100
+    cells = [line.split(",")[5] for line in path.read_text().splitlines()[1:]]
+    assert [c == "inf" for c in cells] == guard.tolist()
+    assert cells[0] == "" and np.isnan(stored.lam[0])
+    assert np.array_equal(stored.lam, lib.lam, equal_nan=True)
+    assert main(["check", str(path), "--config", str(cfg)]) == 0
+    checked = CERT_LINE.findall(capsys.readouterr().out)
+    assert len(ran) == 11 and checked == ran
+
+
+def test_stepsize_underflow_to_zero_ends_the_run(tmp_path, capsys):
+    # nu * H_prev = 4.7e-202 * 1e-200 underflows: eta_1 = beta_1 = 0, from
+    # which the next step would divide by alpha_2 * H_2 = 0
+    problem = aagd.logsumexp_problem(0, 3, 4, 0.1)
+    trace = aagd.run(problem.oracle, np.zeros(3), aagd.make_params(theta=1e200, eta0=1e-200),
+                     aagd.StopRule(max_iters=50))
+    assert trace.n_iters == 1 and trace.eta[-1] == 0.0 and not trace.diverged
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\n"
+                              "checks = psi, corollary, h_envelope, lemmas, evals\n"
+                              "x_ref = x0\n\n"
+                              "[problem]\nkind = logsumexp\ndim = 3\nterms = 4\n"
+                              "smoothing = 0.1\nx0 = zeros\n\n"
+                              "[method a]\nkind = aagd\ntheta = 1e200\neta0 = 1e-200\n"
+                              "max_iters = 50\nstore_iterates = true\n")
+    # beta_1 = 0 lies outside the certificates' hypotheses: a reported FAIL
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert re.search(r"^a\s+iters=1\s", captured.out, re.M)
+    assert re.search(r"^\s*alpha_beta_range\s+FAIL\s+worst \S+ at k=1$", captured.out, re.M)
+    stored = aagd.traceio.read_csv(next((tmp_path / "out").glob("*__a.csv")))
+    assert np.array_equal(stored.eta, trace.eta)

@@ -150,6 +150,33 @@ def test_h_envelope_vacuous_below_m():
     assert entry.worst_violation == 0.0
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+def test_checks_that_read_L_reject_it_outside_zero_to_inf(identity_run, L):
+    # a vacuous floor or envelope would pass, and L = 0 divided by zero
+    p, params, tr = identity_run
+    need = pytest.raises(ValueError, match="a positive smoothness constant L is required")
+    for checks in (("h_envelope",), ("lemmas",)):
+        with need:
+            run_certificates(tr, p.oracle, params, L=L, checks=checks)
+    with need:
+        lemma_suite(tr, params, L=L)
+    with need:
+        lemma_suite(tr, params, L=L, oracle=p.oracle)
+    with need:
+        check_h_envelope(tr, params, L)
+    # the evaluation count reads no L, so any L leaves it running
+    assert run_certificates(tr, p.oracle, params, L=L, checks=("evals",)).entries == [
+        check_eval_schedule(tr)]
+
+
+def test_checks_that_read_L_are_skipped_without_it(identity_run):
+    p, params, tr = identity_run
+    names = {e.name for e in run_certificates(tr, p.oracle, params, L=None).entries}
+    assert "h_envelope" not in names and "lambda_floor" not in names
+    assert "lambda_floor" not in {e.name for e in lemma_suite(tr, params)}
+    assert "lambda_floor" in {e.name for e in lemma_suite(tr, params, L=p.L)}
+
+
 def _synthetic_trace(gaps, f_star=0.0):
     n = len(gaps)
     z = np.zeros(n)

@@ -339,7 +339,8 @@ def test_constant_gradient_takes_infinite_guard_every_step():
     params = default_params(eta0=1e-3)
     tr = run_quietly(LINEAR, np.zeros(3), 1e-3, 200)
     assert not tr.diverged and tr.n_iters == 200
-    assert np.all(np.isnan(tr.lam))  # the infinite branch is stored as nan
+    # no estimate at k=0, then the guard's +inf as the estimator returned it
+    assert np.isnan(tr.lam[0]) and np.all(tr.lam[1:] == math.inf)
     assert np.array_equal(tr.eta[1:], (1.0 + params.gamma) * tr.eta[:-1])
     # from a huge stepsize the iterates overflow the objective: a recorded divergence
     tr = run_quietly(LINEAR, np.zeros(3), 1e300, 1000)

@@ -106,8 +106,9 @@ def test_schema_rejects_bad_iterate_block(tmp_path):
 
 
 # sha256 of the bytes write_csv emits, recorded with the csv.writer-based
-# writer; like the trace pins in test_driver.py they assume numpy 2.4 with
-# its bundled OpenBLAS on x86-64
+# writer ("special" since +-inf cells are written as inf and -inf); like
+# the trace pins in test_driver.py they assume numpy 2.4 with its bundled
+# OpenBLAS on x86-64
 PINNED_BYTES = {
     "aagd":
         "3f3a026fd88182f7c1f57fd1afb8245683002a621d41521ca9cb497baa822a41",
@@ -122,7 +123,7 @@ PINNED_BYTES = {
     "bb":
         "76f79066579d5507ea4a4e77baea767b33acd0070355cd6605aaed9d98c8a5a5",
     "special":
-        "6c54f37d71e81ac1642d09004ed67ffb61371696e1cf6d561eccdb93eb1b223b",
+        "a8fea3a4c6a2f56e14046a5a92b2243e30e4c9683c6b2b92ee7401f74b4965e4",
 }
 
 SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1 + 1e-17]
@@ -167,21 +168,20 @@ def test_written_bytes_pinned(tmp_path, name):
     assert hashlib.sha256(data).hexdigest() == PINNED_BYTES[name]
 
 
-def test_non_finite_cells_are_empty_and_read_back_as_nan(tmp_path):
+def test_nan_cells_are_empty_and_inf_cells_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     tr = special_trace()
     write_csv(tr, path)
     text = path.read_text()
-    assert "inf" not in text and "nan" not in text
+    assert "nan" not in text and ",inf," in text and ",-inf," in text
     back = read_csv(path)
     for name in ("eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
                  "grad_norm_tilde", "x", "x_bar", "x_tilde"):
-        want = getattr(tr, name).copy()
-        want[~np.isfinite(want)] = np.nan
+        want = getattr(tr, name)
         got = getattr(back, name)
         assert np.array_equal(got, want, equal_nan=True)
-        # -0.0 and the subnormal keep their bits
-        assert np.array_equal(np.signbit(got), np.signbit(want) & np.isfinite(want))
+        # -0.0, the subnormal and +-inf keep their bits
+        assert np.array_equal(np.signbit(got), np.signbit(want) & ~np.isnan(want))
 
 
 def test_write_csv_streams_rows(tmp_path):
