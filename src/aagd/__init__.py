@@ -15,8 +15,8 @@ from .diagnostics import (CertificateEntry, CertificateReport, ConvergedWindowEr
                           check_eval_schedule, check_h_envelope, check_monotone_psi,
                           fit_rate, lemma_suite, lyapunov_series, run_certificates)
 from .kernels import BACKEND
-from .oracle import (DimensionMismatchError, EvalCounter, NonFiniteError, Oracle,
-                     OracleError, OracleResult, evaluate, finite_diff_check)
+from .oracle import (DimensionMismatchError, NonFiniteError, Oracle, OracleError, OracleResult,
+                     evaluate, finite_diff_check)
 from .params import (GOLDEN_RATIO, InfeasibleThetaError, InvalidParamsError, ParamReport,
                      RateConstants, SolverParams, default_params, make_params, max_gamma,
                      nu_from, rate_constants, validate)
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND", "GOLDEN_RATIO", "GRAD_GUARD",
     "BaselineMethod", "CertificateEntry", "CertificateReport", "ConvergedWindowError",
-    "DatasetFormatError", "DimensionMismatchError", "DivergenceError", "EvalCounter",
-    "InfeasibleThetaError", "InvalidParamsError", "IterState", "LyapunovSeries",
+    "DatasetFormatError", "DimensionMismatchError", "DivergenceError", "InfeasibleThetaError",
+    "InvalidParamsError", "IterState", "LyapunovSeries",
     "MissingIteratesError", "NonFiniteError", "Oracle",
     "OracleError", "OracleResult", "ParamReport", "Problem", "RateConstants",
     "SolverParams", "SparseDataset", "StopRule", "Trace", "TraceSchemaError",

@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .curvature import lambda_option1, lambda_option2
-from .oracle import EvalCounter, Oracle, OracleResult, evaluate
+from .oracle import Oracle, OracleResult, evaluate
 from .solver import StopRule, Trace, _drive
 
 
@@ -59,11 +57,12 @@ def run_baseline(method: BaselineMethod, oracle: Oracle, x0, stop: StopRule) -> 
     grad_norm_tilde the gradient norm at that estimate. The stepsize
     column holds the stepsize applied at that iteration.
     """
-    counter = EvalCounter()
     notes: list = []
-    res = evaluate(oracle, np.asarray(x0, dtype=np.float64), counter)
-    state, advance = _METHODS[method.kind](method, oracle, counter, notes, res)
-    return _drive(state, advance, _row, stop, counter, notes=notes)
+
+    def start(oracle):
+        return _METHODS[method.kind](method, oracle, notes, evaluate(oracle, x0))
+
+    return _drive(oracle, start, _row, stop, notes=notes)
 
 
 class _State(NamedTuple):
@@ -85,46 +84,46 @@ def _row(s: _State) -> tuple:
             s.bar_res.value, math.nan, s.bar_res)
 
 
-def _descend(oracle, s: _State, counter):
+def _descend(oracle, s: _State):
     """Evaluate at the gradient step from the state's estimate."""
-    return evaluate(oracle, s.bar_res.x - s.eta * s.bar_res.grad, counter)
+    return evaluate(oracle, s.bar_res.x - s.eta * s.bar_res.grad)
 
 
-# Each method below maps (method, oracle, counter, notes, result at x0) to
+# Each method below maps (method, oracle, notes, result at x0) to
 # its state at k=0 and the function that advances that state by one step;
 # the run loop ends at a zero stepsize (adagrad's and polyak's at an optimum).
 
-def _gd(method, oracle, counter, notes, res):
+def _gd(method, oracle, notes, res):
     def advance(s):
-        return _State(s.k + 1, _descend(oracle, s, counter), method.eta)
+        return _State(s.k + 1, _descend(oracle, s), method.eta)
 
     return _State(0, res, method.eta), advance
 
 
-def _adagrad(method, oracle, counter, notes, res):
+def _adagrad(method, oracle, notes, res):
     def start(k, res, sq_sum):
         # eta / sqrt(sum of squared gradient norms); a zero sum means converged
         eta = 0.0 if sq_sum == 0.0 else method.eta / math.sqrt(sq_sum)
         return _State(k, res, eta, carry=sq_sum)
 
     def advance(s):
-        nxt = _descend(oracle, s, counter)
+        nxt = _descend(oracle, s)
         return start(s.k + 1, nxt, s.carry + nxt.grad_sq)
 
     return start(0, res, res.grad_sq), advance
 
 
-def _polyak(method, oracle, counter, notes, res):
+def _polyak(method, oracle, notes, res):
     def start(k, res):
         gap = res.value - method.f_star
         return _State(k, res, 0.0 if res.grad_sq == 0.0 or gap <= 0.0 else gap / res.grad_sq)
 
-    return start(0, res), lambda s: start(s.k + 1, _descend(oracle, s, counter))
+    return start(0, res), lambda s: start(s.k + 1, _descend(oracle, s))
 
 
-def _bb(method, oracle, counter, notes, res):
+def _bb(method, oracle, notes, res):
     def advance(s):
-        nxt = _descend(oracle, s, counter)
+        nxt = _descend(oracle, s)
         # secant ratio <dx, dg> / ||dg||^2, undefined for a vanishing dg
         dg = nxt.grad - s.bar_res.grad
         dg2 = float(dg @ dg)
@@ -137,11 +136,11 @@ def _bb(method, oracle, counter, notes, res):
     return _State(0, res, method.eta0), advance
 
 
-def _adgd(method, oracle, counter, notes, res):
+def _adgd(method, oracle, notes, res):
     estimator = lambda_option2 if method.option2 else lambda_option1
 
     def advance(s):
-        nxt = _descend(oracle, s, counter)
+        nxt = _descend(oracle, s)
         lam = estimator(nxt, s.bar_res)
         # the gated growth branch, capped by the curvature branch (which an
         # infinite estimate leaves inactive)
@@ -151,7 +150,7 @@ def _adgd(method, oracle, counter, notes, res):
     return _State(0, res, method.eta0, carry=method.eta0), advance
 
 
-def _agd(method, oracle, counter, notes, res):
+def _agd(method, oracle, notes, res):
     """Nesterov acceleration in the three-sequence form with weights 2/(k+2).
 
     Imported external scheme; per iteration it spends one evaluation at
@@ -162,10 +161,10 @@ def _agd(method, oracle, counter, notes, res):
     def advance(s):
         tau = 2.0 / (s.k + 2.0)
         y = (1.0 - tau) * s.bar_res.x + tau * s.carry
-        gy = evaluate(oracle, y, counter)
+        gy = evaluate(oracle, y)
         x = y - eta * gy.grad
         z = s.carry - (eta / tau) * gy.grad
-        return _State(s.k + 1, evaluate(oracle, x, counter), eta, carry=z)
+        return _State(s.k + 1, evaluate(oracle, x), eta, carry=z)
 
     return _State(0, res, eta, carry=res.x), advance
 

@@ -14,7 +14,7 @@ first one runs, so a config error leaves no trace CSV behind. A psi or
 corollary check with a reference point on an aagd method without
 ``store_iterates`` is one of them, and so is an oracle failure: at the
 start point, which ``run`` evaluates before any method, or at a stored
-iterate that ``check`` replays.
+iterate that ``check`` replays. So is an outdir ``run`` cannot create.
 """
 from __future__ import annotations
 
@@ -159,12 +159,12 @@ def cmd_run(config_path: str) -> int:
                 m.kind == "aagd" and not m.options.get("store_iterates", False)
                 for m in cfg.methods):
             raise diagnostics.MissingIteratesError()
+        outdir = Path(cfg.outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError, OracleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     summary: list[str] = [f"problem: {problem.label} (dim={problem.dim}, L={problem.L})"]
     any_diverged = False
     certs_passed = True

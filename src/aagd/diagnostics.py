@@ -207,7 +207,7 @@ def lyapunov_series(trace: Trace, x_ref, oracle: Oracle,
     """Evaluate the decay certificate along a trace at a reference point.
 
     Bregman values and curvature estimates are recomputed from the
-    stored iterates with fresh oracle calls, outside any solver counter.
+    stored iterates with fresh calls of ``oracle``, which no trace counts.
     Where the curvature estimate is infinite its term is zero by
     convention; if the Bregman carry-over does not vanish there, the
     term is NaN and the decay check fails at that k.

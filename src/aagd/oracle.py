@@ -1,4 +1,4 @@
-"""First-order oracle: objective value and gradient in one counted call.
+"""First-order oracle: objective value and gradient in one call.
 
 Each result carries the squared norms of its gradient and of its query
 point, computed once when the result is made. The curvature estimates,
@@ -65,27 +65,12 @@ class OracleResult(namedtuple("OracleResult", "value grad x grad_sq x_sq")):
         return super().__new__(cls, value, grad, x, grad_sq, x_sq)
 
 
-class EvalCounter:
-    """Counts combined value+gradient evaluations. One unit per call."""
-
-    __slots__ = ("n_value_grad",)
-
-    def __init__(self) -> None:
-        self.n_value_grad = 0
-
-    def add(self) -> None:
-        self.n_value_grad += 1
-
-    def __repr__(self) -> str:
-        return f"EvalCounter(n_value_grad={self.n_value_grad})"
-
-
 class Oracle:
     """Wraps a function ``fn(x) -> (value, grad)`` with a fixed dimension.
 
     Oracles are immutable after construction and safe to share across
-    runs; counting is carried by the per-run :class:`EvalCounter` passed
-    to :func:`evaluate`.
+    runs; a run counts its calls of ``fn`` through a copy of the oracle
+    that the run loop makes.
     """
 
     __slots__ = ("fn", "dim", "label")
@@ -101,11 +86,10 @@ class Oracle:
         return f"Oracle({self.label!r}, dim={self.dim})"
 
 
-def evaluate(oracle: Oracle, x, counter: EvalCounter | None = None) -> OracleResult:
-    """Evaluate f and grad f at ``x`` in a single call.
+def evaluate(oracle: Oracle, x) -> OracleResult:
+    """Evaluate f and grad f at ``x`` in a single call of ``oracle.fn``.
 
-    Increments ``counter`` by one when given. Raises
-    :class:`DimensionMismatchError` on shape mismatch and
+    Raises :class:`DimensionMismatchError` on shape mismatch and
     :class:`NonFiniteError` if the query point or the oracle output is
     not finite (the latter signals a defective or overflowing problem
     instance). Both finiteness checks come from the squared norms that
@@ -120,11 +104,10 @@ def evaluate(oracle: Oracle, x, counter: EvalCounter | None = None) -> OracleRes
     if not all_finite(x, x_sq):
         raise NonFiniteError("query point contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _evaluate(oracle, x, x_sq, counter)
+        return _evaluate(oracle, x, x_sq)
 
 
-def _evaluate(oracle: Oracle, x: np.ndarray, x_sq: float,
-              counter: EvalCounter | None) -> OracleResult:
+def _evaluate(oracle: Oracle, x: np.ndarray, x_sq: float) -> OracleResult:
     """:func:`evaluate` at a finite float64 point of the oracle's shape
     with squared norm ``x_sq``, inside the caller's ``np.errstate``."""
     value, grad = oracle.fn(x)
@@ -137,16 +120,14 @@ def _evaluate(oracle: Oracle, x: np.ndarray, x_sq: float,
     grad_sq = sq_norm(grad)
     if not (math.isfinite(value) and all_finite(grad, grad_sq)):
         raise NonFiniteError(f"oracle {oracle.label!r} returned non-finite output")
-    if counter is not None:
-        counter.add()
     return OracleResult(value, grad, x, grad_sq, x_sq)
 
 
 def finite_diff_check(oracle: Oracle, x, h: float | None = None) -> float:
     """Max relative error of the gradient against central differences.
 
-    ``h`` defaults to ``1e-5 * max(1, ||x||_inf)``. Evaluations made here
-    are never counted against a solver's :class:`EvalCounter`.
+    ``h`` defaults to ``1e-5 * max(1, ||x||_inf)``. Its calls are made
+    outside any solver run, so no trace counts them.
     """
     x = np.asarray(x, dtype=np.float64)
     if h is None:

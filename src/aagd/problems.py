@@ -202,6 +202,8 @@ def load_libsvm(path, n_features: int | None = None) -> SparseDataset:
                     val = float(val_s)
                 except ValueError:
                     raise DatasetFormatError(f"line {lineno}: non-numeric token {tok!r}")
+                if not math.isfinite(val):
+                    raise DatasetFormatError(f"line {lineno}: non-finite value {tok!r}")
                 if idx < 1:
                     raise DatasetFormatError(f"line {lineno}: feature index {idx} below 1")
                 if idx <= prev:

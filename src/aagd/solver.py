@@ -1,6 +1,6 @@
 """Adaptive accelerated gradient solver: state machine and run loop.
 
-The run loop (stop rule, divergence capture, evaluation counting and
+The run loop (stop rule, divergence capture, oracle call counting and
 trace recording) is shared with the baselines, which supply their own
 state and step function.
 
@@ -21,8 +21,7 @@ import numpy as np
 
 from . import kernels
 from .curvature import local_curvature
-from .oracle import (EvalCounter, NonFiniteError, Oracle, OracleResult, _evaluate, all_finite,
-                     evaluate, sq_norm)
+from .oracle import NonFiniteError, Oracle, OracleResult, _evaluate, all_finite, evaluate, sq_norm
 from .params import InvalidParamsError, SolverParams, check_valid
 
 
@@ -120,8 +119,7 @@ class Trace:
         return self.x is not None
 
 
-def init(x0, params: SolverParams, oracle: Oracle,
-         counter: EvalCounter | None = None) -> IterState:
+def init(x0, params: SolverParams, oracle: Oracle) -> IterState:
     """State at k=0: unit weights, sums seeded with eta0, all points at x0.
 
     Performs one oracle evaluation at x0, cached as both the lookahead
@@ -130,7 +128,7 @@ def init(x0, params: SolverParams, oracle: Oracle,
     """
     check_valid(params)
     x0 = np.asarray(x0, dtype=np.float64)
-    res = evaluate(oracle, x0, counter)
+    res = evaluate(oracle, x0)
     eta0 = params.eta0
     # the extrapolated point x_hat is first formed at k=1
     return IterState(k=0, x=x0, x_bar=x0, x_tilde=x0, x_hat=x0,
@@ -139,7 +137,7 @@ def init(x0, params: SolverParams, oracle: Oracle,
 
 
 def step(state: IterState, oracle: Oracle, params: SolverParams,
-         counter: EvalCounter | None = None, growth_cap: bool = False) -> IterState:
+         growth_cap: bool = False) -> IterState:
     """One transition k -> k+1, exactly two new oracle evaluations.
 
     With ``growth_cap`` the geometric growth branch (1+gamma) eta_k is
@@ -162,8 +160,8 @@ def step(state: IterState, oracle: Oracle, params: SolverParams,
         if not (all_finite(x_next, sq_norm(x_next)) and all_finite(xbar_next, bar_sq)
                 and all_finite(xt_next, tilde_sq)):
             raise DivergenceError(state.k + 1)
-        bar_res = _evaluate(oracle, xbar_next, bar_sq, counter)
-        tilde_res = _evaluate(oracle, xt_next, tilde_sq, counter)
+        bar_res = _evaluate(oracle, xbar_next, bar_sq)
+        tilde_res = _evaluate(oracle, xt_next, tilde_sq)
     lam_next = local_curvature(bar_res, state.tilde_res, tilde_res)
 
     if growth_cap and state.k >= 1:
@@ -189,10 +187,11 @@ def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule, growth_cap: bo
     run with ``trace.diverged`` set instead of raising, so parameter
     sweeps survive bad configurations.
     """
-    counter = EvalCounter()
-    state = init(x0, params, oracle, counter)
-    return _drive(state, lambda st: step(st, oracle, params, counter, growth_cap=growth_cap),
-                  _row, stop, counter, notes=[], store_iterates=store_iterates, params=params)
+    def start(oracle):
+        return init(x0, params, oracle), lambda st: step(st, oracle, params, growth_cap)
+
+    return _drive(oracle, start, _row, stop, notes=[], store_iterates=store_iterates,
+                  params=params)
 
 
 def _row(st: IterState) -> tuple:
@@ -219,25 +218,36 @@ def _grad_norm(res: OracleResult) -> float:
     return top * math.sqrt(sq_norm(res.grad / top))
 
 
-def _drive(state, advance, row, stop: StopRule, counter: EvalCounter, notes: list,
+def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
            store_iterates: bool = False, params: SolverParams | None = None) -> Trace:
-    """The run loop of the solver and of every baseline.
+    """The run loop of the solver and of every baseline; the one place
+    that counts oracle calls.
 
-    ``state`` is a method's state after its first evaluation, with the
-    iteration ``k``, the stepsize ``eta`` and ``bar_res``, the oracle
-    result at the solution estimate that the stop rules test; after them
-    a zero stepsize ends the run, as no method moves from it. ``advance``
-    returns the next state. ``row`` gives a state's scalar columns up to
-    ``f_tilde`` and then the oracle result whose gradient norm is
-    recorded; the driver adds that norm and the evaluation count. A
-    non-finite iterate or oracle output ends the run with ``diverged``
-    set and a note instead of raising.
+    ``start`` takes a copy of ``oracle`` whose ``fn`` counts its calls
+    and returns a method's state after its first evaluation and
+    ``advance``, which returns the next state. A state has the iteration
+    ``k``, the stepsize ``eta`` and ``bar_res``, the oracle result at the
+    solution estimate that the stop rules test; after them a zero
+    stepsize ends the run, as no method moves from it. ``row`` gives a
+    state's scalar columns up to ``f_tilde`` and then the oracle result
+    whose gradient norm is recorded; the driver adds that norm and the
+    calls made so far. A non-finite iterate or oracle output ends the
+    run with ``diverged`` set and a note instead of raising, before a
+    row could count the rejected call.
     """
+    fn, calls = oracle.fn, 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return fn(x)
+
+    state, advance = start(Oracle(counted, oracle.dim, oracle.label))
     rows, iterates = [], []
     diverged = False
     while True:
         *scalars, recorded = row(state)
-        rows.append((*scalars, _grad_norm(recorded), counter.n_value_grad))
+        rows.append((*scalars, _grad_norm(recorded), calls))
         if store_iterates:
             iterates.append((state.x, state.x_bar, state.x_tilde))
         res = state.bar_res

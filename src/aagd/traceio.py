@@ -13,6 +13,7 @@ The reader streams: it checks the header first, then parses each row as
 csv.reader yields it into one float64 array, and stacks those arrays
 into the columns at the end. It never holds the file's cells as text,
 except the k and evals_cum cells that its integer-column error quotes.
+The k column must read 0, 1, ..., K, one row per iteration.
 """
 from __future__ import annotations
 
@@ -100,6 +101,10 @@ def read_csv(path) -> Trace:
             raise TraceSchemaError(f"row {r + 2}: {name} must be an integer below 2**53 in "
                                    f"magnitude, got {int_cells[r][j]!r}")
         cols[name] = v.astype(np.int64)
+    off = cols["k"] != np.arange(len(table))
+    if off.any():
+        r = int(off.argmax())
+        raise TraceSchemaError(f"row {r + 2}: k must be {r}, got {cols['k'][r]}")
     base = len(SCALAR_COLUMNS)
     x, x_bar, x_tilde = ((table[:, base + i * d:base + (i + 1) * d].copy() for i in range(3))
                          if extra else (None, None, None))

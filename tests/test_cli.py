@@ -194,6 +194,30 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
 
 
+def test_run_outdir_naming_a_file_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    (tmp_path / "out").write_text("not a directory")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert (tmp_path / "out").read_text() == "not a directory"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_check_trace_with_rows_deleted_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\n\n"
+                              "[problem]\nkind = quadratic\nseed = 1\ndim = 5\ncond = 10\n\n"
+                              "[method a]\nkind = aagd\neta0 = 1e-3\nmax_iters = 40\n"
+                              "store_iterates = true\n")
+    assert main(["run", str(cfg)]) == 0
+    path = next((tmp_path / "out").glob("*__a.csv"))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:11] + lines[21:]) + "\n")  # rows k = 10..19
+    capsys.readouterr()
+    assert main(["check", str(path), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: row 12: k must be 10, got 20\n"
+
+
 def test_run_divergence_exit_code(tmp_path):
     cfg_text = """
 [experiment]
@@ -448,7 +472,8 @@ def zero_logistic_trace(tmp_path):
 @pytest.mark.parametrize("command", ["run", "check"])
 @pytest.mark.parametrize("data_text,method,eta,message", [
     pytest.param("", "aagd", "1e-3", "empty dataset", id="empty_file"),
-    pytest.param("1 1:nan\n", "aagd", "1e-3", "data values must be finite", id="nan_value"),
+    pytest.param("1 1:nan\n", "aagd", "1e-3", "line 1: non-finite value '1:nan'",
+                 id="nan_value"),
     pytest.param("1 1:0 2:0\n-1 2:0\n", "gd", "auto",
                  "L = 0 for this problem, but method gd (eta = auto) need L > 0",
                  id="zero_data_eta_auto"),

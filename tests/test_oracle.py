@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aagd import (DimensionMismatchError, EvalCounter, NonFiniteError, Oracle,
+from aagd import (DimensionMismatchError, NonFiniteError, Oracle,
                   evaluate, finite_diff_check, identity_quadratic,
                   logistic_problem, logsumexp_problem, make_classification_dataset,
                   make_quadratic)
@@ -45,16 +45,6 @@ def test_logistic_oracle_at_zero():
     a1, a2 = np.array([1.0, 0.0]), np.array([0.5, -2.0])
     expected = -0.5 * 0.5 * (1.0 * a1 + (-1.0) * a2)
     assert np.allclose(res.grad, expected, atol=1e-15)
-
-
-def test_counter_increments_only_when_given():
-    p = identity_quadratic(3)
-    c = EvalCounter()
-    evaluate(p.oracle, np.ones(3), c)
-    evaluate(p.oracle, np.ones(3), c)
-    assert c.n_value_grad == 2
-    evaluate(p.oracle, np.ones(3))
-    assert c.n_value_grad == 2
 
 
 def test_evaluate_deterministic():

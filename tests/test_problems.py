@@ -133,6 +133,14 @@ def test_load_libsvm_bad_token(tmp_path):
         load_libsvm(f)
 
 
+@pytest.mark.parametrize("token", ["1:nan", "1:inf", "1:1e999"])
+def test_load_libsvm_non_finite_value_names_its_line(tmp_path, token):
+    f = tmp_path / "d.txt"
+    f.write_text(f"1 1:1.0\n-1 {token}\n")
+    with pytest.raises(DatasetFormatError, match=f"^line 2: non-finite value '{token}'$"):
+        load_libsvm(f)
+
+
 def test_libsvm_round_trip(tmp_path):
     data = make_classification_dataset(13, 80, 12, density=0.4)
     path = tmp_path / "rt.txt"

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from aagd import (DivergenceError, EvalCounter, InvalidParamsError, Oracle, StopRule,
+from aagd import (BaselineMethod, DivergenceError, InvalidParamsError, Oracle, StopRule,
                   default_params, evaluate, identity_quadratic, init, lemma_suite,
-                  logsumexp_problem, make_quadratic, run, step)
+                  logsumexp_problem, make_quadratic, run, run_baseline, step)
 from aagd.params import SolverParams
 
 
@@ -32,17 +32,27 @@ def golden_expected():
                 lam1=lam1, eta1=eta1, h1=h1, beta1=beta1)
 
 
+def counting(oracle):
+    """A copy of ``oracle`` and the list of the points its ``fn`` is called at."""
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return oracle.fn(x)
+
+    return Oracle(fn, oracle.dim), calls
+
+
 def test_init_assignments():
-    p = identity_quadratic(3)
+    oracle, calls = counting(identity_quadratic(3).oracle)
     params = default_params(eta0=0.1)
-    c = EvalCounter()
-    st = init(np.ones(3), params, p.oracle, c)
+    st = init(np.ones(3), params, oracle)
     assert st.alpha == 1.0 and st.beta == 1.0
     assert st.eta == st.eta_prev == st.H == st.H_prev == 0.1
     assert np.array_equal(st.x_tilde, st.x)
     assert np.array_equal(st.x_bar, st.x)
     assert math.isnan(st.lam)
-    assert c.n_value_grad == 1
+    assert len(calls) == 1
 
 
 def test_init_rejects_invalid_params():
@@ -70,13 +80,58 @@ def test_golden_first_step():
 
 
 def test_two_evaluations_per_step():
-    p = identity_quadratic(4)
+    oracle, calls = counting(identity_quadratic(4).oracle)
     params = default_params(eta0=0.05)
-    c = EvalCounter()
-    st = init(np.ones(4), params, p.oracle, c)
+    st = init(np.ones(4), params, oracle)
     for k in range(5):
-        st = step(st, p.oracle, params, c)
-        assert c.n_value_grad == 1 + 2 * (k + 1)
+        st = step(st, oracle, params)
+        assert len(calls) == 1 + 2 * (k + 1)
+
+
+COUNTED = make_quadratic(1, 5, 10.0)
+# aagd, aagd with growth_cap and each baseline, with its oracle calls per iteration
+COUNTED_METHODS = [pytest.param("aagd", 2, id="aagd"),
+                   pytest.param("growth_cap", 2, id="aagd_growth_cap")] + [
+    pytest.param(m, per, id=m.kind) for m, per in [
+        (BaselineMethod("gd", eta=1.0 / COUNTED.L), 1),
+        (BaselineMethod("agd", eta=1.0 / COUNTED.L), 2),
+        (BaselineMethod("adgd", eta0=1e-3), 1),
+        (BaselineMethod("adagrad", eta=1.0), 1),
+        (BaselineMethod("bb", eta0=1e-3), 1),
+        (BaselineMethod("polyak", f_star=COUNTED.f_star), 1)]]
+
+
+def solve_counted(method, oracle):
+    """Ten iterations of ``method`` from x0 = ones through ``oracle``."""
+    x0, stop = np.ones(COUNTED.dim), StopRule(max_iters=10)
+    if isinstance(method, BaselineMethod):
+        return run_baseline(method, oracle, x0, stop)
+    return run(oracle, x0, default_params(eta0=1e-3), stop, growth_cap=method == "growth_cap")
+
+
+@pytest.mark.parametrize("method,per_iter", COUNTED_METHODS)
+def test_evals_cum_counts_the_oracle_calls(method, per_iter):
+    oracle, calls = counting(COUNTED.oracle)
+    tr = solve_counted(method, oracle)
+    assert tr.n_iters == 10 and not tr.diverged
+    assert tr.evals_cum[-1] == len(calls)
+    assert np.array_equal(tr.evals_cum, 1 + per_iter * tr.k)
+
+
+@pytest.mark.parametrize("method,per_iter", COUNTED_METHODS)
+def test_evals_cum_stops_at_the_last_recorded_row(method, per_iter):
+    # from its 7th call on the oracle's value is nan: the iteration that
+    # makes that call records no row
+    oracle, calls = counting(COUNTED.oracle)
+
+    def fn(x):
+        value, grad = oracle.fn(x)
+        return (math.nan if len(calls) >= 7 else value), grad
+
+    tr = solve_counted(method, Oracle(fn, COUNTED.dim))
+    assert tr.diverged and len(calls) == 7
+    assert tr.evals_cum[-1] == len(calls) - per_iter
+    assert np.array_equal(tr.evals_cum, 1 + per_iter * tr.k)
 
 
 def test_constant_gradient_triggers_geometric_growth():

@@ -308,6 +308,18 @@ def test_schema_error_messages_pinned(tmp_path, case):
         read_csv(path)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:3] + lines[4:], "row 4: k must be 2, got 3"),
+    (lambda lines: lines[:4] + lines[3:], "row 5: k must be 3, got 2"),
+    (lambda lines: lines[:1] + lines[2:], "row 2: k must be 0, got 1"),
+], ids=["gap", "repeat", "first_k_1"])
+def test_k_column_must_count_the_rows(tmp_path, edit, message):
+    path, lines = _small_csv(tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(TraceSchemaError, match=f"^{message}$"):
+        read_csv(path)
+
+
 def test_rows_are_checked_in_file_order(tmp_path):
     # a ragged row before a non-numeric one is reported, and a bad integer
     # column is reported only after every row has parsed
