@@ -12,9 +12,11 @@ independently.
 
 The fresh calls of one trace form one forward sweep over k: x_bar[k] and
 x_tilde[k] are evaluated once each, in order, in blocks of B = max(1,
-ROW_BLOCK // d) rows. Each block's results are stacked into one result
-per point family, and its Bregman values, curvature estimates, momentum
-terms and distances are formed row-wise, with the bits of the per-k
+ROW_BLOCK // d) rows. One call of :func:`~aagd.oracle.evaluate_rows` per
+block checks and squares the block's points and outputs row-wise, under
+one ``np.errstate``, and stacks its results into one result per point
+family; its Bregman values, curvature estimates, momentum terms and
+distances are then formed row-wise, with the bits of the per-k
 formulas. So the sweep holds O(B d) floats per temporary plus O(K)
 scalars, never the trace's fresh gradients. It builds the per-k arrays
 that the decay series at every reference point, the endpoint bound and
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import lambda_option2_rows
-from .oracle import Oracle, OracleResult, evaluate
+from .oracle import Oracle, OracleResult, evaluate, evaluate_rows
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
@@ -132,10 +134,9 @@ class _Pass(NamedTuple):  # the per-k arrays of one forward sweep over a trace
     series: list       # one LyapunovSeries per reference point
 
 
-def _stack(results, points) -> OracleResult:
-    """Fresh results at the trace rows ``points``, stacked along axis 0."""
-    value, grad, _, grad_sq, x_sq = zip(*results)
-    return OracleResult(np.array(value), np.array(grad), points, np.array(grad_sq), np.array(x_sq))
+def _rows(res: OracleResult, rows: slice) -> OracleResult:
+    """The ``rows`` of a stacked result."""
+    return OracleResult(*(f[rows] for f in res))
 
 
 def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pass:
@@ -155,27 +156,26 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pas
     f_bar, f_til, lam_same = np.empty((3, K + 1))  # at k = 0..K, the rest at k = 1..K
     carry, ahead, lam_ahead, mom = np.empty((4, K))
     dist = np.empty((len(refs), K))
-    behind = ()  # the result at x_tilde[k0-1]; the first block has none
+    behind = None  # the result at x_tilde[k0-1]; the first block has none
     for k0 in range(0, K + 1, B):
         k1 = min(k0 + B, K + 1)
-        bars, tils = zip(*[(evaluate(oracle, x_bar[k]), evaluate(oracle, x_til[k]))
-                           for k in range(k0, k1)])
-        bar, til = _stack(bars, x_bar[k0:k1]), _stack(tils, x_til[k0:k1])
+        bar, til = evaluate_rows(oracle, x_bar[k0:k1], x_til[k0:k1])
         f_bar[k0:k1], f_til[k0:k1] = bar.value, til.value
         lam_same[k0:k1], breg = lambda_option2_rows(bar, til)
         carry[k0:k1] = breg[:K - k0]
         a = max(k0, 1)  # the block's first k that pairs with x_tilde[k-1]
         if a < k1:  # a one-row first block (K = 0 or B = 1) has no such pair
+            if behind is not None:  # x_tilde[a-1..k1-1]
+                til = OracleResult(*map(np.concatenate, zip(behind, til)))
             lam_ahead[a - 1:k1 - 1], ahead[a - 1:k1 - 1] = lambda_option2_rows(
-                OracleResult(*(f[a - k0:] for f in bar)),
-                _stack(behind + tils[:-1], x_til[a - 1:k1 - 1]))
+                _rows(bar, slice(a - k0, None)), _rows(til, slice(None, -1)))
         if refs:  # the decay terms serve only the series
             dk = tr.x[a:k1] - tr.x[a - 1:k1 - 1]
             mom[a - 1:k1 - 1] = 0.5 * ga * th * np.vecdot(dk, dk)
             for j, (x_ref, _) in enumerate(refs):
                 dx = tr.x[a:k1] - x_ref
                 dist[j, a - 1:k1 - 1] = 0.5 * np.vecdot(dx, dx)
-        behind = tils[-1:]
+        behind = _rows(til, slice(-1, None))
     if not refs:
         return _Pass(f_bar, carry, ahead, [])
     lam = np.where(lam_same[1:] < lam_ahead, lam_same[1:], lam_ahead)  # Python's min, NaN included

@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aagd import (BaselineMethod, ConvergedWindowError, MissingIteratesError, Oracle,
-                  StopRule, Trace, bregman, check_corollary_bound, check_eval_schedule,
-                  check_h_envelope, check_monotone_psi, default_params, evaluate, fit_rate,
-                  identity_quadratic, lemma_suite, local_curvature, logistic_problem,
-                  logsumexp_problem, lyapunov_series, make_classification_dataset,
-                  make_params, make_quadratic, read_csv, run, run_baseline, run_certificates,
-                  write_csv)
+from aagd import (BaselineMethod, ConvergedWindowError, DimensionMismatchError,
+                  MissingIteratesError, NonFiniteError, Oracle, StopRule, Trace, bregman,
+                  check_corollary_bound, check_eval_schedule, check_h_envelope,
+                  check_monotone_psi, default_params, evaluate, fit_rate, identity_quadratic,
+                  lemma_suite, local_curvature, logistic_problem, logsumexp_problem,
+                  lyapunov_series, make_classification_dataset, make_params, make_quadratic,
+                  read_csv, run, run_baseline, run_certificates, write_csv)
 from aagd.diagnostics import ROW_BLOCK, LyapunovSeries, _Pass, _reference, _replay
 from aagd.params import SolverParams
 from aagd.solver import run as solver_run
@@ -380,25 +380,22 @@ def test_fresh_call_counts_pinned(identity_run):
     assert calls[0] == 2 * (K + 1) + 2 + 1
 
 
-def test_pass_evaluates_through_the_module_global(identity_run, monkeypatch):
-    # perfbench counts fresh calls by wrapping aagd.diagnostics.evaluate
-    import aagd.diagnostics
-
+def test_pass_calls_the_oracle_once_per_point_in_order(identity_run):
     p, params, tr = identity_run
     seen = []
-    real = aagd.diagnostics.evaluate
 
-    def counting(oracle, x):
-        seen.append(x)
-        return real(oracle, x)
+    def recording(x):
+        seen.append(x.copy())
+        return p.oracle.fn(x)
 
-    monkeypatch.setattr(aagd.diagnostics, "evaluate", counting)
     refs = {"xstar": p.x_star, "x0": np.ones(10)}
-    run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs)
+    run_certificates(tr, Oracle(recording, 10), params, L=p.L, x_refs=refs)
     assert len(seen) == 2 * (tr.n_iters + 1) + len(refs) + 1
     # the references first, then x_bar[0], x_tilde[0], x_bar[1], ... in order
+    assert np.array_equal(np.array(seen[:len(refs)]), np.array(list(refs.values())))
     swept = np.stack([tr.x_bar, tr.x_tilde], axis=1).reshape(-1, 10)
     assert np.array_equal(np.array(seen[len(refs):len(refs) + len(swept)]), swept)
+    assert np.array_equal(seen[-1], tr.x[0])  # the endpoint bound's start gradient
 
 
 def test_certificate_memory_does_not_hold_the_trace_results():
@@ -534,3 +531,60 @@ def test_block_replay_matches_the_reference_on_a_tampered_trace():
     _assert_replays_match(tampered, p.oracle, params, [np.ones(100), p.x_star])
     fresh = _replay(tampered, p.oracle, params, [_reference(tampered, p.oracle, p.x_star)])
     assert math.isnan(fresh.series[0].bregman_term[B100 - 1])
+
+
+# the failures that evaluate raises, at a point inside the second replay block
+FAILED_OUTPUTS = [
+    pytest.param(lambda v, g: (math.nan, g), NonFiniteError,
+                 "oracle 'f' returned non-finite output", id="value"),
+    pytest.param(lambda v, g: (v, np.append(g[:-1], math.inf)), NonFiniteError,
+                 "oracle 'f' returned non-finite output", id="grad"),
+    pytest.param(lambda v, g: (v, g[:-1]), DimensionMismatchError,
+                 "oracle returned gradient of shape (99,) for point of shape (100,)",
+                 id="grad_shape"),
+    pytest.param(lambda v, g: (np.array([v]), g), DimensionMismatchError,
+                 "oracle returned a value of shape (1,), not a scalar", id="value_shape"),
+]
+
+
+@pytest.mark.parametrize("output, raised, message", FAILED_OUTPUTS)
+def test_replay_failure_in_the_second_block_raises_as_evaluate(output, raised, message):
+    p, params = identity_quadratic(100), default_params(eta0=0.1)
+    tr = run(p.oracle, np.ones(100), params, StopRule(max_iters=2 * B100), store_iterates=True)
+    target = tr.x_tilde[B100 + 3]
+
+    def fn(x):
+        v, g = p.oracle.fn(x)
+        return output(v, g) if np.array_equal(x, target) else (v, g)
+
+    for replay in (_replay, _replay_reference):
+        with pytest.raises(raised) as caught:
+            replay(tr, Oracle(fn, 100), params)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_stored_point_raises_from_run_certificates(identity_run, bad):
+    # the library path: no cmd_check pre-check screens the trace
+    p, params, tr = identity_run
+    x_tilde = tr.x_tilde.copy()
+    x_tilde[7, 3] = bad
+    broken = dataclasses.replace(tr, x_tilde=x_tilde)
+    message = "query point contains non-finite entries"
+    with pytest.raises(NonFiniteError, match=message):
+        run_certificates(broken, p.oracle, params, L=p.L, x_refs={"xstar": p.x_star})
+    with pytest.raises(NonFiniteError, match=message):
+        _replay_reference(broken, p.oracle, params)
+
+
+def test_replay_accepts_a_stored_point_whose_square_overflows():
+    # no warning, under the suite's filterwarnings = error: the row norms
+    # of 1.5e154 overflow inside the block's errstate, as sq_norm does silently
+    p = _classification(7)
+    params = default_params(eta0=1.0)
+    tr = run(p.oracle, np.zeros(3), params, StopRule(max_iters=30), store_iterates=True)
+    x_bar = tr.x_bar.copy()
+    x_bar[12] = [1.5e154, -1.5e154, 1.0]
+    tampered = dataclasses.replace(tr, x_bar=x_bar)
+    _assert_replays_match(tampered, p.oracle, params, [np.zeros(3), np.ones(3)])
+    run_certificates(tampered, p.oracle, params, x_refs={"x0": np.zeros(3)})
