@@ -177,7 +177,6 @@ def load_libsvm(path, n_features: int | None = None) -> SparseDataset:
     indices: list[int] = []
     data: list[float] = []
     labels: list[float] = []
-    max_idx = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -206,17 +205,17 @@ def load_libsvm(path, n_features: int | None = None) -> SparseDataset:
                     raise DatasetFormatError(f"line {lineno}: non-finite value {tok!r}")
                 if idx < 1:
                     raise DatasetFormatError(f"line {lineno}: feature index {idx} below 1")
+                if n_features is not None and idx > n_features:
+                    raise DatasetFormatError(
+                        f"line {lineno}: feature index {idx} exceeds n_features={n_features}")
                 if idx <= prev:
                     raise DatasetFormatError(f"line {lineno}: nonincreasing indices")
                 prev = idx
                 indices.append(idx - 1)
                 data.append(val)
             indptr.append(len(indices))
-            max_idx = max(max_idx, prev)
     if n_features is None:
-        n_features = max(max_idx, 1)
-    elif max_idx > n_features:
-        raise DatasetFormatError(f"feature index {max_idx} exceeds n_features={n_features}")
+        n_features = max(indices, default=0) + 1
     return SparseDataset(
         indptr=np.asarray(indptr, dtype=np.int64),
         indices=np.asarray(indices, dtype=np.int64),
@@ -272,48 +271,31 @@ def make_classification_dataset(seed: int, n_samples: int, n_features: int,
     )
 
 
-def _gram_spectral_norm(dataset: SparseDataset, tol: float = 1e-10,
-                        max_iters: int = 10_000, seed: int = 0) -> float:
-    """Largest eigenvalue of A'A by Lanczos on v -> A'(Av).
+def _gram_spectral_norm(dataset: SparseDataset, tol: float = 1e-10, seed: int = 0) -> float:
+    """Largest eigenvalue of A'A by scipy's ``eigsh`` (ARPACK's Lanczos) on v -> A'(Av).
 
-    The plain three-term recurrence runs from a seeded random start
-    without reorthogonalization, so only q, q_prev and the tridiagonal
-    coefficients are kept. It stops once the top Ritz value theta of the
-    k x k tridiagonal T_k has residual beta_k |s_k| <= tol * theta (s the
-    unit eigenvector of T_k for theta), once beta_k = 0, or after
-    min(max_iters, d) steps. Its rate is set by the square root of the
-    relative spectral gap, where power iteration's is set by the gap.
-    T_k is solved densely at every k up to 16 and then about every k/8
-    steps, so the solves stay cheap next to the products. The products
-    run on A/s, s the power of two just above max |a_ij|, so that no
-    square under- or overflows; scaling by a power of two is exact, and
-    normal-range data gets the bits it would get unscaled.
+    ARPACK starts from a seeded standard normal vector and stops at relative
+    residual ``tol``. The products run on A/s, s the power of two just above
+    max |a_ij|, so that no square under- or overflows; scaling by a power of
+    two is exact. ARPACK takes neither all-zero data nor d = 1: those return
+    0 and the column's squared norm.
     """
-    d = dataset.n_features
-    layout = dataset.layout
-    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(dataset.data), initial=0.0)))[1])
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(d)
-    q /= np.linalg.norm(q)
-    q_prev = np.zeros(d)
-    alphas: list[float] = []
-    betas: list[float] = []
-    theta = beta = 0.0
-    steps = min(max_iters, d)
-    solve_at = 1
-    for k in range(1, steps + 1):
-        w = layout.rmatvec(layout.matvec(q) / s) / s - beta * q_prev
-        alphas.append(float(q @ w))
-        w -= alphas[-1] * q
-        beta = float(np.linalg.norm(w))
-        if k >= solve_at or beta == 0.0 or k == steps:
-            ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-            theta = float(ritz[-1])
-            if beta * abs(vecs[-1, -1]) <= tol * theta or beta == 0.0:
-                break
-            solve_at = k + max(1, k // 8)
-        betas.append(beta)
-        q_prev, q = q, w / beta
+    # deferred, so dense problems never load scipy: the first call in a
+    # process pays about 0.06 s and 10 MB for this import
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    layout, d = dataset.layout, dataset.n_features
+    amax = float(np.max(np.abs(dataset.data), initial=0.0))
+    if amax == 0.0:
+        return 0.0
+    s = math.ldexp(1.0, math.frexp(amax)[1])
+    if d == 1:
+        theta = float(np.sum(np.square(dataset.data / s)))
+    else:
+        gram = LinearOperator((d, d), dtype=np.float64,
+                              matvec=lambda v: layout.rmatvec(layout.matvec(v) / s) / s)
+        v0 = np.random.default_rng(seed).standard_normal(d)
+        theta = float(eigsh(gram, k=1, which="LA", tol=tol, v0=v0, return_eigenvectors=False)[0])
     # Ritz values approach the eigenvalue from below; nudge up by the
     # tolerance so downstream bounds never divide by an underestimate
     return theta * s * s * (1.0 + tol)
@@ -323,13 +305,13 @@ def logistic_problem(data: SparseDataset, reg: float = 0.0) -> Problem:
     """Mean logistic loss plus an optional ridge term.
 
     The smoothness constant uses the classical bound: spectral norm of
-    the data Gram matrix over 4n (Lanczos, relative tolerance 1e-10, at
-    most 1e4 steps; see :func:`_gram_spectral_norm`) plus the ridge
-    weight. The estimate never falls below the true norm for data of any
-    scale from 1e-150 to 1e150; data whose Gram norm overflows (entries
-    above about 1e154) raise ``ValueError``. All-zero data with
-    ``reg = 0`` gives L = 0. No optimal value is attached; estimate one
-    with a long reference run when needed.
+    the data Gram matrix over 4n (scipy's ``eigsh``, relative tolerance
+    1e-10; see :func:`_gram_spectral_norm`) plus the ridge weight. The
+    estimate never falls below the true norm for data of any scale from
+    1e-150 to 1e150; data whose Gram norm overflows (entries above about
+    1e154) raise ``ValueError``. All-zero data with ``reg = 0`` gives
+    L = 0. No optimal value is attached; estimate one with a long
+    reference run when needed.
     """
     if data.n_samples < 1:
         raise ValueError("empty dataset")

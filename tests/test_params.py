@@ -38,6 +38,12 @@ def test_nu_from_vanishes_with_gamma():
     assert nu_from(2.0, 1e-14) == pytest.approx(1e-14 / 8.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("theta, gamma", [(0.0, 1.0), (2.0, 0.0), (-2.0, 0.1), (np.nan, 0.1)])
+def test_nu_from_rejects_nonpositive_arguments(theta, gamma):
+    with pytest.raises(ValueError, match="^theta and gamma must be positive$"):
+        nu_from(theta, gamma)
+
+
 def test_validate_canonical_passes():
     report = validate(SolverParams(2.0, 1.0 / 22.0, 11.0 / 2116.0, eta0=1.0))
     assert report.passed

@@ -141,6 +141,19 @@ def test_load_libsvm_non_finite_value_names_its_line(tmp_path, token):
         load_libsvm(f)
 
 
+@pytest.mark.parametrize("text, n_features, message", [
+    ("1 1:1\n1 2:1 5:1\n", 3, "line 2: feature index 5 exceeds n_features=3"),
+    ("abc 1:1\n", None, "line 1: non-numeric label 'abc'"),
+    ("1 1:1\n-1 0:1\n", None, "line 2: feature index 0 below 1"),
+], ids=["above_n_features", "non_numeric_label", "index_zero"])
+def test_load_libsvm_error_names_its_line(tmp_path, text, n_features, message):
+    f = tmp_path / "d.txt"
+    f.write_text(text)
+    with pytest.raises(DatasetFormatError) as info:
+        load_libsvm(f, n_features=n_features)
+    assert str(info.value) == message
+
+
 def test_libsvm_round_trip(tmp_path):
     data = make_classification_dataset(13, 80, 12, density=0.4)
     path = tmp_path / "rt.txt"
@@ -162,6 +175,12 @@ def test_sparse_dataset_validation():
     with pytest.raises(ValueError):
         SparseDataset(np.array([0, 1]), np.array([5]), np.ones(1),
                       np.array([1.0]), 2)  # index out of range
+
+
+def test_sparse_dataset_rejects_zero_features():
+    with pytest.raises(ValueError, match="^n_features must be >= 1$"):
+        SparseDataset(np.array([0]), np.array([], dtype=np.int64), np.array([]),
+                      np.array([]), 0)
 
 
 def test_sparse_dataset_names_first_unsorted_row():
@@ -255,6 +274,20 @@ def test_classification_dataset_rejects_empty_shape(monkeypatch, n, d, message):
         make_classification_dataset(1, n, d)
 
 
+@pytest.mark.parametrize("density", [0.0, -0.5, 1.5, np.nan])
+def test_classification_dataset_rejects_density_outside_unit_interval(monkeypatch, density):
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match=r"^density must be in \(0, 1\]$"):
+        make_classification_dataset(1, 5, 3, density=density)
+
+
+@pytest.mark.parametrize("make", [lambda: make_quadratic(0, 0, 10.0),
+                                  lambda: identity_quadratic(0)], ids=["quadratic", "identity"])
+def test_dense_problems_reject_zero_dim(make):
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        make()
+
+
 def test_spectral_norm_matches_svd():
     data = make_classification_dataset(21, 120, 15)
     lam = _gram_spectral_norm(data)
@@ -315,7 +348,7 @@ def test_spectral_norm_of_zero_data_is_exactly_zero():
 
 def test_spectral_norm_converges_in_few_products(monkeypatch):
     # the relative gap here is 2.2%: power iteration would take 439 products,
-    # Lanczos 46, and it must stop on its residual test, not at max_iters
+    # ARPACK's Lanczos 51
     data = make_classification_dataset(3, 2000, 200, density=0.05)
     calls = []
     matvec = kernels.CsrLayout.matvec
@@ -325,7 +358,7 @@ def test_spectral_norm_converges_in_few_products(monkeypatch):
         return matvec(*args, **kwargs)
 
     monkeypatch.setattr(kernels.CsrLayout, "matvec", counting)
-    lam = _gram_spectral_norm(data, max_iters=150)
+    lam = _gram_spectral_norm(data)
     monkeypatch.undo()
     top = np.linalg.svd(data.to_dense(), compute_uv=False)[0] ** 2
     assert top <= lam <= top * (1.0 + 2e-10)
