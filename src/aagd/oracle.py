@@ -6,6 +6,8 @@ the finiteness checks and the recorded gradient norm all read them
 instead of forming the same inner products again. The solver step,
 which has already squared and checked its points, hands those squares
 to :func:`_evaluate` and skips the point checks of :func:`evaluate`.
+Inside a run the float error state is the run loop's: the step and the
+baselines call the evaluation bodies, which enter no ``np.errstate``.
 :func:`evaluate_rows` is :func:`evaluate` over the rows of a block, with
 the checks and squares taken row-wise, for the certificate replay.
 """
@@ -49,10 +51,10 @@ class OracleResult(namedtuple("OracleResult", "value grad x grad_sq x_sq")):
 
     The cached point is what lets curvature estimates be formed later
     without re-querying the oracle. ``grad_sq`` and ``x_sq`` are the
-    squared norms of ``grad`` and ``x``; :func:`evaluate` passes them in,
-    and a result built by hand as ``OracleResult(value, grad, x)`` gets
-    them computed on construction. Two results are equal only if they
-    are the same object.
+    squared norms of ``grad`` and ``x``; the evaluations hold both and
+    build the tuple directly, and a result built by hand as
+    ``OracleResult(value, grad, x)`` gets them computed on construction.
+    Two results are equal only if they are the same object.
     """
 
     __slots__ = ()
@@ -96,15 +98,22 @@ def evaluate(oracle: Oracle, x) -> OracleResult:
     :class:`NonFiniteError` if the query point or the oracle output is
     not finite (the latter signals a defective or overflowing problem
     instance). Both finiteness checks come from the squared norms that
-    the result carries.
+    the result carries. It raises no float warning: it is
+    :func:`_checked_evaluate` inside the ``np.errstate`` that a run
+    enters once instead.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _checked_evaluate(oracle, x)
+
+
+def _checked_evaluate(oracle: Oracle, x) -> OracleResult:
+    """:func:`evaluate` inside the caller's ``np.errstate``."""
     x = np.asarray(x, dtype=np.float64)
     _check_point_shape(oracle, x.shape)
     x_sq = sq_norm(x)
     if not all_finite(x, x_sq):
         raise NonFiniteError("query point contains non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _evaluate(oracle, x, x_sq)
+    return _evaluate(oracle, x, x_sq)
 
 
 def _check_point_shape(oracle: Oracle, shape: tuple) -> None:
@@ -121,7 +130,8 @@ def _evaluate(oracle: Oracle, x: np.ndarray, x_sq: float) -> OracleResult:
     grad_sq = sq_norm(grad)
     if not (math.isfinite(value) and all_finite(grad, grad_sq)):
         raise NonFiniteError(f"oracle {oracle.label!r} returned non-finite output")
-    return OracleResult(value, grad, x, grad_sq, x_sq)
+    # both squares are in hand, so skip the defaulting OracleResult.__new__
+    return tuple.__new__(OracleResult, (value, grad, x, grad_sq, x_sq))
 
 
 def _call(oracle: Oracle, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -187,7 +197,8 @@ def evaluate_rows(oracle: Oracle, *blocks) -> tuple[OracleResult, ...]:
     if error is not None:
         raise error
     m = len(blocks)
-    return tuple(OracleResult(values[j::m], grads[j::m], b, grad_sq[j::m], x_sq[j::m])
+    return tuple(tuple.__new__(OracleResult, (values[j::m], grads[j::m], b, grad_sq[j::m],
+                                              x_sq[j::m]))
                  for j, b in enumerate(blocks))
 
 

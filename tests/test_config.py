@@ -74,9 +74,10 @@ def test_unknown_method_key_rejected(tmp_path):
 
 
 def test_missing_problem_section(tmp_path):
-    text = "\n".join(ln for ln in FULL.splitlines() if "kind = quadratic" not in ln)
-    text = text.replace("[problem]\n", "")
-    with pytest.raises(ConfigError):
+    # drop the whole block: orphaned keys would land in [experiment] and fail there
+    head, rest = FULL.split("[problem]\n")
+    text = head + rest.split("\n\n", 1)[1]
+    with pytest.raises(ConfigError, match=r"^missing \[problem\] section$"):
         parse_config(write(tmp_path, text))
 
 

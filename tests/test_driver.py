@@ -53,10 +53,10 @@ def digest(trace):
     return h.hexdigest()
 
 
-def pinned_trace(name):
+def pinned_trace(name, max_iters=100):
     p = make_quadratic(3, 20, 100.0)
     x0 = np.ones(20)
-    stop = StopRule(max_iters=100)
+    stop = StopRule(max_iters=max_iters)
     if name.startswith("aagd"):
         return run(p.oracle, x0, default_params(eta0=1e-3), stop,
                    growth_cap=name == "aagd+cap")
@@ -143,6 +143,36 @@ def test_overflowing_gradient_norm_recorded_finite():
     assert aagd_tr.grad_norm_tilde[0] == pytest.approx(math.sqrt(2.0) * 1e160, rel=1e-15)
     assert gd_tr.grad_norm_tilde == pytest.approx(
         math.sqrt(2.0) * 1e160 * np.array([1.0, 0.9, 0.81]), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, key", [("gd", "eta"), ("agd", "eta"), ("adgd", "eta0"),
+                                       ("bb", "eta0")])
+def test_overflowing_baseline_step_diverges_without_warning(kind, key):
+    # the first step from x0 overflows; the run loop's errstate keeps it silent,
+    # and the evaluation's point check ends the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = run_baseline(BaselineMethod(kind=kind, **{key: 1e200}), STEEP, np.ones(2),
+                          StopRule(max_iters=50))
+    assert tr.diverged and tr.n_iters == 0
+    assert tr.notes == [(1, "divergence: query point contains non-finite entries")]
+
+
+@pytest.mark.parametrize("max_iters", [1, 40])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_one_errstate_per_run(monkeypatch, name, max_iters):
+    # the run loop enters np.errstate once around the whole run; aagd's init
+    # adds the one of the public evaluate at x0, and no step adds any
+    calls = [0]
+    errstate = np.errstate
+
+    def counting(**kwargs):
+        calls[0] += 1
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    tr = pinned_trace(name, max_iters)
+    assert tr.n_iters == max_iters and calls == [2 if name.startswith("aagd") else 1]
 
 
 def test_grad_tol_sees_overflowing_norm():
