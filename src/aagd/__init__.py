@@ -23,7 +23,7 @@ from .params import (GOLDEN_RATIO, InfeasibleThetaError, InvalidParamsError, Par
 from .problems import (DatasetFormatError, Problem, SparseDataset, identity_quadratic,
                        load_libsvm, logistic_problem, logsumexp_problem,
                        make_classification_dataset, make_quadratic, save_libsvm)
-from .solver import DivergenceError, IterState, StopRule, Trace, init, run, step
+from .solver import IterState, StopRule, Trace, init, run, step
 from .traceio import TraceSchemaError, read_csv, write_csv
 
 __version__ = "0.1.0"
@@ -31,9 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND", "GOLDEN_RATIO", "GRAD_GUARD",
     "BaselineMethod", "CertificateEntry", "CertificateReport", "ConvergedWindowError",
-    "DatasetFormatError", "DimensionMismatchError", "DivergenceError", "InfeasibleThetaError",
-    "InvalidParamsError", "IterState", "LyapunovSeries",
-    "MissingIteratesError", "NonFiniteError", "Oracle",
+    "DatasetFormatError", "DimensionMismatchError", "InfeasibleThetaError", "InvalidParamsError",
+    "IterState", "LyapunovSeries", "MissingIteratesError", "NonFiniteError", "Oracle",
     "OracleError", "OracleResult", "ParamReport", "Problem", "RateConstants",
     "SolverParams", "SparseDataset", "StopRule", "Trace", "TraceSchemaError",
     "bregman", "check_corollary_bound", "check_eval_schedule", "check_h_envelope",

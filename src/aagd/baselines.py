@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curvature import lambda_option1, lambda_option2
-from .oracle import Oracle, OracleResult, _checked_evaluate
+from .oracle import Oracle, OracleResult, _evaluate, evaluate
 from .solver import StopRule, Trace, _drive
 
 
@@ -60,7 +60,7 @@ def run_baseline(method: BaselineMethod, oracle: Oracle, x0, stop: StopRule) -> 
     notes: list = []
 
     def start(oracle):
-        return _METHODS[method.kind](method, oracle, notes, _checked_evaluate(oracle, x0))
+        return _METHODS[method.kind](method, oracle, notes, evaluate(oracle, x0))
 
     return _drive(oracle, start, _row, stop, notes=notes)
 
@@ -86,14 +86,14 @@ def _row(s: _State) -> tuple:
 
 def _descend(oracle, s: _State):
     """Evaluate at the gradient step from the state's estimate."""
-    return _checked_evaluate(oracle, s.bar_res.x - s.eta * s.bar_res.grad)
+    return _evaluate(oracle, s.bar_res.x - s.eta * s.bar_res.grad)
 
 
 # Each method below maps (method, oracle, notes, result at x0) to
 # its state at k=0 and the function that advances that state by one step;
 # the run loop ends at a zero stepsize (adagrad's and polyak's at an optimum).
 # All of it runs inside the run loop's np.errstate, so an overflowing step
-# ends in the evaluation's point check as a divergence, without a warning.
+# ends in _evaluate's point check as a divergence, without a warning.
 
 def _gd(method, oracle, notes, res):
     def advance(s):
@@ -163,10 +163,10 @@ def _agd(method, oracle, notes, res):
     def advance(s):
         tau = 2.0 / (s.k + 2.0)
         y = (1.0 - tau) * s.bar_res.x + tau * s.carry
-        gy = _checked_evaluate(oracle, y)
+        gy = _evaluate(oracle, y)
         x = y - eta * gy.grad
         z = s.carry - (eta / tau) * gy.grad
-        return _State(s.k + 1, _checked_evaluate(oracle, x), eta, carry=z)
+        return _State(s.k + 1, _evaluate(oracle, x), eta, carry=z)
 
     return _State(0, res, eta, carry=res.x), advance
 

@@ -321,6 +321,7 @@ def fit_rate(trace: Trace, k_lo: int, k_hi: int, gap_fn) -> float:
     return float(slope)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
                      L: float | None = None, x_refs: dict | None = None,
                      checks: tuple = ("psi", "corollary", "h_envelope", "lemmas", "evals"),
@@ -332,6 +333,7 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
     All checks share one forward sweep of fresh oracle calls. ``params``
     default to the trace's own; only the ``evals`` check runs without any.
     Without ``L`` the checks that read it, h_envelope and lambda_floor, are skipped.
+    It raises no float warning: an overflow's inf or NaN fails its check.
     """
     params = _params(trace, params) if set(checks) - {"evals"} else None
     report = CertificateReport()

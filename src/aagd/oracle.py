@@ -3,13 +3,13 @@
 Each result carries the squared norms of its gradient and of its query
 point, computed once when the result is made. The curvature estimates,
 the finiteness checks and the recorded gradient norm all read them
-instead of forming the same inner products again. The solver step,
-which has already squared and checked its points, hands those squares
-to :func:`_evaluate` and skips the point checks of :func:`evaluate`.
-Inside a run the float error state is the run loop's: the step and the
-baselines call the evaluation bodies, which enter no ``np.errstate``.
-:func:`evaluate_rows` is :func:`evaluate` over the rows of a block, with
-the checks and squares taken row-wise, for the certificate replay.
+instead of forming the same inner products again. :func:`_evaluate`
+checks every point a run queries, and a run's start point reaches it
+through :func:`evaluate`. Inside a run the float error state is the run
+loop's: the step and the baselines call :func:`_evaluate`, which enters
+no ``np.errstate``. :func:`evaluate_rows` is :func:`evaluate` over the
+rows of a block, with the checks and squares taken row-wise, for the
+certificate replay.
 """
 from __future__ import annotations
 
@@ -98,22 +98,14 @@ def evaluate(oracle: Oracle, x) -> OracleResult:
     :class:`NonFiniteError` if the query point or the oracle output is
     not finite (the latter signals a defective or overflowing problem
     instance). Both finiteness checks come from the squared norms that
-    the result carries. It raises no float warning: it is
-    :func:`_checked_evaluate` inside the ``np.errstate`` that a run
-    enters once instead.
+    the result carries. It raises no float warning: it converts and
+    shape-checks ``x`` and calls :func:`_evaluate`, inside the
+    ``np.errstate`` that a run enters once instead.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _checked_evaluate(oracle, x)
-
-
-def _checked_evaluate(oracle: Oracle, x) -> OracleResult:
-    """:func:`evaluate` inside the caller's ``np.errstate``."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_point_shape(oracle, x.shape)
-    x_sq = sq_norm(x)
-    if not all_finite(x, x_sq):
-        raise NonFiniteError("query point contains non-finite entries")
-    return _evaluate(oracle, x, x_sq)
+        x = np.asarray(x, dtype=np.float64)
+        _check_point_shape(oracle, x.shape)
+        return _evaluate(oracle, x)
 
 
 def _check_point_shape(oracle: Oracle, shape: tuple) -> None:
@@ -123,9 +115,12 @@ def _check_point_shape(oracle: Oracle, shape: tuple) -> None:
         )
 
 
-def _evaluate(oracle: Oracle, x: np.ndarray, x_sq: float) -> OracleResult:
-    """:func:`evaluate` at a finite float64 point of the oracle's shape
-    with squared norm ``x_sq``, inside the caller's ``np.errstate``."""
+def _evaluate(oracle: Oracle, x: np.ndarray) -> OracleResult:
+    """:func:`evaluate` at a float64 point of the oracle's shape, inside
+    the caller's ``np.errstate``: the point and the outputs are checked."""
+    x_sq = sq_norm(x)
+    if not all_finite(x, x_sq):
+        raise NonFiniteError("query point contains non-finite entries")
     value, grad = _call(oracle, x)
     grad_sq = sq_norm(grad)
     if not (math.isfinite(value) and all_finite(grad, grad_sq)):

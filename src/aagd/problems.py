@@ -109,12 +109,13 @@ def make_quadratic(seed: int, dim: int, cond: float) -> Problem:
     orthogonal basis from a seeded QR factorization), so the gradient
     Lipschitz constant is exactly ``cond``; with dim = 1 the single
     eigenvalue is ``cond``. The minimizer and optimal value are computed
-    at construction.
+    at construction. ``cond`` must be below 1/eps (about 4.5e15), where
+    the rounding of A, about cond*eps, swamps the unit eigenvalue.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if not 1.0 <= cond < np.inf:
-        raise ValueError("cond must be finite and >= 1")
+    if not 1.0 <= cond < 2.0**52:  # 1/eps of float64
+        raise ValueError("cond must be finite, >= 1 and < 1/eps = 2**52 (about 4.5e15)")
     rng = np.random.default_rng(seed)
     if cond == 1.0:
         A = np.eye(dim)

@@ -21,16 +21,8 @@ import numpy as np
 
 from . import kernels
 from .curvature import local_curvature
-from .oracle import NonFiniteError, Oracle, OracleResult, _evaluate, all_finite, evaluate, sq_norm
+from .oracle import NonFiniteError, Oracle, OracleResult, _evaluate, evaluate, sq_norm
 from .params import InvalidParamsError, SolverParams, check_valid
-
-
-class DivergenceError(RuntimeError):
-    """A non-finite iterate appeared; the run loop records this instead of crashing."""
-
-    def __init__(self, k: int):
-        super().__init__(f"non-finite iterate at step {k}")
-        self.k = k
 
 
 @dataclass(frozen=True)
@@ -161,17 +153,14 @@ def _step(state: IterState, oracle: Oracle, params: SolverParams,
     grow = (1.0 + ga) * state.eta
     alpha_next = grow / (state.H + grow)
 
-    # each new point is squared once; the evaluations reuse the squares
     x_next, xbar_next, xhat_next, xt_next = kernels.step_update(
         state.x, state.x_bar, state.x_tilde, state.tilde_res.grad,
         state.eta, state.beta, th, alpha_next,
     )
-    bar_sq, tilde_sq = sq_norm(xbar_next), sq_norm(xt_next)
-    if not (all_finite(x_next, sq_norm(x_next)) and all_finite(xbar_next, bar_sq)
-            and all_finite(xt_next, tilde_sq)):
-        raise DivergenceError(state.k + 1)
-    bar_res = _evaluate(oracle, xbar_next, bar_sq)
-    tilde_res = _evaluate(oracle, xt_next, tilde_sq)
+    # the evaluations check the two query points; a non-finite x_next
+    # makes x_hat (theta > 0) and then xt_next non-finite too
+    bar_res = _evaluate(oracle, xbar_next)
+    tilde_res = _evaluate(oracle, xt_next)
     lam_next = local_curvature(bar_res, state.tilde_res, tilde_res)
 
     if growth_cap and state.k >= 1:
@@ -192,8 +181,8 @@ def run(oracle: Oracle, x0, params: SolverParams, stop: StopRule, growth_cap: bo
     """Run the solver until the first satisfied stop rule.
 
     The reported solution is the averaged iterate of the last recorded
-    state. A non-finite iterate (or an oracle overflow) terminates the
-    run with ``trace.diverged`` set instead of raising, so parameter
+    state. A non-finite query point (or an oracle overflow) terminates
+    the run with ``trace.diverged`` set instead of raising, so parameter
     sweeps survive bad configurations.
     """
     def start(oracle):
@@ -240,9 +229,9 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
     stepsize ends the run, as no method moves from it. ``row`` gives a
     state's scalar columns up to ``f_tilde`` and then the oracle result
     whose gradient norm is recorded; the driver adds that norm and the
-    calls made so far. A non-finite iterate or oracle output ends the
-    run with ``diverged`` set and a note instead of raising, before a
-    row could count the rejected call.
+    calls made so far. The :class:`NonFiniteError` of a non-finite
+    query point or oracle output ends the run with ``diverged`` set and
+    a note instead of raising, before a row could count the rejected call.
 
     The loop enters the one ``np.errstate`` of the run, so an overflowing
     step of any method ends as ``diverged`` without a warning.
@@ -270,7 +259,7 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
                 break
             try:
                 state = advance(state)
-            except (DivergenceError, NonFiniteError) as exc:
+            except NonFiniteError as exc:
                 diverged = True
                 notes.append((state.k + 1, f"divergence: {exc}"))
                 break

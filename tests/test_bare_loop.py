@@ -67,7 +67,7 @@ def bare_aagd(fn, x0, iters, theta, gamma, nu, eta0):
         x_tilde = alpha * x_hat + (1.0 - alpha) * x_bar
         x = x_next
         bar_sq, tilde_sq = sq(x_bar), sq(x_tilde)
-        if not (math.isfinite(sq(x)) and math.isfinite(bar_sq) and math.isfinite(tilde_sq)):
+        if not (math.isfinite(bar_sq) and math.isfinite(tilde_sq)):
             raise FloatingPointError("non-finite iterate")
         bar, new = query(fn, x_bar, bar_sq), query(fn, x_tilde, tilde_sq)
         lam = min(estimate(bar, tilde), estimate(bar, new))
@@ -107,21 +107,25 @@ def test_bare_loop_matches_run_bit_for_bit(problem):
         assert [v.hex() for v in col] == [float(v).hex() for v in getattr(tr, name)], name
 
 
-def time_ratio(iters=2000, rounds=7):
-    """Print best-of-``rounds`` µs per iteration of ``run`` and of the bare loop."""
+def time_ratio(iters=2000, rounds=11):
+    """Print, over ``rounds`` pairs of ``run`` and the bare loop that
+    alternate which goes first, the median run/bare ratio with its
+    quartiles and each side's median µs per iteration."""
     params = default_params(eta0=1e-6)
     for problem in cases():
         x0 = np.random.default_rng(1).standard_normal(problem.dim)
-        best = {"run": math.inf, "bare": math.inf}
-        for _ in range(rounds):
-            for name, go in [
-                ("run", lambda: run(problem.oracle, x0, params, StopRule(max_iters=iters))),
-                ("bare", lambda: bare_aagd(problem.oracle.fn, x0, iters, params.theta,
-                                           params.gamma, params.nu, params.eta0)),
-            ]:
+        sides = {
+            "run": lambda: run(problem.oracle, x0, params, StopRule(max_iters=iters)),
+            "bare": lambda: bare_aagd(problem.oracle.fn, x0, iters, params.theta,
+                                      params.gamma, params.nu, params.eta0),
+        }
+        us = {name: [] for name in sides}
+        for r in range(rounds):
+            for name in sorted(sides, reverse=r % 2 == 1):
                 start = time.perf_counter()
-                go()
-                best[name] = min(best[name], time.perf_counter() - start)
-        run_us, bare_us = (1e6 * best[n] / iters for n in ("run", "bare"))
-        print(f"{problem.label}: run {run_us:.1f} us/iter, bare {bare_us:.1f} us/iter, "
-              f"ratio {run_us / bare_us:.2f}")
+                sides[name]()
+                us[name].append(1e6 * (time.perf_counter() - start) / iters)
+        q1, med, q3 = np.percentile(np.divide(us["run"], us["bare"]), [25, 50, 75])
+        print(f"{problem.label}: run {np.median(us['run']):.1f} us/iter, "
+              f"bare {np.median(us['bare']):.1f} us/iter, "
+              f"ratio {med:.2f} [{q1:.2f}, {q3:.2f}]")

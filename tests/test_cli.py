@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -676,6 +677,34 @@ def test_run_non_finite_problem_constant_is_config_error(tmp_path, capsys, probl
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert "finite" in err
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_run_numerically_singular_cond_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nchecks = evals\n\n"
+                              "[problem]\nkind = quadratic\ndim = 5\ncond = 1e20\n\n"
+                              "[method a]\nkind = aagd\neta0 = 1e-3\nmax_iters = 20\n")
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cond must be finite, >= 1 and < 1/eps = 2**52 (about 4.5e15)\n")
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_run_overflowing_trace_fails_certificates_without_warnings(tmp_path, capsys):
+    # from eta0 = 1e200 the replay overflows: its FAILs stand, with no float warning
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nx_ref = x0\n\n"
+                              "[problem]\nkind = logsumexp\nseed = 0\ndim = 3\nterms = 4\n"
+                              "smoothing = 0.1\n\n"
+                              "[method a]\nkind = aagd\neta0 = 1e200\nmax_iters = 50\n"
+                              "store_iterates = true\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert re.search(r"^\s*psi_monotone\[x0\]\s+FAIL", captured.out, re.M)
+    assert re.search(r"^\s*corollary_bound\[x0\]\s+FAIL", captured.out, re.M)
 
 
 @pytest.mark.parametrize("method, eta", [("aagd", "1e-3"), ("gd", "auto")])

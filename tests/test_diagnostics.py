@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,44 @@ def test_report_lines_pinned(identity_run):
     for name, report in reports.items():
         digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
         assert digest == REPORT_SHA256[name], name
+
+
+OVERFLOW_PROBLEMS = {
+    "logsumexp": lambda: logsumexp_problem(0, 3, 4, 0.1),
+    "logistic": lambda: logistic_problem(make_classification_dataset(7, 20, 3)),
+    "quadratic": lambda: make_quadratic(1, 5, 10),
+}
+# sha256 of the report lines of K = 50 steps from x0 = 0 with x_refs {"x0": x0},
+# recorded before run_certificates entered an np.errstate, with warnings ignored;
+# from eta0 = 1e200 the logsumexp and logistic traces overflow in the replay
+OVERFLOW_SHA256 = {
+    ("logsumexp", 1e20): "50c7ae7d08ea3f7e71e9161a299ff00e1904d485b736429d317fbba8de6331d5",
+    ("logsumexp", 1e150): "10050dd92565b715d313ff15b27dc16ba878fa4bf1bc3c4428b29cc10f3d9b6e",
+    ("logsumexp", 1e200): "1c3af1b84ae176d90346c4569f9401a1a42b12060e332a26e23b0b519e720a9a",
+    ("logsumexp", 1e300): "1c3af1b84ae176d90346c4569f9401a1a42b12060e332a26e23b0b519e720a9a",
+    ("logistic", 1e20): "827c7115adbbf8ee468c8ced2255af1de919a891b9db014f74549f97071ed5e1",
+    ("logistic", 1e150): "1a9be053c75fb02d326d34db0cacfeabf4b4d47612ff7e58ed174fac5d3be540",
+    ("logistic", 1e200): "3e85cef37b802a6d879a6ab917dd330306e69bb04aa3493179b4789294e38067",
+    ("logistic", 1e300): "3e85cef37b802a6d879a6ab917dd330306e69bb04aa3493179b4789294e38067",
+    ("quadratic", 1e20): "be03e39a9e9cb5f89d21f9d8718f41c795b79f57c404e954fc45da7b24830092",
+    ("quadratic", 1e150): "479cf660d66e661cfcf33e7d0d757fa77a23851f47637fb5cbcc8759795a580d",
+    ("quadratic", 1e200): "a487102c685f53e69d7e274367830a19a6eb760eb9ebc7227a38aa6db4c73488",
+    ("quadratic", 1e300): "a487102c685f53e69d7e274367830a19a6eb760eb9ebc7227a38aa6db4c73488",
+}
+
+
+@pytest.mark.parametrize("name, eta0", sorted(OVERFLOW_SHA256),
+                         ids=[f"{n}-{e:g}" for n, e in sorted(OVERFLOW_SHA256)])
+def test_certificates_at_huge_eta0_raise_no_warning(name, eta0):
+    p = OVERFLOW_PROBLEMS[name]()
+    x0 = np.zeros(p.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = run(p.oracle, x0, default_params(eta0=eta0), StopRule(max_iters=50),
+                 store_iterates=True)
+        report = run_certificates(tr, p.oracle, None, L=p.L, x_refs={"x0": x0})
+    digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
+    assert digest == OVERFLOW_SHA256[name, eta0]
 
 
 def test_run_certificates_defaults_to_the_trace_parameters():

@@ -161,8 +161,9 @@ def test_overflowing_baseline_step_diverges_without_warning(kind, key):
 @pytest.mark.parametrize("max_iters", [1, 40])
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_one_errstate_per_run(monkeypatch, name, max_iters):
-    # the run loop enters np.errstate once around the whole run; aagd's init
-    # adds the one of the public evaluate at x0, and no step adds any
+    # the run loop enters np.errstate once around the whole run; every
+    # method's start adds the one of the public evaluate at x0, and no step
+    # adds any
     calls = [0]
     errstate = np.errstate
 
@@ -172,7 +173,7 @@ def test_one_errstate_per_run(monkeypatch, name, max_iters):
 
     monkeypatch.setattr(np, "errstate", counting)
     tr = pinned_trace(name, max_iters)
-    assert tr.n_iters == max_iters and calls == [2 if name.startswith("aagd") else 1]
+    assert tr.n_iters == max_iters and calls == [2]
 
 
 def test_grad_tol_sees_overflowing_norm():

@@ -51,6 +51,22 @@ def test_quadratic_rejects_bad_cond():
         make_quadratic(0, 5, 0.5)
 
 
+@pytest.mark.parametrize("cond", [1.0 / np.finfo(np.float64).eps, 1e17, 1e20, 1e50])
+def test_quadratic_rejects_numerically_singular_cond(cond):
+    # the rounding of A, about cond*eps, swamps its unit eigenvalue from cond = 1/eps on
+    with pytest.raises(ValueError, match=r"^cond must be finite, >= 1 and < 1/eps = 2\*\*52 "
+                                         r"\(about 4\.5e15\)$"):
+        make_quadratic(0, 5, cond)
+
+
+def test_quadratic_just_below_the_cond_bound_keeps_f_star_below_f0():
+    # f(0) = 0, so a minimum above it is a wrong solve; above the bound some
+    # of these gave f_star > 0 or a singular solve
+    for dim in (1, 2, 5, 20, 100):
+        for seed in range(10):
+            assert make_quadratic(seed, dim, 4e15).f_star <= 0.0, (dim, seed)
+
+
 @pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=IDS)
 def test_lipschitz_pairs(problem):
     rng = np.random.default_rng(123)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aagd import (BaselineMethod, DivergenceError, InvalidParamsError, Oracle, StopRule,
+from aagd import (BaselineMethod, InvalidParamsError, NonFiniteError, Oracle, StopRule,
                   default_params, evaluate, identity_quadratic, init, lemma_suite,
                   logsumexp_problem, make_quadratic, run, run_baseline, step)
 from aagd.params import SolverParams
@@ -290,7 +290,7 @@ def test_step_rejects_non_finite_iterate(bad):
     x[2] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="non-finite iterate at step 1"):
+        with pytest.raises(NonFiniteError, match="query point contains non-finite entries"):
             step(dataclasses.replace(st, x=x), LINEAR, params)
 
 
@@ -327,17 +327,17 @@ def test_step_rejects_non_finite_point_before_oracle_call(field, bad):
     st = init(np.ones(3), params, oracle)
     point = getattr(st, field).copy()
     point[1] = bad
-    with pytest.raises(DivergenceError, match="non-finite iterate at step 1"):
+    with pytest.raises(NonFiniteError, match="query point contains non-finite entries"):
         step(dataclasses.replace(st, **{field: point}), oracle, params)
     assert len(calls) == 1  # the call made by init
 
 
 def test_vdot_calls_per_step_pinned(monkeypatch):
-    # 3 squares of the new points (shared with the evaluations), 2 of the
-    # new gradients, and per estimate 1 for the gradient gap plus 1 for the
-    # point gap unless the gradient guard fired; on the growth branch the
-    # new averaged point is the old lookahead point, so the first estimate
-    # fires its guard and the step makes 8 calls
+    # 2 squares of the new query points and 2 of the new gradients, all
+    # taken by the evaluations, and per estimate 1 for the gradient gap
+    # plus 1 for the point gap unless the gradient guard fired; on the
+    # growth branch the new averaged point is the old lookahead point, so
+    # the first estimate fires its guard and the step makes 7 calls
     p = make_quadratic(3, 20, 1e3)
     params = default_params(eta0=1e-3)
     st = init(np.ones(20), params, p.oracle)
@@ -354,7 +354,7 @@ def test_vdot_calls_per_step_pinned(monkeypatch):
         calls[0] = 0
         st = step(st, p.oracle, params)
         counts.append(calls[0])
-    assert counts == [8, 9, 9] + [8] * 37
+    assert counts == [7, 8, 8] + [7] * 37
 
 
 def test_divergence_notes_unchanged():
@@ -368,7 +368,7 @@ def test_divergence_notes_unchanged():
     assert nan_grad.diverged and nan_grad.n_iters == 53
     assert nan_grad.notes == [(54, "divergence: oracle 'half' returned non-finite output")]
     assert overflow.diverged
-    assert overflow.notes == [(1, "divergence: non-finite iterate at step 1")]
+    assert overflow.notes == [(1, "divergence: query point contains non-finite entries")]
 
 
 # Degenerate inputs: each run ends with a defined outcome, never a traceback.
