@@ -11,18 +11,21 @@ never from solver-internal caches, so the checks validate the solver
 independently.
 
 The fresh calls of one trace form one forward sweep over k: x_bar[k] and
-x_tilde[k] are evaluated once each, in order, in blocks of B = max(1,
-ROW_BLOCK // d) rows. One call of :func:`~aagd.oracle.evaluate_rows` per
-block checks and squares the block's points and outputs row-wise, under
-one ``np.errstate``, and stacks its results into one result per point
-family; its Bregman values, curvature estimates, momentum terms and
-distances are then formed row-wise, with the bits of the per-k
-formulas. So the sweep holds O(B d) floats per temporary plus O(K)
-scalars, never the trace's fresh gradients. It builds the per-k arrays
-that the decay series at every reference point, the endpoint bound and
-the lemma suite read; the endpoint bound alone evaluates only x_bar[K],
-x[0] and the reference point. Each check sweeps an array of violations;
-a positive or NaN one fails it.
+x_tilde[k] are evaluated in order, once per distinct point, in blocks of
+B = max(1, ROW_BLOCK // d) rows. On a growth step x_bar[k] is often
+bit-equal to x_tilde[k-1], and the oracle is a function of x, so that
+point's result is the one already made. One call of
+:func:`~aagd.oracle.evaluate_rows` per block checks and squares the
+block's points and outputs row-wise, under one ``np.errstate``, and
+stacks its results into one result per point family; its Bregman values,
+curvature estimates, momentum terms and distances are then formed
+row-wise, with the bits of the per-k formulas. So the sweep holds O(B d)
+floats per temporary plus O(K) scalars, never the trace's fresh
+gradients. It builds the per-k arrays that the decay series at every
+reference point, the endpoint bound and the lemma suite read; the
+endpoint bound alone evaluates only x_bar[K], x[0] and the reference
+point. Each check sweeps an array of violations; a positive or NaN one
+fails it.
 """
 from __future__ import annotations
 
@@ -140,15 +143,17 @@ def _rows(res: OracleResult, rows: slice) -> OracleResult:
 
 
 def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pass:
-    """Evaluate x_bar[k] and x_tilde[k] once each, k = 0..K in order, in
-    blocks of B = max(1, ROW_BLOCK // d) rows; ``refs`` holds (x_ref,
-    f_ref) pairs.
+    """Evaluate x_bar[k] and x_tilde[k], k = 0..K in order, once per
+    distinct point, in blocks of B = max(1, ROW_BLOCK // d) rows; ``refs``
+    holds (x_ref, f_ref) pairs.
 
     A block's stacked results give two pair families row-wise:
     (x_bar[k], x_tilde[k]) the carry-over and the second curvature
     estimate, (x_bar[k], x_tilde[k-1]) the look-ahead Bregman value and
-    the first. Only the result at x_tilde[k0-1] outlives its block; the
-    decay terms are formed from O(K) scalars after the sweep.
+    the first. Only the result at x_tilde[k0-1] outlives its block, and
+    x_bar[k0] reuses it when the two are bit-equal, so the calls do not
+    depend on B. The decay terms are formed from O(K) scalars after the
+    sweep.
     """
     tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
     B = max(1, ROW_BLOCK // oracle.dim)
@@ -159,7 +164,7 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pas
     behind = None  # the result at x_tilde[k0-1]; the first block has none
     for k0 in range(0, K + 1, B):
         k1 = min(k0 + B, K + 1)
-        bar, til = evaluate_rows(oracle, x_bar[k0:k1], x_til[k0:k1])
+        bar, til = evaluate_rows(oracle, x_bar[k0:k1], x_til[k0:k1], before=behind)
         f_bar[k0:k1], f_til[k0:k1] = bar.value, til.value
         lam_same[k0:k1], breg = lambda_option2_rows(bar, til)
         carry[k0:k1] = breg[:K - k0]

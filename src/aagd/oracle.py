@@ -8,8 +8,8 @@ checks every point a run queries, and a run's start point reaches it
 through :func:`evaluate`. Inside a run the float error state is the run
 loop's: the step and the baselines call :func:`_evaluate`, which enters
 no ``np.errstate``. :func:`evaluate_rows` is :func:`evaluate` over the
-rows of a block, with the checks and squares taken row-wise, for the
-certificate replay.
+rows of a block, for the certificate replay: it checks and squares
+row-wise and calls ``fn`` once per run of bit-equal rows.
 """
 from __future__ import annotations
 
@@ -156,23 +156,39 @@ def _rows_finite(m: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return finite
 
 
-def evaluate_rows(oracle: Oracle, *blocks) -> tuple[OracleResult, ...]:
+def evaluate_rows(oracle: Oracle, *blocks,
+                  before: OracleResult | None = None) -> tuple[OracleResult, ...]:
     """:func:`evaluate` at each row of the equal-shaped (n, d) ``blocks``,
     one stacked result per block: (n,) values and squared norms, (n, d)
     gradients and points.
 
-    ``oracle.fn`` is called at row 0 of every block in turn, then at row
-    1, and so on. The point shapes are checked once, and the points and
-    the outputs are squared and checked for finiteness row-wise, with
-    the bits of :func:`evaluate`, all inside one ``np.errstate``. The
-    first call that fails, in call order, raises what :func:`evaluate`
-    raises there; calls after a non-finite output may already have run.
+    The rows are taken in call order: row 0 of every block in turn, then
+    row 1, and so on. ``oracle.fn`` is called only at a row that is not
+    bit-equal to the point before it, which for the first row is the
+    last row of the stacked result ``before``, if given; a repeated row
+    gets the value and gradient of that point. This assumes what every
+    kernel promises: ``fn`` is a function of x, so equal bits in give
+    equal bits out. The point shapes are checked once, and the points
+    and the outputs are squared and checked for finiteness row-wise,
+    with the bits of :func:`evaluate`, all inside one ``np.errstate``.
+    The first call that fails, in call order, raises what
+    :func:`evaluate` raises there; calls after a non-finite output may
+    already have run.
     """
     blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
     for b in blocks:
         _check_point_shape(oracle, b.shape[1:])
     points = np.stack(blocks, axis=1).reshape(-1, oracle.dim)  # in call order
     values, grads = np.empty(len(points)), np.empty_like(points)
+    # each row against the point of the call before it, as int64 bits: -0.0
+    # differs from +0.0, and a NaN row fails the finiteness check below
+    bits = points.view(np.int64)
+    repeat = np.zeros(len(points), dtype=bool)
+    repeat[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    out = None  # the output of the call before row i
+    if before is not None:
+        repeat[0] = np.array_equal(bits[0], before.x[-1].view(np.int64))
+        out = before.value[-1], before.grad[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         x_sq = np.vecdot(points, points)
         bad = np.flatnonzero(~_rows_finite(points, x_sq))
@@ -180,11 +196,13 @@ def evaluate_rows(oracle: Oracle, *blocks) -> tuple[OracleResult, ...]:
         if len(bad):
             n, error = bad[0], NonFiniteError("query point contains non-finite entries")
         for i in range(n):
-            try:
-                values[i], grads[i] = _call(oracle, points[i])
-            except DimensionMismatchError as e:  # raised once the outputs before it pass
-                n, error = i, e
-                break
+            if not repeat[i]:
+                try:
+                    out = _call(oracle, points[i])
+                except DimensionMismatchError as e:  # raised once the outputs before it pass
+                    n, error = i, e
+                    break
+            values[i], grads[i] = out
         values, grads = values[:n], grads[:n]
         grad_sq = np.vecdot(grads, grads)
         if not (np.isfinite(values).all() and _rows_finite(grads, grad_sq).all()):

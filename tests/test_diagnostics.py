@@ -14,6 +14,7 @@ from aagd import (BaselineMethod, ConvergedWindowError, DimensionMismatchError,
                   lemma_suite, local_curvature, logistic_problem, logsumexp_problem,
                   lyapunov_series, make_classification_dataset, make_params, make_quadratic,
                   read_csv, run, run_baseline, run_certificates, write_csv)
+from aagd import diagnostics
 from aagd.diagnostics import ROW_BLOCK, LyapunovSeries, _Pass, _reference, _replay
 from aagd.params import SolverParams
 from aagd.solver import run as solver_run
@@ -289,14 +290,25 @@ def _counting(oracle):
     return Oracle(fn, oracle.dim, oracle.label), calls
 
 
+def _swept_points(trace):
+    """The distinct points of the sweep in call order: each point of
+    (x_bar[0], x_tilde[0], ..., x_bar[K], x_tilde[K]) that is not
+    bit-equal to the point before it."""
+    points = np.stack([trace.x_bar, trace.x_tilde], axis=1).reshape(-1, trace.x_bar.shape[1])
+    bits = points.view(np.int64)
+    return points[np.concatenate([[True], (bits[1:] != bits[:-1]).any(axis=1)])]
+
+
 def test_run_certificates_makes_one_pass(identity_run):
-    # every stored point once, each reference once, and the start gradient
+    # every distinct stored point once, each reference once, and the start gradient
     p, params, tr = identity_run
     refs = {"xstar": p.x_star, "x0": np.ones(10),
             "random": np.random.default_rng(1).standard_normal(10)}
     oracle, calls = _counting(p.oracle)
     report = run_certificates(tr, oracle, params, L=p.L, x_refs=refs)
-    assert calls[0] == 2 * (tr.n_iters + 1) + len(refs) + 1
+    swept = len(_swept_points(tr))
+    assert swept < 2 * (tr.n_iters + 1)  # x_bar[k] repeats x_tilde[k-1] on growth steps
+    assert calls[0] == swept + len(refs) + 1
     one_by_one = [check_monotone_psi(lyapunov_series(tr, ref, p.oracle, params),
                                      name=f"psi_monotone[{r}]") for r, ref in refs.items()]
     one_by_one += [check_corollary_bound(tr, ref, p.oracle, params, name=f"corollary_bound[{r}]")
@@ -417,22 +429,23 @@ def test_nan_stepsize_sum_fails_at_its_iteration(identity_run):
 
 
 def test_fresh_call_counts_pinned(identity_run):
-    # one forward sweep evaluates x_bar[k] and x_tilde[k] for k = 0..K; the
-    # endpoint bound alone evaluates x_bar[K], x[0] and the reference point
+    # one forward sweep evaluates each distinct point of x_bar[0], x_tilde[0],
+    # ..., x_bar[K], x_tilde[K]; the endpoint bound alone evaluates x_bar[K],
+    # x[0] and the reference point
     p, params, tr = identity_run
-    K = tr.n_iters
+    swept = len(_swept_points(tr))
     oracle, calls = _counting(p.oracle)
     lyapunov_series(tr, p.x_star, oracle, params)
-    assert calls[0] == 2 * (K + 1) + 1
+    assert calls[0] == swept + 1
     calls[0] = 0
     check_corollary_bound(tr, p.x_star, oracle, params)
     assert calls[0] == 3
     calls[0] = 0
     lemma_suite(tr, params, L=p.L, oracle=oracle)
-    assert calls[0] == 2 * (K + 1)
+    assert calls[0] == swept
     calls[0] = 0
     run_certificates(tr, oracle, params, L=p.L, x_refs={"xstar": p.x_star, "x0": np.ones(10)})
-    assert calls[0] == 2 * (K + 1) + 2 + 1
+    assert calls[0] == swept + 2 + 1
 
 
 def test_pass_calls_the_oracle_once_per_point_in_order(identity_run):
@@ -445,12 +458,24 @@ def test_pass_calls_the_oracle_once_per_point_in_order(identity_run):
 
     refs = {"xstar": p.x_star, "x0": np.ones(10)}
     run_certificates(tr, Oracle(recording, 10), params, L=p.L, x_refs=refs)
-    assert len(seen) == 2 * (tr.n_iters + 1) + len(refs) + 1
-    # the references first, then x_bar[0], x_tilde[0], x_bar[1], ... in order
+    swept = _swept_points(tr)
+    assert len(seen) == len(swept) + len(refs) + 1
+    # the references first, then the distinct points of x_bar[0], x_tilde[0],
+    # x_bar[1], ... in order
     assert np.array_equal(np.array(seen[:len(refs)]), np.array(list(refs.values())))
-    swept = np.stack([tr.x_bar, tr.x_tilde], axis=1).reshape(-1, 10)
     assert np.array_equal(np.array(seen[len(refs):len(refs) + len(swept)]), swept)
     assert np.array_equal(seen[-1], tr.x[0])  # the endpoint bound's start gradient
+
+
+def test_quad_certified_call_count_pinned():
+    # the benchmark's dense quadratic: 2 * 2001 stored points, of which x_bar[k]
+    # repeats x_tilde[k-1] at 1905 of the 2000 k >= 1 and x_bar[0] = x_tilde[0]
+    # (4005 calls when every stored point was evaluated)
+    p, params = make_quadratic(1, 100, 1e4), default_params(eta0=1e-6)
+    tr = run(p.oracle, np.zeros(100), params, StopRule(max_iters=2000), store_iterates=True)
+    oracle, calls = _counting(p.oracle)
+    run_certificates(tr, oracle, params, L=p.L, x_refs={"xstar": p.x_star, "x0": np.zeros(100)})
+    assert calls[0] == 2099
 
 
 def test_certificate_memory_does_not_hold_the_trace_results():
@@ -568,6 +593,30 @@ def test_block_replay_matches_the_per_k_reference_bits(make, eta0, theta, K):
     points = [x0, np.random.default_rng(K).standard_normal(p.dim)]
     points += [p.x_star] if p.x_star is not None else []
     _assert_replays_match(tr, p.oracle, params, points)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, None], ids=["B1", "B2", "B7", "default"])
+def test_sweep_calls_and_bits_do_not_depend_on_the_block_size(monkeypatch, rows):
+    # x_bar[k] repeats x_tilde[k-1] at all k = 1..170 but 8, 25, 26 and 152,
+    # so at every block size some block starts with a repeat of the block before
+    p, params = make_quadratic(1, 100, 1e4), default_params(eta0=1e-6)
+    tr = run(p.oracle, np.zeros(100), params, StopRule(max_iters=170), store_iterates=True)
+    refs = [_reference(tr, p.oracle, x) for x in (p.x_star, np.zeros(100))]
+    want = _pass_bytes(_replay_reference(tr, p.oracle, params, refs))
+    if rows is not None:
+        monkeypatch.setattr(diagnostics, "ROW_BLOCK", rows * 100)
+    B = diagnostics.ROW_BLOCK // 100
+    starts = np.arange(B, 171, B)  # the first k of every block but the first
+    assert (tr.x_bar[starts].view(np.int64) == tr.x_tilde[starts - 1].view(np.int64)).all(
+        axis=1).any()
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return p.oracle.fn(x)
+
+    assert _pass_bytes(_replay(tr, Oracle(recording, 100), params, refs)) == want
+    assert np.array_equal(np.array(seen), _swept_points(tr))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

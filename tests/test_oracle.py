@@ -256,3 +256,60 @@ def test_evaluate_rows_checks_each_block_shape():
     message = r"query point has shape \(4,\), oracle expects \(3,\)"
     with pytest.raises(DimensionMismatchError, match=message):
         evaluate_rows(LINEAR, np.ones((2, 3)), np.ones((2, 4)))
+
+
+def _recording(oracle):
+    seen = []
+    return Oracle(lambda x: seen.append(x.copy()) or oracle.fn(x), oracle.dim), seen
+
+
+@pytest.mark.parametrize("problem", [
+    make_quadratic(7, 40, 1e4),
+    logistic_problem(make_classification_dataset(11, 120, 15), reg=1e-3),
+    logsumexp_problem(3, 12, 30, 0.1),
+], ids=["quadratic", "logistic", "logsumexp"])
+def test_evaluate_rows_copies_repeated_rows_with_evaluate_bits(problem):
+    a, b, c = np.random.default_rng(6).standard_normal((3, problem.dim))
+    (prev,) = evaluate_rows(problem.oracle, a[None])
+    oracle, seen = _recording(problem.oracle)
+    # call order a, a, b, b, b, c, after a call at a: only b and c are new
+    bar, til = np.stack([a, b, b]), np.stack([a, b, c])
+    results = evaluate_rows(oracle, bar, til, before=prev)
+    assert np.array_equal(np.array(seen), np.stack([b, c]))
+    for block, stacked in zip((bar, til), results):
+        assert np.array_equal(stacked.x, block)
+        for r, x in enumerate(block):
+            one = evaluate(problem.oracle, x)
+            for field in ("value", "grad", "grad_sq", "x_sq"):
+                got, want = getattr(stacked, field)[r], getattr(one, field)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+
+
+def test_evaluate_rows_calls_again_at_a_zero_of_the_other_sign():
+    oracle, seen = _recording(LINEAR)
+    zero = np.zeros(3)
+    (res,) = evaluate_rows(oracle, np.stack([zero, zero, -zero, -zero, zero]))
+    assert [np.signbit(x).all() for x in seen] == [False, True, False]
+    assert res.value.tolist() == [0.0] * 5
+    evaluate_rows(oracle, -zero[None], before=res)  # res ends at +0.0
+    assert len(seen) == 4 and np.signbit(seen[-1]).all()
+
+
+@pytest.mark.parametrize("how", ["point", "nan_value"])
+def test_evaluate_rows_raises_at_a_repeated_non_finite_row_as_evaluate(how):
+    # x[0] numbers the distinct points; in call order (row 0 of bar, of til,
+    # row 1 of bar, ...) they are 0, 1, 1, 2, 3, 4, and point 1 fails
+    bar, til = np.ones((3, 3)), np.ones((3, 3))
+    bar[:, 0], til[:, 0] = [0.0, 1.0, 3.0], [1.0, 2.0, 4.0]
+    if how == "point":
+        til[0, 1] = bar[1, 1] = math.nan
+    oracle, seen = _recording(Oracle(_fn_failing({1.0: how}), 3))
+    one_by_one = _first_error(lambda: [evaluate(oracle, x)
+                                       for x in np.stack([bar, til], axis=1).reshape(-1, 3)])
+    assert one_by_one[0] is NonFiniteError
+    to_failure = [x[0] for x in seen]  # evaluate's calls, up to the failing one
+    seen.clear()
+    assert _first_error(lambda: evaluate_rows(oracle, bar, til)) == one_by_one
+    called = [x[0] for x in seen]
+    assert called[:len(to_failure)] == to_failure
+    assert called.count(1.0) == (how == "nan_value")  # never at the repeat

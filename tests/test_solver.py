@@ -302,8 +302,8 @@ def bits(res):
 @pytest.mark.parametrize("problem", [make_quadratic(3, 20, 1e3), logsumexp_problem(4, 20, 50, 0.1)],
                          ids=lambda p: p.label)
 def test_step_results_equal_public_evaluate(problem):
-    # the step hands its own squares of the new points to the evaluation;
-    # every field must still be what the public evaluate gives there
+    # the step evaluates its new points through oracle._evaluate; every
+    # field must be what the public evaluate gives there
     params = default_params(eta0=1e-3)
     st = init(np.linspace(-1.0, 1.0, 20), params, problem.oracle)
     for _ in range(30):
