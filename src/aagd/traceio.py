@@ -9,16 +9,22 @@ is an empty cell, and +-inf (lambda where the estimator's guard fired,
 an overflowed iterate) is written as inf or -inf. Lines end in \r\n,
 as csv.writer writes them.
 
-The reader streams: it checks the header first, then parses each row as
-csv.reader yields it into one float64 array, and stacks those arrays
-into the columns at the end. It never holds the file's cells as text,
-except the k and evals_cum cells that its integer-column error quotes.
-The k column must read 0, 1, ..., K, one row per iteration.
+The reader streams: after the header, np.loadtxt's C parser, which
+rounds like float(), reads the data rows one line at a time into one
+float64 table. Per line the reader only skips blanks, counts cells,
+writes nan into empty cells and keeps the k and evals_cum text that its
+integer-column error quotes; csv.reader splits a line with a quote or
+over csv.field_size_limit(). Row numbers and messages are those of
+csv.reader and float(), but the spellings only float() takes (1_0,
+non-ASCII digits) are refused, and loadtxt strips the control characters
+0x1c-0x1f around a number, which float() refuses. The k column must
+read 0, 1, ..., K, one row per iteration.
 """
 from __future__ import annotations
 
 import csv
-import math
+import re
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -29,6 +35,11 @@ from .solver import _COLUMNS, _INT_COLUMNS, Trace
 SCALAR_COLUMNS = tuple("lambda" if name == "lam" else name for name in _COLUMNS)
 # a row's integer cells, as text, in _INT_COLUMNS order
 _int_cells = itemgetter(*(_COLUMNS.index(name) for name in _INT_COLUMNS))
+# a csv cell as loadtxt text: a comma, never part of a float, still fails to
+# convert, and a line break is whitespace, which both float() and loadtxt strip
+_LOADTXT_CELL = str.maketrans({",": "x", "\r": " ", "\n": " "})
+# the 1-based column that loadtxt names when a cell does not convert
+_COLUMN = re.compile(r"column (\d+)")
 
 
 class TraceSchemaError(ValueError):
@@ -74,24 +85,54 @@ def read_csv(path) -> Trace:
                 raise TraceSchemaError("iterate columns must come in three blocks")
             if extra != [f"{block}_{i}" for block in ("x", "xbar", "xtilde") for i in range(d)]:
                 raise TraceSchemaError("unexpected iterate column names")
-        # each row becomes one float64 array as it is read; only the integer
-        # columns' text is kept, for the error message below
-        rows, int_cells = [], []
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise ValueError(f"expected {width} cells, got {len(row)}")
-                rows.append(np.array([math.nan if c == "" else float(c) for c in row]))
-                int_cells.append(_int_cells(row))
-        except (ValueError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
-            raise TraceSchemaError(f"row {len(rows) + 2}: {exc}")
-    if not rows:
-        raise TraceSchemaError("trace file has no rows")
+        limit = csv.field_size_limit()
+        int_cells = []  # the integer columns' text, for the error message below
+        last = None  # the file row and text of the line loadtxt was given last
 
-    table = np.vstack(rows)
-    del rows  # free the row arrays before the columns are copied out
+        def lines():
+            """Each data row as one loadtxt line; loadtxt pulls a line only when it
+            parses it, so the rows are checked in file order."""
+            nonlocal last
+            row = 2
+            try:
+                for line in fh:
+                    if '"' in line or len(line) > limit:
+                        # quoting, a record over several lines and the field limit stay csv's
+                        raw = cells = next(csv.reader(chain((line,), fh)))
+                        n = len(cells)
+                        text = ",".join(c.translate(_LOADTXT_CELL) or "nan" for c in cells)
+                    else:
+                        raw = text = line.rstrip("\r\n")
+                        if not text:
+                            continue
+                        n = text.count(",") + 1
+                        cells = text.split(",", len(SCALAR_COLUMNS))
+                        padded = f",{text},"
+                        if ",," in padded:  # empty cells; the second pass fills what a run leaves
+                            text = padded.replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
+                    if n != width:
+                        raise ValueError(f"expected {width} cells, got {n}")
+                    int_cells.append(_int_cells(cells))
+                    last = row, raw
+                    yield text
+                    row += 1
+            except (ValueError, csv.Error) as exc:  # csv.Error: a cell over the field limit
+                raise TraceSchemaError(f"row {row}: {exc}")
+
+        body = lines()
+        first = next(body, None)  # loadtxt warns when it gets no line at all
+        if first is None:
+            raise TraceSchemaError("trace file has no rows")
+        try:
+            table = np.loadtxt(chain((first,), body), delimiter=",", comments=None, ndmin=2)
+        except TraceSchemaError:  # from lines(): the row that ended the read
+            raise
+        except ValueError as exc:  # a cell that loadtxt names by its column
+            row, raw = last
+            cells = raw.split(",") if isinstance(raw, str) else raw
+            cell = cells[int(_COLUMN.search(str(exc))[1]) - 1]
+            raise TraceSchemaError(f"row {row}: could not convert string to float: {cell!r}")
+
     cols = {name: table[:, j].copy() for j, name in enumerate(_COLUMNS)}
     for j, name in enumerate(_INT_COLUMNS):
         v = cols[name]

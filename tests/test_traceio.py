@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
 import re
+import tempfile
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -410,3 +414,124 @@ def test_cell_over_the_csv_field_limit_is_a_schema_error(tmp_path, line):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceSchemaError, match=f"^row {line + 1}: field larger than field limit"):
         read_csv(path)
+
+
+# spellings float() accepts; a trace cell holding one must read to float(cell)'s bits
+FLOAT_SPELLINGS = [" 1.5", "1.5 ", "+1.5", "1.", ".5", "1E5", "Infinity", "-0", "1e500",
+                   "-1e-400", "4.9406564584124654e-324", '"2.5"']
+
+
+@pytest.mark.parametrize("cell", FLOAT_SPELLINGS)
+def test_cell_spellings_read_to_the_bits_of_float(tmp_path, cell):
+    path, lines = _small_csv(tmp_path)
+    _edit_cell(lines, 3, 12, cell)
+    path.write_text("\r\n".join(lines) + "\r\n")
+    got = read_csv(path).x_bar[2, 0]
+    assert got.tobytes() == np.float64(float(cell.strip('"'))).tobytes()
+
+
+@pytest.mark.parametrize("cell,shown", [
+    ("1#5", "1#5"), (" ", " "), ("0x10", "0x10"), ('"1,5"', "1,5"), ('"1\r\n5"', "1\r\n5"),
+    ('"\n"', "\n"), ('"1""5"', '1"5'), ("1\x005", "1\x005"), ("1_0", "1_0"), ("١", "١"),
+])
+def test_cells_that_are_not_floats_are_named(tmp_path, cell, shown):
+    # a comment sign, a quoted separator or line break, a quote and a NUL
+    # are plain text inside one cell; float() alone takes digit-group
+    # underscores and non-ASCII digits, which write_csv never writes
+    path, lines = _small_csv(tmp_path)
+    _edit_cell(lines, 3, 12, cell)
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    message = f"row 4: could not convert string to float: {shown!r}"
+    with pytest.raises(TraceSchemaError, match=f"^{re.escape(message)}$"):
+        read_csv(path)
+
+
+def test_quoted_record_over_several_lines_is_one_row(tmp_path):
+    # float() strips the line breaks around the number; the rows after the
+    # record keep csv's count
+    path, lines = _small_csv(tmp_path)
+    want = read_csv(path)
+    _edit_cell(lines, 3, 12, '"\r\n0.25\n"')
+    path.write_text("\r\n".join(lines) + "\r\n")
+    got = read_csv(path)
+    assert got.x_bar[2, 0] == 0.25
+    got.x_bar[2, 0] = want.x_bar[2, 0]
+    _assert_traces_equal(got, want)
+    _edit_cell(lines, 5, 11, "abc")
+    path.write_text("\r\n".join(lines) + "\r\n")
+    with pytest.raises(TraceSchemaError, match="^row 6: could not convert string to float: 'abc'"):
+        read_csv(path)
+
+
+_COLUMN_ORDER = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
+                 "grad_norm_tilde", "evals_cum", "x", "x_bar", "x_tilde")
+
+
+def _row(trace, r):
+    """Row r of a trace with iterates, one value per CSV cell."""
+    return np.hstack([getattr(trace, name)[r] for name in _COLUMN_ORDER])
+
+
+def test_runs_of_empty_cells_read_as_nan(tmp_path):
+    path, lines = _small_csv(tmp_path)
+    want = read_csv(path)
+    empty = {2: [1, 2, 3, 5], 3: [12, 13, 14, 15], 4: [8, 10, 11, 12, 13, 14, 15]}
+    for line, columns in empty.items():
+        for column in columns:
+            _edit_cell(lines, line, column, "")
+    path.write_text("\r\n".join(lines) + "\r\n")
+    got = read_csv(path)
+    for line, columns in empty.items():
+        u, v = _row(got, line - 1), _row(want, line - 1)
+        assert np.flatnonzero(np.isnan(u)).tolist() == columns
+        assert not np.isnan(v).any() and np.array_equal(u[~np.isnan(u)], v[~np.isnan(u)])
+
+
+def test_ragged_row_after_a_bad_cell_reports_the_bad_cell(tmp_path):
+    # loadtxt pulls rows as it parses them: an error on an earlier row is
+    # never hidden behind a later row that stopped the read
+    path, lines = _small_csv(tmp_path)
+    _edit_cell(lines, 2, 12, "abc")
+    lines[5] += ",1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceSchemaError, match="^row 3: could not convert string to float: 'abc'"):
+        read_csv(path)
+
+
+def test_header_and_blank_lines_only_has_no_rows(tmp_path):
+    path, lines = _small_csv(tmp_path)
+    path.write_text(lines[0] + "\r\n" + "\r\n" * 3 + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceSchemaError, match="^trace file has no rows$"):
+            read_csv(path)
+
+
+def time_read(rounds=11):
+    """Print the median [q1, q3] ms of ``write_csv`` and of ``read_csv`` on the
+    K=2000, d=40 shape of the streaming tests, the two alternating in each round.
+
+        PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
+            import test_traceio as t; t.time_read()"
+    """
+    K, d = 2000, 40
+    rng = np.random.default_rng(0)
+    scalars = rng.standard_normal((8, K + 1))
+    tr = Trace(k=np.arange(K + 1), eta=scalars[0], H=scalars[1], alpha=scalars[2],
+               beta=scalars[3], lam=scalars[4], f_bar=scalars[5], f_tilde=scalars[6],
+               grad_norm_tilde=scalars[7], evals_cum=2 * np.arange(K + 1) + 1,
+               x=rng.standard_normal((K + 1, d)), x_bar=rng.standard_normal((K + 1, d)),
+               x_tilde=rng.standard_normal((K + 1, d)))
+    ms = {"write_csv": [], "read_csv": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "big.csv")
+        for _ in range(rounds):
+            for name, call in (("write_csv", lambda: write_csv(tr, path)),
+                               ("read_csv", lambda: read_csv(path))):
+                start = time.perf_counter()
+                call()
+                ms[name].append(1e3 * (time.perf_counter() - start))
+        size = os.path.getsize(path)
+    for name, vals in ms.items():
+        q1, med, q3 = np.percentile(vals, [25, 50, 75])
+        print(f"{name} {size / 1e6:.1f} MB: {med:.1f} [{q1:.1f}, {q3:.1f}] ms")
