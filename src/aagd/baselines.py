@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .curvature import lambda_option1, lambda_option2
+from .curvature import lambda_option1
 from .oracle import Oracle, OracleResult, _evaluate, evaluate
 from .solver import StopRule, Trace, _drive
 
@@ -22,18 +22,16 @@ class BaselineMethod:
     """A baseline kind plus its hyperparameters.
 
     gd/agd need a stepsize ``eta`` (typically 1/L); adagrad uses ``eta``
-    as its scale. adgd and bb start from ``eta0``; adgd takes growth
-    constants ``gamma`` and ``nu`` (defaults follow common practice and
-    are not tied to any guarantee) and can switch its secant estimate to
-    the Bregman form with ``option2``. polyak needs the optimal value.
+    as its scale. adgd and bb start from ``eta0``; adgd runs the rule of
+    Malitsky and Mishchenko (arXiv:1910.09529) with its fixed constants:
+    the stepsize after eta_k grows by at most sqrt(1 + eta_k/eta_{k-1})
+    and is capped at half the secant estimate. polyak needs the optimal
+    value.
     """
 
     kind: str
     eta: float | None = None
     eta0: float | None = None
-    gamma: float = 1.0
-    nu: float = 0.5
-    option2: bool = False
     f_star: float | None = None
 
     def __post_init__(self):
@@ -44,8 +42,6 @@ class BaselineMethod:
         if self.kind in ("adgd", "bb") and not 0.0 < (self.eta0 or 0.0) < math.inf:
             raise ValueError(f"{self.kind} requires a positive initial stepsize eta0 "
                              "(0 < eta0 < inf)")
-        if self.kind == "adgd" and not (self.gamma > 0.0 and self.nu > 0.0):
-            raise ValueError("adgd requires positive gamma and nu")
         if self.kind == "polyak" and self.f_star is None:
             raise ValueError("polyak requires f_star")
 
@@ -139,14 +135,12 @@ def _bb(method, oracle, notes, res):
 
 
 def _adgd(method, oracle, notes, res):
-    estimator = lambda_option2 if method.option2 else lambda_option1
-
     def advance(s):
         nxt = _descend(oracle, s)
-        lam = estimator(nxt, s.bar_res)
+        lam = lambda_option1(nxt, s.bar_res)
         # the gated growth branch, capped by the curvature branch (which an
         # infinite estimate leaves inactive)
-        eta = min(s.eta * math.sqrt(1.0 + method.gamma * s.eta / s.carry), method.nu * lam)
+        eta = min(s.eta * math.sqrt(1.0 + s.eta / s.carry), 0.5 * lam)
         return _State(s.k + 1, nxt, eta, lam, carry=s.eta)
 
     return _State(0, res, method.eta0, carry=method.eta0), advance

@@ -5,8 +5,8 @@ Sections::
     [experiment]
     seed = 7                  # integer, defaults to 0
     outdir = results          # required by the run command
-    checks = psi, corollary, h_envelope, lemmas, evals   # optional
-    x_ref = xstar, x0, random # reference points for psi/corollary checks
+    checks = psi, corollary, h_envelope, lemmas, evals   # absent: all; empty: none
+    x_ref = xstar, x0, random # psi/corollary points; absent: xstar, x0; empty: none
 
     [problem]
     kind = quadratic          # quadratic | identity | logistic | logsumexp
@@ -23,7 +23,7 @@ Sections::
     gap_tol =                 # optional, needs a problem with known optimum
     # aagd:    eta0 (required), theta, gamma, store_iterates, growth_cap
     # gd/agd/adagrad: eta = <float> or auto (1/L)
-    # adgd:    eta0, gamma, nu, option2
+    # adgd:    eta0; growth sqrt(1 + eta_k/eta_{k-1}), cap 1/2 secant (fixed)
     # bb:      eta0
     # polyak:  no extras (optimal value comes from the problem)
 
@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+
+from .diagnostics import CHECKS
 
 
 class ConfigError(ValueError):
@@ -60,11 +62,11 @@ def _list_of(*allowed):
 # how each key's value is read; any key not named here is a float
 _PARSERS = {
     "seed": int, "dim": int, "n": int, "terms": int, "max_iters": int,
-    "store_iterates": _flag, "growth_cap": _flag, "option2": _flag,
+    "store_iterates": _flag, "growth_cap": _flag,
     "x0": _one_of("zeros", "ones", "random"),
     "eta": lambda raw: "auto" if raw.lower() == "auto" else float(raw),
     "outdir": str, "path": str,
-    "checks": _list_of("psi", "corollary", "h_envelope", "lemmas", "evals"),
+    "checks": _list_of(*CHECKS),
     "x_ref": _list_of("xstar", "x0", "random"),
 }
 
@@ -82,7 +84,7 @@ _METHOD = {
     "gd": (("max_iters", "eta"), _STOP),
     "agd": (("max_iters", "eta"), _STOP),
     "adagrad": (("max_iters", "eta"), _STOP),
-    "adgd": (("max_iters", "eta0"), _STOP + ("gamma", "nu", "option2")),
+    "adgd": (("max_iters", "eta0"), _STOP),
     "bb": (("max_iters", "eta0"), _STOP),
     "polyak": (("max_iters",), _STOP),
 }
@@ -163,5 +165,5 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("no [method ...] sections")
     return ExperimentConfig(
         seed=experiment.get("seed", 0), outdir=experiment.get("outdir"),
-        checks=experiment.get("checks") or ("psi", "corollary", "h_envelope", "lemmas", "evals"),
-        x_ref=experiment.get("x_ref") or ("xstar", "x0"), problem=problem, methods=methods)
+        checks=experiment.get("checks", CHECKS), x_ref=experiment.get("x_ref", ("xstar", "x0")),
+        problem=problem, methods=methods)

@@ -40,6 +40,9 @@ from .oracle import Oracle, OracleResult, evaluate, evaluate_rows
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
+# the checks that run_certificates knows by name, in report order
+CHECKS = ("psi", "corollary", "h_envelope", "lemmas", "evals")
+
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 # doubles per row of a replay block: a block holds max(1, ROW_BLOCK // d) rows
@@ -329,8 +332,7 @@ def fit_rate(trace: Trace, k_lo: int, k_hi: int, gap_fn) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
                      L: float | None = None, x_refs: dict | None = None,
-                     checks: tuple = ("psi", "corollary", "h_envelope", "lemmas", "evals"),
-                     ) -> CertificateReport:
+                     checks: tuple = CHECKS) -> CertificateReport:
     """Assemble the full certificate report for one trace.
 
     ``x_refs`` maps reference-point names to points for the decay and

@@ -13,8 +13,6 @@ def test_method_validation():
         BaselineMethod(kind="gd")  # needs eta
     with pytest.raises(ValueError):
         BaselineMethod(kind="polyak")  # needs f_star
-    with pytest.raises(ValueError):
-        BaselineMethod(kind="adgd", eta0=1.0, gamma=-1.0)
 
 
 def test_gd_one_step_convergence_at_inverse_L():
@@ -53,18 +51,18 @@ def test_polyak_stops_at_start_when_f_star_above_value():
 
 
 def test_adgd_stepsizes_bounded_on_identity():
+    # each step is at most the growth gate, and at most half of a finite
+    # secant estimate (1 on the identity); near x* the curvature guard makes
+    # the estimate +inf and the gate alone bounds the step
     p = identity_quadratic(5)
     for eta0 in (1e-3, 1.0):
-        tr = run_baseline(BaselineMethod(kind="adgd", eta0=eta0, gamma=1.0, nu=1.0),
+        tr = run_baseline(BaselineMethod(kind="adgd", eta0=eta0),
                           p.oracle, np.ones(5), StopRule(max_iters=100))
-        assert np.nanmax(tr.eta) <= max(eta0, 1.0) * 2.0 + 1e-12
-
-
-def test_adgd_option2_flag():
-    p = identity_quadratic(5)
-    tr = run_baseline(BaselineMethod(kind="adgd", eta0=1e-2, option2=True),
-                      p.oracle, np.ones(5), StopRule(max_iters=50))
-    assert tr.n_iters == 50
+        eta, lam = tr.eta, tr.lam
+        prev = np.concatenate(([eta0], eta[:-2]))
+        assert np.all(eta[1:] <= eta[:-1] * np.sqrt(1.0 + eta[:-1] / prev))
+        assert np.all(eta[np.isfinite(lam)] <= 0.5 * lam[np.isfinite(lam)])
+        assert np.any(np.isfinite(lam[1:]))
 
 
 def test_adagrad_stepsizes_nonincreasing():

@@ -435,7 +435,7 @@ def test_check_unmatched_csv_with_several_aagd_methods(tmp_path, capsys):
 ZERO_LOGISTIC_CFG = """
 [experiment]
 outdir = {out}
-checks = {checks}
+{checks}
 
 [problem]
 kind = logistic
@@ -449,13 +449,13 @@ max_iters = 5
 """
 
 
-def _zero_logistic_cfg(tmp_path, name, data_text, method="aagd", checks="",
+def _zero_logistic_cfg(tmp_path, name, data_text, method="aagd", checks=None,
                        eta="1e-3"):
     data = tmp_path / f"{name}.txt"
     data.write_text(data_text)
     text = ZERO_LOGISTIC_CFG.format(out=tmp_path / "out", data=data, method=method,
                                     step="eta0" if method == "aagd" else "eta",
-                                    eta=eta, checks=checks)
+                                    eta=eta, checks="" if checks is None else f"checks = {checks}")
     path = tmp_path / f"{name}.ini"
     path.write_text(text)
     return path
@@ -814,7 +814,6 @@ def test_run_non_finite_tolerance_or_stepsize_is_config_error(tmp_path, capsys, 
 METHOD_VALUES = {
     "max_iters": "20", "grad_tol": "0", "gap_tol": "1e-9", "eta0": "1e-3", "eta": "auto",
     "theta": "2", "gamma": "0.04", "growth_cap": "true", "store_iterates": "true",
-    "nu": "0.5", "option2": "true",
 }
 
 

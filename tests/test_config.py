@@ -23,6 +23,7 @@ x0 = ones
 kind = aagd
 eta0 = 1e-4
 theta = 2
+gamma = 0.04
 max_iters = 500
 store_iterates = true
 growth_cap = false
@@ -51,6 +52,7 @@ def test_parse_full_config(tmp_path):
     agraal = cfg.methods[0]
     assert agraal.kind == "aagd"
     assert agraal.options["eta0"] == 1e-4
+    assert agraal.options["gamma"] == 0.04  # aagd's gamma; adgd rejects the key
     assert agraal.options["store_iterates"] is True
     assert agraal.options["growth_cap"] is False
     assert cfg.methods[1].options["eta"] == "auto"
@@ -216,3 +218,30 @@ def test_bad_value_for_each_key_parser(tmp_path, problem, method, key, raw):
     with pytest.raises(ConfigError) as exc:
         parse_config(write(tmp_path, _config(**given)))
     assert str(exc.value) == f"{section}: key {key!r} has invalid value {raw!r}"
+
+
+@pytest.mark.parametrize("key", ["checks", "x_ref"])
+def test_empty_list_key_means_none(tmp_path, key):
+    # an absent key keeps its default (test_defaults_applied); an empty one selects nothing
+    cfg = parse_config(write(tmp_path, f"[experiment]\n{key} =\n\n" + _config()))
+    assert getattr(cfg, key) == ()
+
+
+def test_run_with_empty_checks_prints_no_certificate(tmp_path, capsys):
+    text = ("[experiment]\noutdir = {out}\nchecks =\n\n" + _config()).format(out=tmp_path / "out")
+    assert main(["run", str(write(tmp_path, text))]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1].startswith("m ")
+    assert len(out.splitlines()) == 2  # the problem line and the method line
+
+
+@pytest.mark.parametrize("key, raw", [("gamma", "1.0"), ("nu", "0.5"), ("option2", "true")])
+def test_adgd_growth_constants_are_not_config_keys(tmp_path, capsys, key, raw):
+    # adgd runs its published rule with fixed constants
+    method = f"kind = adgd\neta0 = 0.1\nmax_iters = 10\n{key} = {raw}"
+    text = ("[experiment]\noutdir = {out}\n\n" + _config(method=method)).format(
+        out=tmp_path / "out")
+    assert main(["run", str(write(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: method m: unknown key '{key}'\n"
+    assert not list(tmp_path.glob("out/*.csv"))

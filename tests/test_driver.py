@@ -2,10 +2,9 @@
 
 The pinned digests fix every scalar column, the notes and the divergence
 flag of one run per method on one seeded quadratic, of aagd and adgd
-with the Bregman estimate on one seeded smoothed max, and of aagd, gd
-and adgd on one seeded sparse logistic problem with a bias column. They
-were recorded
-with numpy 2.4 and its bundled OpenBLAS on x86-64; another BLAS may
+on one seeded smoothed max, and of aagd, gd and adgd on one seeded
+sparse logistic problem with a bias column. They were recorded with
+numpy 2.4 and its bundled OpenBLAS on x86-64; another BLAS may
 round the matrix-vector products differently and change them.
 """
 import hashlib
@@ -33,8 +32,6 @@ PINNED = {
         "8679f88e130f2b0766ae35c57ba788d354c31e01a20a7652199aa7fd1cf95c2c",
     "adgd":
         "f030599052cc32e2c906bc679d432249090efeca7e13c0e91765ad23408e86af",
-    "adgd+option2":
-        "9ae411290dd0afafe6db35b76d2ff5e2b375e82e4d86f8c575b621c24530d19c",
     "adagrad":
         "7dc89d327c3835b8eda85a24588fea4c6b436dd98b0592a50ffe82efc5bc518c",
     "bb":
@@ -64,7 +61,6 @@ def pinned_trace(name, max_iters=100):
         "gd": BaselineMethod(kind="gd", eta=1.0 / p.L),
         "agd": BaselineMethod(kind="agd", eta=1.0 / p.L),
         "adgd": BaselineMethod(kind="adgd", eta0=1e-3),
-        "adgd+option2": BaselineMethod(kind="adgd", eta0=1e-3, option2=True),
         "adagrad": BaselineMethod(kind="adagrad", eta=1.0),
         "bb": BaselineMethod(kind="bb", eta0=1e-3),
         "polyak": BaselineMethod(kind="polyak", f_star=p.f_star),
@@ -80,8 +76,8 @@ def test_pinned_trace(name):
 PINNED_LOGSUMEXP = {
     "aagd":
         "79e3cc14aac63b8907f0013490e8beb9229ce7f1060a6a837d35a70193447db8",
-    "adgd+option2":
-        "92bfc18181b192282e5b5d55e709c3c539a231f8d24901b0f1f657bc0adc6d94",
+    "adgd":
+        "3b09abc48a79e8d267b58ab9c5c0862732a2ad0aea659984dfb4b67c050a80c1",
 }
 
 
@@ -93,8 +89,7 @@ def test_pinned_trace_logsumexp(name):
     if name == "aagd":
         tr = run(p.oracle, x0, default_params(eta0=1e-6), stop)
     else:
-        tr = run_baseline(BaselineMethod(kind="adgd", eta0=1e-6, option2=True),
-                          p.oracle, x0, stop)
+        tr = run_baseline(BaselineMethod(kind="adgd", eta0=1e-6), p.oracle, x0, stop)
     assert digest(tr) == PINNED_LOGSUMEXP[name]
 
 
