@@ -2,7 +2,7 @@
 
 A trace from a run with valid parameters must satisfy, in exact
 arithmetic: a nonincreasing Lyapunov sequence, an endpoint bound tying
-the final averaged iterate to the starting point, a lower envelope on
+every iterate to the starting point, a lower envelope on
 the stepsize sum, and a family of per-iteration identities and
 inequalities. All of these are checked here numerically, with relative
 1e-10 and absolute 1e-12 floors unless a check states its own slack.
@@ -22,10 +22,8 @@ curvature estimates, momentum terms and distances are then formed
 row-wise, with the bits of the per-k formulas. So the sweep holds O(B d)
 floats per temporary plus O(K) scalars, never the trace's fresh
 gradients. It builds the per-k arrays that the decay series at every
-reference point, the endpoint bound and the lemma suite read; the
-endpoint bound alone evaluates only x_bar[K], x[0] and the reference
-point. Each check sweeps an array of violations; a positive or NaN one
-fails it.
+reference point, the endpoint bound and the lemma suite read. Each check
+sweeps an array of violations; a positive or NaN one fails it.
 """
 from __future__ import annotations
 
@@ -199,15 +197,14 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pas
     return _Pass(f_bar, carry, ahead, series)
 
 
-def _corollary(trace: Trace, p: SolverParams, x_ref: np.ndarray, f_ref: float,
-               f_bar_K: float, grad0_sq: float, name: str) -> CertificateEntry:
-    """Endpoint bound from the fresh f(x_bar[K]) and ||grad f(x[0])||^2."""
-    K = trace.n_iters
-    dK, d0 = trace.x[K] - x_ref, trace.x[0] - x_ref
-    lhs = 0.5 * float(dK @ dK) + trace.H[K - 1] * (f_bar_K - f_ref)
+def _corollary(trace: Trace, p: SolverParams, x_ref: np.ndarray, series: LyapunovSeries,
+               grad0_sq: float, name: str) -> CertificateEntry:
+    """Endpoint bound at k = 1..K from the series' distance and gap terms."""
+    d0 = trace.x[0] - x_ref
     rhs = 0.5 * float(d0 @ d0) + 0.5 * (1.0 + p.gamma * p.theta) * trace.eta[0]**2 * grad0_sq
-    viol = lhs - (rhs * (1.0 + REL_TOL) + ABS_TOL)
-    return _sweep(name, [K], [viol], f"lhs={lhs:.6e} rhs={rhs:.6e}", pass_k=K)
+    lhs = series.dist_term + series.gap_term
+    e = _sweep(name, series.k, lhs - (rhs * (1.0 + REL_TOL) + ABS_TOL), pass_k=trace.n_iters)
+    return replace(e, detail=f"lhs={lhs[e.worst_k - 1]:.6e} rhs={rhs:.6e}")
 
 
 def lyapunov_series(trace: Trace, x_ref, oracle: Oracle,
@@ -237,11 +234,11 @@ def check_monotone_psi(series: LyapunovSeries, name: str = "psi_monotone") -> Ce
 def check_corollary_bound(trace: Trace, x_ref, oracle: Oracle,
                           params: SolverParams | None = None,
                           name: str = "corollary_bound") -> CertificateEntry:
-    """Endpoint bound at the final iterate, valid for any reference point."""
-    x_ref, f_ref = _reference(trace, oracle, x_ref)
-    return _corollary(trace, _params(trace, params), x_ref, f_ref,
-                      evaluate(oracle, trace.x_bar[trace.n_iters]).value,
-                      evaluate(oracle, trace.x[0]).grad_sq, name)
+    """Endpoint bound at every k = 1..K for any reference point, from a full replay."""
+    ref = _reference(trace, oracle, x_ref)
+    params = _params(trace, params)
+    series = _replay(trace, oracle, params, [ref]).series[0]
+    return _corollary(trace, params, ref[0], series, evaluate(oracle, trace.x[0]).grad_sq, name)
 
 
 def _check_L(L: float | None) -> None:
@@ -344,26 +341,27 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
     """
     params = _params(trace, params) if set(checks) - {"evals"} else None
     report = CertificateReport()
-    psi_refs, cor_refs = ((x_refs or {}) if c in checks else {} for c in ("psi", "corollary"))
+    kinds = [n for c, n in (("psi", "psi_monotone"), ("corollary", "corollary_bound"))
+             if c in checks]
+    refs = (x_refs or {}) if kinds else {}
     # both reference checks compare iterates at k >= 1; a run that stopped
     # at its start point (already optimal) has none, so they do not apply
     if trace.n_iters == 0:
         why = "not applicable: trace has no iterations"
-        report.entries += [CertificateEntry(f"psi_monotone[{r}]", True, 0.0, 0, why)
-                           for r in psi_refs]
-        report.entries += [CertificateEntry(f"corollary_bound[{r}]", True, 0.0, 0, why)
-                           for r in cor_refs]
-        psi_refs = cor_refs = {}
-    refs = {r: _reference(trace, oracle, x) for r, x in {**psi_refs, **cor_refs}.items()}
-    fresh = (_replay(trace, oracle, params, [refs[r] for r in psi_refs])
-             if psi_refs or ("lemmas" in checks and trace.has_iterates) else None)
-    for j, r in enumerate(psi_refs):
-        report.entries.append(check_monotone_psi(fresh.series[j], name=f"psi_monotone[{r}]"))
-    if cor_refs:
-        f_bar_K = fresh.f_bar[-1] if fresh else evaluate(oracle, trace.x_bar[trace.n_iters]).value
+        report.entries += [CertificateEntry(f"{n}[{r}]", True, 0.0, 0, why)
+                           for n in kinds for r in refs]
+        refs = {}
+    refs = {r: _reference(trace, oracle, x) for r, x in refs.items()}
+    fresh = (_replay(trace, oracle, params, list(refs.values()))
+             if refs or ("lemmas" in checks and trace.has_iterates) else None)
+    series = dict(zip(refs, fresh.series)) if refs else {}
+    if "psi" in checks:
+        report.entries += [check_monotone_psi(s, name=f"psi_monotone[{r}]")
+                           for r, s in series.items()]
+    if "corollary" in checks and series:
         grad0_sq = evaluate(oracle, trace.x[0]).grad_sq
-        report.entries += [_corollary(trace, params, *refs[r], f_bar_K, grad0_sq,
-                                      f"corollary_bound[{r}]") for r in cor_refs]
+        report.entries += [_corollary(trace, params, refs[r][0], s, grad0_sq,
+                                      f"corollary_bound[{r}]") for r, s in series.items()]
     if "h_envelope" in checks and L is not None:
         report.entries.append(check_h_envelope(trace, params, L))
     if "lemmas" in checks:

@@ -133,7 +133,7 @@ def test_criterion_4_corollary_bound(matrix):
             if not entry.passed:
                 ok = False
                 detail = f"{problem.label} eta0={eta0:g} {rname}: {entry.line()}"
-    _report(4, "corollary-bound", ok, detail or "all cells hold at K")
+    _report(4, "corollary-bound", ok, detail or "all cells hold at k = 1..K")
 
 
 def test_criterion_5_h_envelope():

@@ -949,6 +949,18 @@ def test_run_and_check_report_the_same_random_reference_entries(tmp_path, capsys
     assert out.endswith("x_ref xstar skipped: problem has no known optimum\n")
 
 
+def test_run_corollary_without_psi_sweeps_every_iterate(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("psi, corollary, h_envelope, lemmas, evals",
+                                               "corollary"))
+    assert main(["run", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^agraal\s+iters=200\s", out, re.M)
+    lines = [ln.strip() for ln in out.splitlines() if ln.startswith("  ")]
+    assert [ln.split()[:2] for ln in lines] == [["corollary_bound[xstar]", "pass"],
+                                                ["corollary_bound[x0]", "pass"]]
+    assert all(" at k=200  [lhs=" in ln for ln in lines)
+
+
 @pytest.mark.parametrize("text, message", [
     ("[problem]\nkind = identity\ndim = 2\n\n[method a]\nkind = aagd\neta0 = 0.1\n"
      "max_iters = 5\n", "experiment: outdir is required for run"),

@@ -126,6 +126,17 @@ def test_corollary_bound_arbitrary_reference(identity_run):
         assert entry.passed, entry.line()
 
 
+def test_corollary_bound_fails_at_an_interior_iterate(identity_run):
+    # the bound holds at every k, so one far iterate fails it there and not at K
+    p, params, tr = identity_run
+    x = tr.x.copy()
+    x[200] += 100.0
+    entry = check_corollary_bound(dataclasses.replace(tr, x=x), p.x_star, p.oracle)
+    assert not entry.passed and entry.worst_k == 200, entry.line()
+    lhs = 0.5 * float(x[200] @ x[200]) + tr.H[199] * evaluate(p.oracle, tr.x_bar[200]).value
+    assert entry.detail.startswith(f"lhs={lhs:.6e} rhs=")
+
+
 def test_h_envelope_passes(identity_run):
     p, params, tr = identity_run
     assert check_h_envelope(tr, params, p.L).passed
@@ -318,6 +329,46 @@ def test_run_certificates_makes_one_pass(identity_run):
     assert report.entries == one_by_one
 
 
+def test_corollary_only_checks_share_the_sweep(identity_run):
+    # without psi the endpoint bound still reads the decay series of one sweep
+    p, params, tr = identity_run
+    refs = {"xstar": p.x_star, "x0": np.ones(10)}
+    oracle, calls = _counting(p.oracle)
+    report = run_certificates(tr, oracle, params, L=p.L, x_refs=refs, checks=("corollary",))
+    assert calls[0] == len(_swept_points(tr)) + len(refs) + 1
+    full = run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs)
+    assert report.entries == [e for e in full.entries if e.name.startswith("corollary_bound[")]
+    assert [(e.passed, e.worst_k) for e in report.entries] == [(True, tr.n_iters)] * len(refs)
+
+
+GRID_PROBLEMS = {
+    "quadratic": lambda seed: make_quadratic(seed, 8, 1e3),
+    "logsumexp": lambda seed: logsumexp_problem(seed, 6, 12, 0.1),
+    "logistic": lambda seed: logistic_problem(make_classification_dataset(seed, 30, 5),
+                                              reg=1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PROBLEMS))
+def test_reference_certificates_hold_across_a_seeded_grid(name):
+    # K = 300 from a standard normal start, at eta0 from far below 1/L to far
+    # above it, against the start, the optimum where known and a random point
+    for seed in (1, 2):
+        p = GRID_PROBLEMS[name](seed)
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal(p.dim)
+        refs = {"x0": x0, "random": 3.0 * rng.standard_normal(p.dim)}
+        if p.x_star is not None:
+            refs["xstar"] = p.x_star
+        for eta0 in (1e-12, 1e-6, 1.0 / p.L, 100.0 / p.L):
+            tr = run(p.oracle, x0, default_params(eta0=eta0), StopRule(max_iters=300),
+                     store_iterates=True)
+            report = run_certificates(tr, p.oracle, None, x_refs=refs,
+                                      checks=("psi", "corollary"))
+            assert len(report.entries) == 2 * len(refs)
+            assert report.passed, (seed, eta0, [e.line() for e in report.entries])
+
+
 # sha256 of the report lines, recorded before the checks shared one pass
 REPORT_SHA256 = {
     "identity": "97b82ab25b9cb64b6d27d1ca505c67c21e207e37e63b1df9f71727449e791d2f",
@@ -346,16 +397,17 @@ OVERFLOW_PROBLEMS = {
 }
 # sha256 of the report lines of K = 50 steps from x0 = 0 with x_refs {"x0": x0},
 # recorded before run_certificates entered an np.errstate, with warnings ignored;
-# from eta0 = 1e200 the logsumexp and logistic traces overflow in the replay
+# from eta0 = 1e200 the logsumexp and logistic traces overflow in the replay, and
+# their corollary_bound[x0] FAILs at k=1, the first NaN of the swept bound
 OVERFLOW_SHA256 = {
     ("logsumexp", 1e20): "50c7ae7d08ea3f7e71e9161a299ff00e1904d485b736429d317fbba8de6331d5",
     ("logsumexp", 1e150): "10050dd92565b715d313ff15b27dc16ba878fa4bf1bc3c4428b29cc10f3d9b6e",
-    ("logsumexp", 1e200): "1c3af1b84ae176d90346c4569f9401a1a42b12060e332a26e23b0b519e720a9a",
-    ("logsumexp", 1e300): "1c3af1b84ae176d90346c4569f9401a1a42b12060e332a26e23b0b519e720a9a",
+    ("logsumexp", 1e200): "892ada9b082e07f9ecf717d01abe48cc49359a3050d1f7f955f51ad913c3d3af",
+    ("logsumexp", 1e300): "892ada9b082e07f9ecf717d01abe48cc49359a3050d1f7f955f51ad913c3d3af",
     ("logistic", 1e20): "827c7115adbbf8ee468c8ced2255af1de919a891b9db014f74549f97071ed5e1",
     ("logistic", 1e150): "1a9be053c75fb02d326d34db0cacfeabf4b4d47612ff7e58ed174fac5d3be540",
-    ("logistic", 1e200): "3e85cef37b802a6d879a6ab917dd330306e69bb04aa3493179b4789294e38067",
-    ("logistic", 1e300): "3e85cef37b802a6d879a6ab917dd330306e69bb04aa3493179b4789294e38067",
+    ("logistic", 1e200): "1afadc049d7f186ee6277264d97d0f1015798c376502fc25fb374489c7dba2e2",
+    ("logistic", 1e300): "1afadc049d7f186ee6277264d97d0f1015798c376502fc25fb374489c7dba2e2",
     ("quadratic", 1e20): "be03e39a9e9cb5f89d21f9d8718f41c795b79f57c404e954fc45da7b24830092",
     ("quadratic", 1e150): "479cf660d66e661cfcf33e7d0d757fa77a23851f47637fb5cbcc8759795a580d",
     ("quadratic", 1e200): "a487102c685f53e69d7e274367830a19a6eb760eb9ebc7227a38aa6db4c73488",
@@ -430,8 +482,7 @@ def test_nan_stepsize_sum_fails_at_its_iteration(identity_run):
 
 def test_fresh_call_counts_pinned(identity_run):
     # one forward sweep evaluates each distinct point of x_bar[0], x_tilde[0],
-    # ..., x_bar[K], x_tilde[K]; the endpoint bound alone evaluates x_bar[K],
-    # x[0] and the reference point
+    # ..., x_bar[K], x_tilde[K]; the endpoint bound adds x[0] for its start gradient
     p, params, tr = identity_run
     swept = len(_swept_points(tr))
     oracle, calls = _counting(p.oracle)
@@ -439,7 +490,7 @@ def test_fresh_call_counts_pinned(identity_run):
     assert calls[0] == swept + 1
     calls[0] = 0
     check_corollary_bound(tr, p.x_star, oracle, params)
-    assert calls[0] == 3
+    assert calls[0] == swept + 2
     calls[0] = 0
     lemma_suite(tr, params, L=p.L, oracle=oracle)
     assert calls[0] == swept
