@@ -241,7 +241,14 @@ def save_libsvm(dataset: SparseDataset, path) -> None:
 
 def make_classification_dataset(seed: int, n_samples: int, n_features: int,
                                 density: float = 1.0) -> SparseDataset:
-    """Seeded synthetic two-class dataset with noisy linear labels."""
+    """Seeded synthetic two-class dataset with noisy linear labels.
+
+    Each entry of the n x d grid is present independently with probability
+    ``density``, and a row that draws none gets one uniformly chosen
+    feature. Values are standard normal; row a_i is labelled by the sign of
+    a_i . w + 0.5 N(0, 1) for a standard normal w. The build is O(nnz) in
+    time and memory: no n x d array is formed.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if n_features < 1:
@@ -250,26 +257,34 @@ def make_classification_dataset(seed: int, n_samples: int, n_features: int,
         raise ValueError("density must be in (0, 1]")
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(n_features)
-    indptr = [0]
-    indices: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    labels = np.empty(n_samples)
-    for i in range(n_samples):
-        k = max(1, rng.binomial(n_features, density))
-        idx = np.sort(rng.choice(n_features, size=k, replace=False))
-        val = rng.standard_normal(k)
-        margin = float(val @ w_true[idx]) + 0.5 * rng.standard_normal()
-        labels[i] = 1.0 if margin >= 0.0 else -1.0
-        indices.append(idx)
-        data.append(val)
-        indptr.append(indptr[-1] + k)
-    return SparseDataset(
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.concatenate(indices).astype(np.int64),
-        data=np.concatenate(data),
-        labels=labels,
-        n_features=n_features,
-    )
+    # present cells of the row-major grid are running sums of geometric gaps,
+    # drawn in chunks of the expected count plus five sigma until one passes
+    # the end; a gap clipped at the grid size keeps each sum exact up to the
+    # first one past the end (a tiny density draws gaps of 2**63 - 1)
+    cells, chunks, last = n_samples * n_features, [], -1
+    while True:
+        expected = (cells - 1 - last) * density
+        gaps = rng.geometric(density, size=int(expected + 5.0 * math.sqrt(expected)) + 16)
+        pos = np.cumsum(np.minimum(gaps, cells, out=gaps), out=gaps)
+        pos += last
+        past = pos >= cells
+        if past.any():
+            chunks.append(pos[:np.argmax(past)])
+            break
+        chunks.append(pos)
+        last = int(pos[-1])
+    rows, indices = np.divmod(np.concatenate(chunks), n_features)
+    counts = np.bincount(rows, minlength=n_samples)
+    empty = np.flatnonzero(counts == 0)
+    indices = np.insert(indices, np.searchsorted(rows, empty),
+                        rng.integers(n_features, size=empty.size))
+    counts[empty] = 1
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    data = rng.standard_normal(indices.size)
+    margins = np.add.reduceat(data * w_true[indices], indptr[:-1])
+    margins += 0.5 * rng.standard_normal(n_samples)
+    return SparseDataset(indptr=indptr, indices=indices, data=data,
+                         labels=np.where(margins >= 0.0, 1.0, -1.0), n_features=n_features)
 
 
 def _gram_spectral_norm(dataset: SparseDataset, tol: float = 1e-10, seed: int = 0) -> float:

@@ -1,6 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import aagd
 from aagd import (DatasetFormatError, evaluate, finite_diff_check,
                   identity_quadratic, load_libsvm, logistic_problem,
                   logsumexp_problem, make_classification_dataset, make_quadratic,
@@ -295,6 +303,125 @@ def test_classification_dataset_rejects_density_outside_unit_interval(monkeypatc
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(ValueError, match=r"^density must be in \(0, 1\]$"):
         make_classification_dataset(1, 5, 3, density=density)
+
+
+@pytest.mark.parametrize("density", [5e-324, 1e-300])
+def test_classification_dataset_at_vanishing_density_fills_each_row_once(density):
+    # numpy draws every geometric gap here as 2**63 - 1, so each row gets its one fill entry
+    data = make_classification_dataset(1, 50, 3, density=density)
+    assert data.n_samples == 50
+    assert np.array_equal(data.indptr, np.arange(51))
+
+
+def test_classification_dataset_clips_gaps_past_a_present_cell(monkeypatch):
+    # a gap of 2**63 - 1 right after a present cell would wrap the running sum
+    # of positions below the grid's end unless it is clipped at the grid size
+    real = np.random.default_rng
+
+    class Gaps:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def geometric(self, p, size):
+            gaps = np.full(size, np.iinfo(np.int64).max)
+            gaps[0] = 2
+            return gaps
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Gaps)
+    data = make_classification_dataset(1, 4, 3, density=1e-300)
+    assert np.array_equal(data.indptr, np.arange(5))
+    assert data.indices[0] == 1
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (7, 1), (1, 9), (40, 13)])
+def test_classification_dataset_at_full_density_holds_every_feature_in_order(n, d):
+    data = make_classification_dataset(3, n, d, density=1.0)
+    assert np.array_equal(data.indptr, d * np.arange(n + 1))
+    assert np.array_equal(data.indices, np.tile(np.arange(d), n))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 9137])
+@pytest.mark.parametrize("n, d, density", [(5000, 500, 0.05), (300, 1000, 0.01),
+                                           (20000, 5000, 0.001), (100, 3, 0.5)])
+def test_classification_dataset_nnz_within_five_sigma(seed, n, d, density):
+    # each row that draws no entry gets one, (1 - density)**d of them on average
+    data = make_classification_dataset(seed, n, d, density=density)
+    mean = n * (d * density + (1.0 - density) ** d)
+    assert abs(data.nnz - mean) <= 5.0 * math.sqrt(n * d * density * (1.0 - density))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, d, density", [(200, 30, 0.02), (50, 500, 0.3), (1000, 2, 0.5),
+                                           (3, 7, 1e-9), (20, 4, 1.0)])
+def test_classification_dataset_rows_nonempty_and_strictly_increasing(seed, n, d, density):
+    data = make_classification_dataset(seed, n, d, density=density)
+    counts = np.diff(data.indptr)
+    assert data.indptr.dtype == data.indices.dtype == np.int64
+    assert np.all(counts >= 1)
+    same_row = np.diff(np.repeat(np.arange(n), counts)) == 0
+    assert np.all(np.diff(data.indices)[same_row] > 0)
+    assert data.indices.min() >= 0 and data.indices.max() < d
+
+
+def test_classification_dataset_follows_the_per_row_law():
+    # row sizes follow max(1, Binomial(d, density)); each feature is present
+    # with probability density, plus 1/d of the rows that drew none
+    n, d, density = 20000, 4, 0.3
+    data = make_classification_dataset(5, n, d, density=density)
+    pmf = np.array([math.comb(d, c) * density**c * (1.0 - density) ** (d - c)
+                    for c in range(d + 1)])
+    pmf[1] += pmf[0]
+    pmf[0] = 0.0
+    sizes = np.bincount(np.diff(data.indptr), minlength=d + 1)
+    assert np.all(np.abs(sizes - n * pmf) <= 5.0 * np.sqrt(n * pmf * (1.0 - pmf)))
+    p = density + (1.0 - density) ** d / d
+    features = np.bincount(data.indices, minlength=d)
+    assert np.all(np.abs(features - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p)))
+
+
+def test_classification_dataset_labels_follow_the_planted_direction():
+    # w is the generator's first draw; noise of 0.5 N(0, 1) against margins of
+    # variance d = 20 flips about 3.6% of the signs
+    n, d = 2000, 20
+    data = make_classification_dataset(6, n, d, density=1.0)
+    w = np.random.default_rng(6).standard_normal(d)
+    agree = np.mean(np.sign(data.to_dense() @ w) == data.labels)
+    assert agree > 0.93
+
+
+def test_classification_dataset_memory_stays_near_nnz():
+    # about 1e5 entries; a dense mask of the 20000 x 5000 grid alone would take 100 MB
+    tracemalloc.start()
+    try:
+        make_classification_dataset(1, 20000, 5000, density=0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_logistic_data_and_L_do_not_depend_on_blas_threads():
+    script = """
+import hashlib
+import aagd
+data = aagd.make_classification_dataset(1, 5000, 500, 0.05)
+h = hashlib.sha256()
+for a in (data.indptr, data.indices, data.data, data.labels):
+    h.update(a.tobytes())
+print(h.hexdigest(), aagd.logistic_problem(data, reg=1e-3).L.hex())
+"""
+    src = str(Path(aagd.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("make", [lambda: make_quadratic(0, 0, 10.0),
