@@ -12,18 +12,19 @@ independently.
 
 The fresh calls of one trace form one forward sweep over k: x_bar[k] and
 x_tilde[k] are evaluated in order, once per distinct point, in blocks of
-B = max(1, ROW_BLOCK // d) rows. On a growth step x_bar[k] is often
-bit-equal to x_tilde[k-1], and the oracle is a function of x, so that
-point's result is the one already made. One call of
-:func:`~aagd.oracle.evaluate_rows` per block checks and squares the
-block's points and outputs row-wise, under one ``np.errstate``, and
-stacks its results into one result per point family; its Bregman values,
-curvature estimates, momentum terms and distances are then formed
-row-wise, with the bits of the per-k formulas. So the sweep holds O(B d)
-floats per temporary plus O(K) scalars, never the trace's fresh
-gradients. It builds the per-k arrays that the decay series at every
-reference point, the endpoint bound and the lemma suite read. Each check
-sweeps an array of violations; a positive or NaN one fails it.
+B = max(1, ROW_BLOCK // d) values of k. On a growth step x_bar[k] is
+often bit-equal to x_tilde[k-1], and the oracle is a function of x, so
+that point's result is the one already made. A block lays its points out
+in call order behind a look-back row, and one call of
+:func:`~aagd.oracle.evaluate_rows` checks and squares them and their
+outputs row-wise, under one ``np.errstate``, into one stacked result whose
+adjacent rows are the curvature pairs; their Bregman values, curvature
+estimates, momentum terms and distances are then formed row-wise, with
+the bits of the per-k formulas. So the sweep holds O(B d) floats per
+temporary plus O(K) scalars, never the trace's fresh gradients. It
+builds the per-k arrays that the decay series at every reference point,
+the endpoint bound and the lemma suite read. Each check sweeps an array
+of violations; a positive or NaN one fails it.
 """
 from __future__ import annotations
 
@@ -143,50 +144,48 @@ def _rows(res: OracleResult, rows: slice) -> OracleResult:
     return OracleResult(*(f[rows] for f in res))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pass:
     """Evaluate x_bar[k] and x_tilde[k], k = 0..K in order, once per
-    distinct point, in blocks of B = max(1, ROW_BLOCK // d) rows; ``refs``
-    holds (x_ref, f_ref) pairs.
+    distinct point, in blocks of B = max(1, ROW_BLOCK // d) values of k;
+    ``refs`` holds (x_ref, f_ref) pairs.
 
-    A block's stacked results give two pair families row-wise:
-    (x_bar[k], x_tilde[k]) the carry-over and the second curvature
-    estimate, (x_bar[k], x_tilde[k-1]) the look-ahead Bregman value and
-    the first. Only the result at x_tilde[k0-1] outlives its block, and
-    x_bar[k0] reuses it when the two are bit-equal, so the calls do not
-    depend on B. The decay terms are formed from O(K) scalars after the
-    sweep.
+    A block over k0 <= k < k1 evaluates, in call order, the look-back
+    point x_tilde[k0-1] (x_bar[0] for the first block), which repeats the
+    last point evaluated and costs no call, then x_bar[k] and x_tilde[k].
+    So the calls do not depend on B, and both pair families are adjacent
+    rows: (x_bar[k], x_tilde[k]) gives the carry-over and the second
+    curvature estimate, (x_bar[k], x_tilde[k-1]) the look-ahead Bregman
+    value and the first. The per-k arrays span k = 0..K and are sliced
+    after the sweep (the k = 0 look-back pair goes unread); the decay
+    terms are then formed from O(K) scalars.
     """
     tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
     B = max(1, ROW_BLOCK // oracle.dim)
-    x_bar, x_til = (np.asarray(p, dtype=np.float64) for p in (tr.x_bar, tr.x_tilde))
-    f_bar, f_til, lam_same = np.empty((3, K + 1))  # at k = 0..K, the rest at k = 1..K
-    carry, ahead, lam_ahead, mom = np.empty((4, K))
-    dist = np.empty((len(refs), K))
-    behind = None  # the result at x_tilde[k0-1]; the first block has none
+    f_bar, f_til, lam_same, lam_ahead, carry, ahead, mom = np.empty((7, K + 1))
+    dist = np.empty((len(refs), K + 1))
+    res = None  # the previous block's stacked result, which ends at x_tilde[k0-1]
     for k0 in range(0, K + 1, B):
         k1 = min(k0 + B, K + 1)
-        bar, til = evaluate_rows(oracle, x_bar[k0:k1], x_til[k0:k1], before=behind)
-        f_bar[k0:k1], f_til[k0:k1] = bar.value, til.value
-        lam_same[k0:k1], breg = lambda_option2_rows(bar, til)
-        carry[k0:k1] = breg[:K - k0]
-        a = max(k0, 1)  # the block's first k that pairs with x_tilde[k-1]
-        if a < k1:  # a one-row first block (K = 0 or B = 1) has no such pair
-            if behind is not None:  # x_tilde[a-1..k1-1]
-                til = OracleResult(*map(np.concatenate, zip(behind, til)))
-            lam_ahead[a - 1:k1 - 1], ahead[a - 1:k1 - 1] = lambda_option2_rows(
-                _rows(bar, slice(a - k0, None)), _rows(til, slice(None, -1)))
+        rows = np.empty((2 * (k1 - k0) + 1, oracle.dim))
+        rows[0] = tr.x_tilde[k0 - 1] if k0 else tr.x_bar[0]
+        rows[1::2], rows[2::2] = tr.x_bar[k0:k1], tr.x_tilde[k0:k1]
+        res = evaluate_rows(oracle, rows, before=res)
+        bar = _rows(res, slice(1, None, 2))
+        f_bar[k0:k1], f_til[k0:k1] = bar.value, res.value[2::2]
+        lam_same[k0:k1], carry[k0:k1] = lambda_option2_rows(bar, _rows(res, slice(2, None, 2)))
+        lam_ahead[k0:k1], ahead[k0:k1] = lambda_option2_rows(bar, _rows(res, slice(0, -1, 2)))
         if refs:  # the decay terms serve only the series
-            dk = tr.x[a:k1] - tr.x[a - 1:k1 - 1]
-            mom[a - 1:k1 - 1] = 0.5 * ga * th * np.vecdot(dk, dk)
+            dk = np.diff(tr.x[max(k0 - 1, 0):k1], axis=0)  # x[k] - x[k-1] for k >= max(k0, 1)
+            mom[k1 - len(dk):k1] = 0.5 * ga * th * np.vecdot(dk, dk)
             for j, (x_ref, _) in enumerate(refs):
-                dx = tr.x[a:k1] - x_ref
-                dist[j, a - 1:k1 - 1] = 0.5 * np.vecdot(dx, dx)
-        behind = _rows(til, slice(-1, None))
+                dx = tr.x[k0:k1] - x_ref
+                dist[j, k0:k1] = 0.5 * np.vecdot(dx, dx)
+    carry, ahead, mom, dist = carry[:-1], ahead[1:], mom[1:], dist[:, 1:]
     if not refs:
         return _Pass(f_bar, carry, ahead, [])
-    lam = np.where(lam_same[1:] < lam_ahead, lam_same[1:], lam_ahead)  # Python's min, NaN included
-    with np.errstate(over="ignore"):  # Python floats in the per-k formula
-        scale = 1.0 + np.abs(f_bar[:-1]) + np.abs(f_til[:-1])
+    lam = np.where(lam_same < lam_ahead, lam_same, lam_ahead)[1:]  # Python's min, NaN included
+    scale = 1.0 + np.abs(f_bar[:-1]) + np.abs(f_til[:-1])
     # an infinite estimate zeroes the term; a carry-over that does not vanish makes it NaN
     breg = np.where(np.abs(carry) <= 1e-9 * scale, 0.0, math.nan)
     f = ~np.isinf(lam)
@@ -197,6 +196,7 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pas
     return _Pass(f_bar, carry, ahead, series)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _corollary(trace: Trace, p: SolverParams, x_ref: np.ndarray, series: LyapunovSeries,
                grad0_sq: float, name: str) -> CertificateEntry:
     """Endpoint bound at k = 1..K from the series' distance and gap terms."""
@@ -221,6 +221,7 @@ def lyapunov_series(trace: Trace, x_ref, oracle: Oracle,
     return _replay(trace, oracle, _params(trace, params), [ref]).series[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_monotone_psi(series: LyapunovSeries, name: str = "psi_monotone") -> CertificateEntry:
     """Pass iff each value is below its predecessor up to the slacks:
     relative 1e-10 and absolute 1e-12 * (1 + |first value|).
@@ -271,6 +272,7 @@ def lemma_suite(trace: Trace, params: SolverParams | None = None,
     return _lemmas(trace, params, L, fresh)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lemmas(trace: Trace, params: SolverParams, L: float | None,
             fresh: _Pass | None) -> list[CertificateEntry]:
     ga = params.gamma
@@ -326,7 +328,6 @@ def fit_rate(trace: Trace, k_lo: int, k_hi: int, gap_fn) -> float:
     return float(slope)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
                      L: float | None = None, x_refs: dict | None = None,
                      checks: tuple = CHECKS) -> CertificateReport:

@@ -8,8 +8,8 @@ checks every point a run queries, and a run's start point reaches it
 through :func:`evaluate`. Inside a run the float error state is the run
 loop's: the step and the baselines call :func:`_evaluate`, which enters
 no ``np.errstate``. :func:`evaluate_rows` is :func:`evaluate` over the
-rows of a block, for the certificate replay: it checks and squares
-row-wise and calls ``fn`` once per run of bit-equal rows.
+rows of a call-ordered array, for the certificate replay: it checks and
+squares row-wise and calls ``fn`` once per run of bit-equal rows.
 """
 from __future__ import annotations
 
@@ -156,29 +156,25 @@ def _rows_finite(m: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return finite
 
 
-def evaluate_rows(oracle: Oracle, *blocks,
-                  before: OracleResult | None = None) -> tuple[OracleResult, ...]:
-    """:func:`evaluate` at each row of the equal-shaped (n, d) ``blocks``,
-    one stacked result per block: (n,) values and squared norms, (n, d)
-    gradients and points.
+def evaluate_rows(oracle: Oracle, points,
+                  before: OracleResult | None = None) -> OracleResult:
+    """:func:`evaluate` at each row of the (n, d) ``points``, taken in
+    call order, as one stacked result: (n,) values and squared norms,
+    (n, d) gradients and points.
 
-    The rows are taken in call order: row 0 of every block in turn, then
-    row 1, and so on. ``oracle.fn`` is called only at a row that is not
-    bit-equal to the point before it, which for the first row is the
-    last row of the stacked result ``before``, if given; a repeated row
-    gets the value and gradient of that point. This assumes what every
-    kernel promises: ``fn`` is a function of x, so equal bits in give
-    equal bits out. The point shapes are checked once, and the points
-    and the outputs are squared and checked for finiteness row-wise,
-    with the bits of :func:`evaluate`, all inside one ``np.errstate``.
-    The first call that fails, in call order, raises what
-    :func:`evaluate` raises there; calls after a non-finite output may
-    already have run.
+    ``oracle.fn`` is called only at a row that is not bit-equal to the
+    point before it, which for the first row is the last row of the
+    stacked result ``before``, if given; a repeated row gets the value
+    and gradient of that point. This assumes what every kernel promises:
+    ``fn`` is a function of x, so equal bits in give equal bits out. The
+    point shape is checked once, and the points and the outputs are
+    squared and checked for finiteness row-wise, with the bits of
+    :func:`evaluate`, all inside one ``np.errstate``. The first call
+    that fails, in call order, raises what :func:`evaluate` raises
+    there; calls after a non-finite output may already have run.
     """
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-    for b in blocks:
-        _check_point_shape(oracle, b.shape[1:])
-    points = np.stack(blocks, axis=1).reshape(-1, oracle.dim)  # in call order
+    points = np.asarray(points, dtype=np.float64)
+    _check_point_shape(oracle, points.shape[1:])
     values, grads = np.empty(len(points)), np.empty_like(points)
     # each row against the point of the call before it, as int64 bits: -0.0
     # differs from +0.0, and a NaN row fails the finiteness check below
@@ -209,10 +205,7 @@ def evaluate_rows(oracle: Oracle, *blocks,
             raise NonFiniteError(f"oracle {oracle.label!r} returned non-finite output")
     if error is not None:
         raise error
-    m = len(blocks)
-    return tuple(tuple.__new__(OracleResult, (values[j::m], grads[j::m], b, grad_sq[j::m],
-                                              x_sq[j::m]))
-                 for j, b in enumerate(blocks))
+    return tuple.__new__(OracleResult, (values, grads, points, grad_sq, x_sq))
 
 
 def finite_diff_check(oracle: Oracle, x, h: float | None = None) -> float:

@@ -128,7 +128,6 @@ def make_quadratic(seed: int, dim: int, cond: float) -> Problem:
         A = 0.5 * (A + A.T)
     b = rng.standard_normal(dim)
     x_star = np.linalg.solve(A, b)
-    f_star = 0.5 * float(x_star @ (A @ x_star)) - float(b @ x_star)
 
     def fn(x):
         return kernels.quad_value_grad(A, b, x)
@@ -136,7 +135,7 @@ def make_quadratic(seed: int, dim: int, cond: float) -> Problem:
     return Problem(
         oracle=Oracle(fn, dim, label=f"quadratic(seed={seed},dim={dim},cond={cond:g})"),
         L=float(cond),
-        f_star=f_star,
+        f_star=kernels.quad_value_grad(A, b, x_star)[0],
         x_star=x_star,
         label=f"quadratic_d{dim}_cond{cond:g}_s{seed}",
     )

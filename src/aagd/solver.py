@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .curvature import local_curvature
 from .oracle import NonFiniteError, Oracle, OracleResult, _evaluate, evaluate, sq_norm
-from .params import InvalidParamsError, SolverParams, check_valid
+from .params import SolverParams, check_valid
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def init(x0, params: SolverParams, oracle: Oracle) -> IterState:
     """State at k=0: unit weights, sums seeded with eta0, all points at x0.
 
     Performs one oracle evaluation at x0, cached as both the lookahead
-    and the averaged result. Raises :class:`InvalidParamsError` if
+    and the averaged result. Raises :class:`~aagd.params.InvalidParamsError` if
     ``params`` fail :func:`~aagd.params.validate`.
     """
     check_valid(params)

@@ -421,6 +421,8 @@ OVERFLOW_SHA256 = {
 @pytest.mark.parametrize("name, eta0", sorted(OVERFLOW_SHA256),
                          ids=[f"{n}-{e:g}" for n, e in sorted(OVERFLOW_SHA256)])
 def test_certificates_at_huge_eta0_raise_no_warning(name, eta0):
+    # the public reference checks too, with run_certificates' entries (a FAIL
+    # stays a FAIL; lines, because a NaN worst violation is not equal to itself)
     p = OVERFLOW_PROBLEMS[name]()
     x0 = np.zeros(p.dim)
     with warnings.catch_warnings():
@@ -428,8 +430,27 @@ def test_certificates_at_huge_eta0_raise_no_warning(name, eta0):
         tr = run(p.oracle, x0, default_params(eta0=eta0), StopRule(max_iters=50),
                  store_iterates=True)
         report = run_certificates(tr, p.oracle, None, L=p.L, x_refs={"x0": x0})
+        public = [  # none where the run stops at its start point (quadratic from 1e200)
+            check_monotone_psi(lyapunov_series(tr, x0, p.oracle), name="psi_monotone[x0]"),
+            check_corollary_bound(tr, x0, p.oracle, name="corollary_bound[x0]"),
+        ] if tr.n_iters else []
     digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
     assert digest == OVERFLOW_SHA256[name, eta0]
+    assert {e.line() for e in public} <= set(report.lines())
+
+
+def test_lemma_suite_at_the_largest_eta0_raises_no_warning():
+    # H[1] overflows to inf, so the h_growth bound (2 + gamma) H[k-1] does too
+    p = OVERFLOW_PROBLEMS["logistic"]()
+    x0 = np.zeros(p.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = run(p.oracle, x0, default_params(eta0=1.7e308), StopRule(max_iters=5),
+                 store_iterates=True)
+        lemmas = lemma_suite(tr, None, p.L, p.oracle)
+        report = run_certificates(tr, p.oracle, None, L=p.L, checks=("lemmas",))
+    assert math.isinf(tr.H[-1])
+    assert [e.line() for e in lemmas] == report.lines()
 
 
 def test_run_certificates_defaults_to_the_trace_parameters():
@@ -652,11 +673,16 @@ def test_block_replay_matches_the_per_k_reference_bits(make, eta0, theta, K):
 @pytest.mark.parametrize("rows", [1, 2, 7, None], ids=["B1", "B2", "B7", "default"])
 def test_sweep_calls_and_bits_do_not_depend_on_the_block_size(monkeypatch, rows):
     # x_bar[k] repeats x_tilde[k-1] at all k = 1..170 but 8, 25, 26 and 152,
-    # so at every block size some block starts with a repeat of the block before
+    # so at every block size some block starts with a repeat of the block before;
+    # a copy with x_bar[0] = 0.5 sets the first block's look-back stand-in,
+    # x_bar[0], apart from x_tilde[0]
     p, params = make_quadratic(1, 100, 1e4), default_params(eta0=1e-6)
     tr = run(p.oracle, np.zeros(100), params, StopRule(max_iters=170), store_iterates=True)
+    x_bar = tr.x_bar.copy()
+    x_bar[0] = 0.5
+    traces = [tr, dataclasses.replace(tr, x_bar=x_bar)]
     refs = [_reference(tr, p.oracle, x) for x in (p.x_star, np.zeros(100))]
-    want = _pass_bytes(_replay_reference(tr, p.oracle, params, refs))
+    wants = [_pass_bytes(_replay_reference(t, p.oracle, params, refs)) for t in traces]
     if rows is not None:
         monkeypatch.setattr(diagnostics, "ROW_BLOCK", rows * 100)
     B = diagnostics.ROW_BLOCK // 100
@@ -669,8 +695,11 @@ def test_sweep_calls_and_bits_do_not_depend_on_the_block_size(monkeypatch, rows)
         seen.append(x.copy())
         return p.oracle.fn(x)
 
-    assert _pass_bytes(_replay(tr, Oracle(recording, 100), params, refs)) == want
-    assert np.array_equal(np.array(seen), _swept_points(tr))
+    for t, want, calls in zip(traces, wants, (175, 176)):
+        seen.clear()
+        assert _pass_bytes(_replay(t, Oracle(recording, 100), params, refs)) == want
+        assert np.array_equal(np.array(seen), _swept_points(t))
+        assert len(seen) == calls
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -149,34 +149,35 @@ def test_result_norms_are_squared_norms():
     assert res.x_sq == float(x @ x)
 
 
+def _assert_rows_match_evaluate(oracle, stacked, points):
+    assert np.array_equal(stacked.x, points)
+    for r, x in enumerate(points):
+        one = evaluate(oracle, x)
+        for field in ("value", "grad", "grad_sq", "x_sq"):
+            got, want = getattr(stacked, field)[r], getattr(one, field)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+
+
 @pytest.mark.parametrize("problem", [
     make_quadratic(7, 40, 1e4),
     logistic_problem(make_classification_dataset(11, 120, 15), reg=1e-3),
     logsumexp_problem(3, 12, 30, 0.1),
 ], ids=["quadratic", "logistic", "logsumexp"])
 def test_evaluate_rows_matches_evaluate_bits(problem):
-    rng = np.random.default_rng(5)
-    blocks = rng.standard_normal((2, 9, problem.dim))
+    points = np.random.default_rng(5).standard_normal((18, problem.dim))
     calls = []
     oracle = Oracle(lambda x: calls.append(x.copy()) or problem.oracle.fn(x), problem.dim)
-    results = evaluate_rows(oracle, *blocks)
-    # row 0 of each block, then row 1 of each, ...
-    assert np.array_equal(np.array(calls), blocks.transpose(1, 0, 2).reshape(-1, problem.dim))
-    for block, stacked in zip(blocks, results):
-        assert np.array_equal(stacked.x, block)
-        for r, x in enumerate(block):
-            one = evaluate(problem.oracle, x)
-            for field in ("value", "grad", "grad_sq", "x_sq"):
-                got, want = getattr(stacked, field)[r], getattr(one, field)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+    stacked = evaluate_rows(oracle, points)
+    assert np.array_equal(np.array(calls), points)  # in row order
+    _assert_rows_match_evaluate(problem.oracle, stacked, points)
 
 
 def test_evaluate_rows_accepts_rows_with_overflowing_squares():
     steep = Oracle(lambda x: (1.0, 1e200 * np.ones_like(x)), 3, label="steep")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (at_huge,) = evaluate_rows(LINEAR, np.stack([HUGE, np.ones(3)]))
-        (huge_grad,) = evaluate_rows(steep, np.ones((2, 3)))
+        at_huge = evaluate_rows(LINEAR, np.stack([HUGE, np.ones(3)]))
+        huge_grad = evaluate_rows(steep, np.ones((2, 3)))
     assert at_huge.x_sq.tolist() == [math.inf, 3.0] and at_huge.value.tolist() == [3e200, 3.0]
     assert huge_grad.grad_sq.tolist() == [math.inf, math.inf]
 
@@ -240,22 +241,21 @@ def test_evaluate_rows_raises_what_evaluate_raises_first(failures, raised):
     # every failure that evaluate raises, alone and after an earlier one in
     # call order; x[0] numbers the calls 0, 1, 2, ..., and failures maps a
     # call to the way its output fails, or to the non-finite entry of its point
-    blocks = np.ones((2, 4, 3))
-    blocks[:, :, 0] = np.arange(8.0).reshape(4, 2).T
+    points = np.ones((8, 3))
+    points[:, 0] = np.arange(8.0)
     for call, how in failures.items():
         if not isinstance(how, str):
-            blocks[int(call) % 2, int(call) // 2, 1] = how
+            points[int(call), 1] = how
     oracle = Oracle(_fn_failing({c: h for c, h in failures.items() if isinstance(h, str)}), 3)
-    one_by_one = _first_error(lambda: [evaluate(oracle, x)
-                                       for x in blocks.transpose(1, 0, 2).reshape(-1, 3)])
-    assert _first_error(lambda: evaluate_rows(oracle, *blocks)) == one_by_one
+    one_by_one = _first_error(lambda: [evaluate(oracle, x) for x in points])
+    assert _first_error(lambda: evaluate_rows(oracle, points)) == one_by_one
     assert (one_by_one or (None,))[0] is raised
 
 
-def test_evaluate_rows_checks_each_block_shape():
+def test_evaluate_rows_checks_the_points_width():
     message = r"query point has shape \(4,\), oracle expects \(3,\)"
     with pytest.raises(DimensionMismatchError, match=message):
-        evaluate_rows(LINEAR, np.ones((2, 3)), np.ones((2, 4)))
+        evaluate_rows(LINEAR, np.ones((2, 4)))
 
 
 def _recording(oracle):
@@ -270,25 +270,19 @@ def _recording(oracle):
 ], ids=["quadratic", "logistic", "logsumexp"])
 def test_evaluate_rows_copies_repeated_rows_with_evaluate_bits(problem):
     a, b, c = np.random.default_rng(6).standard_normal((3, problem.dim))
-    (prev,) = evaluate_rows(problem.oracle, a[None])
+    prev = evaluate_rows(problem.oracle, a[None])
     oracle, seen = _recording(problem.oracle)
-    # call order a, a, b, b, b, c, after a call at a: only b and c are new
-    bar, til = np.stack([a, b, b]), np.stack([a, b, c])
-    results = evaluate_rows(oracle, bar, til, before=prev)
+    # a, a, b, b, b, c after a call at a: only b and c are new
+    points = np.stack([a, a, b, b, b, c])
+    stacked = evaluate_rows(oracle, points, before=prev)
     assert np.array_equal(np.array(seen), np.stack([b, c]))
-    for block, stacked in zip((bar, til), results):
-        assert np.array_equal(stacked.x, block)
-        for r, x in enumerate(block):
-            one = evaluate(problem.oracle, x)
-            for field in ("value", "grad", "grad_sq", "x_sq"):
-                got, want = getattr(stacked, field)[r], getattr(one, field)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+    _assert_rows_match_evaluate(problem.oracle, stacked, points)
 
 
 def test_evaluate_rows_calls_again_at_a_zero_of_the_other_sign():
     oracle, seen = _recording(LINEAR)
     zero = np.zeros(3)
-    (res,) = evaluate_rows(oracle, np.stack([zero, zero, -zero, -zero, zero]))
+    res = evaluate_rows(oracle, np.stack([zero, zero, -zero, -zero, zero]))
     assert [np.signbit(x).all() for x in seen] == [False, True, False]
     assert res.value.tolist() == [0.0] * 5
     evaluate_rows(oracle, -zero[None], before=res)  # res ends at +0.0
@@ -297,19 +291,18 @@ def test_evaluate_rows_calls_again_at_a_zero_of_the_other_sign():
 
 @pytest.mark.parametrize("how", ["point", "nan_value"])
 def test_evaluate_rows_raises_at_a_repeated_non_finite_row_as_evaluate(how):
-    # x[0] numbers the distinct points; in call order (row 0 of bar, of til,
-    # row 1 of bar, ...) they are 0, 1, 1, 2, 3, 4, and point 1 fails
-    bar, til = np.ones((3, 3)), np.ones((3, 3))
-    bar[:, 0], til[:, 0] = [0.0, 1.0, 3.0], [1.0, 2.0, 4.0]
+    # x[0] numbers the distinct points; in call order they are 0, 1, 1, 2,
+    # 3, 4, and point 1 fails
+    points = np.ones((6, 3))
+    points[:, 0] = [0.0, 1.0, 1.0, 2.0, 3.0, 4.0]
     if how == "point":
-        til[0, 1] = bar[1, 1] = math.nan
+        points[1:3, 1] = math.nan
     oracle, seen = _recording(Oracle(_fn_failing({1.0: how}), 3))
-    one_by_one = _first_error(lambda: [evaluate(oracle, x)
-                                       for x in np.stack([bar, til], axis=1).reshape(-1, 3)])
+    one_by_one = _first_error(lambda: [evaluate(oracle, x) for x in points])
     assert one_by_one[0] is NonFiniteError
     to_failure = [x[0] for x in seen]  # evaluate's calls, up to the failing one
     seen.clear()
-    assert _first_error(lambda: evaluate_rows(oracle, bar, til)) == one_by_one
+    assert _first_error(lambda: evaluate_rows(oracle, points)) == one_by_one
     called = [x[0] for x in seen]
     assert called[:len(to_failure)] == to_failure
     assert called.count(1.0) == (how == "nan_value")  # never at the repeat
