@@ -1,16 +1,17 @@
 """Command-line experiment runner.
 
 Subcommands: ``run`` executes a config-driven experiment and writes one
-trace CSV per (problem, method) cell plus a summary; ``params`` solves
-and validates the solver constants for a given extrapolation parameter;
-``check`` replays the certificate suite on a stored trace.
+trace CSV per (problem, method) cell, and a .npy of its stored iterates,
+plus a summary; ``params`` solves and validates the solver constants
+for a given extrapolation parameter; ``check`` replays the certificate
+suite on a stored trace.
 
 Exit codes: 0 success, 1 certificate failure, 2 config error, 3 run
 divergence. Inputs that the config parser, the dataset reader, the
 problem constructors, the method parameters or the trace reader reject
 (an empty dataset, an infeasible theta, say) are config errors: all of
 them raise ``ValueError``, and ``run`` validates every method before the
-first one runs, so a config error leaves no trace CSV behind. A psi or
+first one runs, so a config error leaves no trace file behind. A psi or
 corollary check with a reference point on an aagd method without
 ``store_iterates`` is one of them, and so is an oracle failure: at the
 start point, which ``run`` evaluates before any method, or at a stored
@@ -216,7 +217,7 @@ def cmd_params(theta: float, gamma: float | None) -> int:
 
 def _check_stored_iterates(trace: solver.Trace, dim: int) -> None:
     """Reject stored iterates that no oracle call could take: a width other
-    than the problem's dim, or a non-finite entry (an empty cell)."""
+    than the problem's dim, or a non-finite entry; its row is the CSV's."""
     if trace.x.shape[1] != dim:
         raise ConfigError(f"the trace stores iterates of dimension {trace.x.shape[1]}, "
                           f"the problem has dim = {dim}")

@@ -1,31 +1,29 @@
-"""Trace serialization to CSV.
+"""Trace serialization: scalar columns to CSV, iterates to a .npy beside it.
 
-Columns, in order: k, eta, H, alpha, beta, lambda, f_bar, f_tilde,
-grad_norm_tilde, evals_cum, then x_0..x_{d-1}, xbar_0.., xtilde_0..
-when the trace stores iterates. Floats are written with 17 significant
-digits so a parse of an emitted file reproduces every non-nan value
-bit-exactly: a nan (lambda at k=0, the columns a baseline does not use)
-is an empty cell, and +-inf (lambda where the estimator's guard fired,
-an overflowed iterate) is written as inf or -inf. Lines end in \r\n,
-as csv.writer writes them.
+The CSV's columns, in order: k, eta, H, alpha, beta, lambda, f_bar,
+f_tilde, grad_norm_tilde, evals_cum. Floats are written with 17
+significant digits so a parse of an emitted file reproduces every
+non-nan value bit-exactly: a nan (lambda at k=0, the columns a baseline
+does not use) is an empty cell, and +-inf (lambda where the estimator's
+guard fired) is written as inf or -inf. Lines end in \r\n.
 
-The reader streams: after the header, np.loadtxt's C parser, which
-rounds like float(), reads the data rows one line at a time into one
-float64 table. Per line the reader only skips blanks, counts cells,
-writes nan into empty cells and keeps the k and evals_cum text that its
-integer-column error quotes; csv.reader splits a line with a quote or
-over csv.field_size_limit(). Row numbers and messages are those of
-csv.reader and float(), but the spellings only float() takes (1_0,
-non-ASCII digits) are refused, and loadtxt strips the control characters
-0x1c-0x1f around a number, which float() refuses. The k column must
-read 0, 1, ..., K, one row per iteration.
+A trace with iterates also writes ``<path>.npy``: one C-order float64
+(3, K+1, d) array of x, x_bar and x_tilde, exact by construction. A trace
+without them deletes that file, so none is left from an earlier write.
+
+The reader parses the CSV with csv.reader and float(); the row numbers
+of its messages skip blank lines, and k must read 0, 1, ..., K. It then
+checks the .npy file's header and size against the CSV's rows before it
+reads the data. A CSV with iterate columns, the layout before the .npy
+file, is refused.
 """
 from __future__ import annotations
 
 import csv
-import re
-from itertools import chain
+import math
+import os
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -35,36 +33,66 @@ from .solver import _COLUMNS, _INT_COLUMNS, Trace
 SCALAR_COLUMNS = tuple("lambda" if name == "lam" else name for name in _COLUMNS)
 # a row's integer cells, as text, in _INT_COLUMNS order
 _int_cells = itemgetter(*(_COLUMNS.index(name) for name in _INT_COLUMNS))
-# a csv cell as loadtxt text: a comma, never part of a float, still fails to
-# convert, and a line break is whitespace, which both float() and loadtxt strip
-_LOADTXT_CELL = str.maketrans({",": "x", "\r": " ", "\n": " "})
-# the 1-based column that loadtxt names when a cell does not convert
-_COLUMN = re.compile(r"column (\d+)")
+_ITERATES = np.dtype("<f8")
 
 
 class TraceSchemaError(ValueError):
     pass
 
 
+def iterates_path(path) -> str:
+    """The file beside the trace CSV ``path`` that holds its iterates."""
+    return os.fspath(path) + ".npy"
+
+
 def write_csv(trace: Trace, path) -> None:
-    d = trace.x.shape[1] if trace.has_iterates else 0
-    header = list(SCALAR_COLUMNS) + [f"{block}_{i}" for block in ("x", "xbar", "xtilde")
-                                     for i in range(d)]
     # one format per row; only a nan formats as "nan", so deleting that
     # token empties exactly the nan cells
-    line = (",".join("%d" if name in _INT_COLUMNS else "%.17g" for name in _COLUMNS)
-            + ",%.17g" * (3 * d) + "\r\n")
+    line = ",".join("%d" if name in _INT_COLUMNS else "%.17g" for name in _COLUMNS) + "\r\n"
     rows = zip(*(getattr(trace, name).tolist() for name in _COLUMNS))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for r, row in enumerate(rows):
-            if d:
-                row += (*trace.x[r].tolist(), *trace.x_bar[r].tolist(),
-                        *trace.x_tilde[r].tolist())
+        fh.write(",".join(SCALAR_COLUMNS) + "\r\n")
+        for row in rows:
             fh.write((line % row).replace("nan", ""))
+    if not trace.has_iterates:
+        Path(iterates_path(path)).unlink(missing_ok=True)
+        return
+    with open(iterates_path(path), "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": _ITERATES.str, "fortran_order": False, "shape": (3, *trace.x.shape)})
+        for block in (trace.x, trace.x_bar, trace.x_tilde):
+            fh.write(np.ascontiguousarray(block, dtype=_ITERATES))
+
+
+def _read_iterates(path, rows: int):
+    """The (3, rows, d) array of the iterate file ``path``, or None if there is none."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    with fh:
+        try:  # np.save writes format 1.0 for a float64 array
+            np.lib.format.read_magic(fh)
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        except ValueError as exc:  # empty, not an .npy file, or a damaged header
+            raise TraceSchemaError(f"{path}: not an .npy array: {exc}")
+        if dtype != _ITERATES:
+            raise TraceSchemaError(f"{path}: dtype {dtype.str}, want {_ITERATES.str}")
+        if fortran:
+            raise TraceSchemaError(f"{path}: Fortran order, want C order")
+        if len(shape) != 3 or shape[:2] != (3, rows):
+            raise TraceSchemaError(f"{path}: shape {shape}, want (3, {rows}, d) "
+                                   f"for the CSV's {rows} rows")
+        count = math.prod(shape)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != count * _ITERATES.itemsize:
+            raise TraceSchemaError(f"{path}: {size} data bytes, want "
+                                   f"{count * _ITERATES.itemsize} for shape {shape}")
+        return np.fromfile(fh, dtype=_ITERATES, count=count).reshape(shape)
 
 
 def read_csv(path) -> Trace:
+    width = len(SCALAR_COLUMNS)
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -73,66 +101,30 @@ def read_csv(path) -> Trace:
             raise TraceSchemaError("empty trace file")
         except csv.Error as exc:
             raise TraceSchemaError(f"row 1: {exc}")
-        if tuple(header[: len(SCALAR_COLUMNS)]) != SCALAR_COLUMNS:
+        if tuple(header[:width]) != SCALAR_COLUMNS:
             raise TraceSchemaError(
-                f"unexpected columns {header[:len(SCALAR_COLUMNS)]}, "
-                f"want {list(SCALAR_COLUMNS)}"
-            )
-        extra = header[len(SCALAR_COLUMNS):]
-        d, width = len(extra) // 3, len(header)
-        if extra:
-            if len(extra) % 3 != 0:
-                raise TraceSchemaError("iterate columns must come in three blocks")
-            if extra != [f"{block}_{i}" for block in ("x", "xbar", "xtilde") for i in range(d)]:
-                raise TraceSchemaError("unexpected iterate column names")
-        limit = csv.field_size_limit()
-        int_cells = []  # the integer columns' text, for the error message below
-        last = None  # the file row and text of the line loadtxt was given last
-
-        def lines():
-            """Each data row as one loadtxt line; loadtxt pulls a line only when it
-            parses it, so the rows are checked in file order."""
-            nonlocal last
-            row = 2
-            try:
-                for line in fh:
-                    if '"' in line or len(line) > limit:
-                        # quoting, a record over several lines and the field limit stay csv's
-                        raw = cells = next(csv.reader(chain((line,), fh)))
-                        n = len(cells)
-                        text = ",".join(c.translate(_LOADTXT_CELL) or "nan" for c in cells)
-                    else:
-                        raw = text = line.rstrip("\r\n")
-                        if not text:
-                            continue
-                        n = text.count(",") + 1
-                        cells = text.split(",", len(SCALAR_COLUMNS))
-                        padded = f",{text},"
-                        if ",," in padded:  # empty cells; the second pass fills what a run leaves
-                            text = padded.replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
-                    if n != width:
-                        raise ValueError(f"expected {width} cells, got {n}")
-                    int_cells.append(_int_cells(cells))
-                    last = row, raw
-                    yield text
-                    row += 1
-            except (ValueError, csv.Error) as exc:  # csv.Error: a cell over the field limit
-                raise TraceSchemaError(f"row {row}: {exc}")
-
-        body = lines()
-        first = next(body, None)  # loadtxt warns when it gets no line at all
-        if first is None:
-            raise TraceSchemaError("trace file has no rows")
+                f"unexpected columns {header[:width]}, want {list(SCALAR_COLUMNS)}")
+        if len(header) > width:
+            raise TraceSchemaError(
+                f"{len(header) - width} columns after evals_cum: iterates are stored in "
+                f"{os.path.basename(iterates_path(path))} beside the CSV, not in its columns")
+        # each row becomes a list of floats as it is read; only the integer
+        # columns' text is kept, for the error message below
+        rows, int_cells = [], []
         try:
-            table = np.loadtxt(chain((first,), body), delimiter=",", comments=None, ndmin=2)
-        except TraceSchemaError:  # from lines(): the row that ended the read
-            raise
-        except ValueError as exc:  # a cell that loadtxt names by its column
-            row, raw = last
-            cells = raw.split(",") if isinstance(raw, str) else raw
-            cell = cells[int(_COLUMN.search(str(exc))[1]) - 1]
-            raise TraceSchemaError(f"row {row}: could not convert string to float: {cell!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ValueError(f"expected {width} cells, got {len(row)}")
+                rows.append([math.nan if c == "" else float(c) for c in row])
+                int_cells.append(_int_cells(row))
+        except (ValueError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
+            raise TraceSchemaError(f"row {len(rows) + 2}: {exc}")
+    if not rows:
+        raise TraceSchemaError("trace file has no rows")
 
+    table = np.array(rows)
     cols = {name: table[:, j].copy() for j, name in enumerate(_COLUMNS)}
     for j, name in enumerate(_INT_COLUMNS):
         v = cols[name]
@@ -146,8 +138,7 @@ def read_csv(path) -> Trace:
     if off.any():
         r = int(off.argmax())
         raise TraceSchemaError(f"row {r + 2}: k must be {r}, got {cols['k'][r]}")
-    base = len(SCALAR_COLUMNS)
-    x, x_bar, x_tilde = ((table[:, base + i * d:base + (i + 1) * d].copy() for i in range(3))
-                         if extra else (None, None, None))
+    blocks = _read_iterates(iterates_path(path), len(table))
+    x, x_bar, x_tilde = (None, None, None) if blocks is None else blocks
 
     return Trace(**cols, x=x, x_bar=x_bar, x_tilde=x_tilde)

@@ -342,13 +342,10 @@ def test_check_infinite_curvature_with_nonzero_carry_over(tmp_path, capsys):
                     .replace("max_iters = 50", "max_iters = 6"))
     assert main(["run", str(cfg)]) == 0
     trace = next((tmp_path / "out").glob("*agraal.csv"))
-    lines = trace.read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    for i in range(2):
-        x = rows[2][header.index(f"xtilde_{i}")]
-        rows[3][header.index(f"xtilde_{i}")] = rows[3][header.index(f"xbar_{i}")] = x
-    trace.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    npy = aagd.traceio.iterates_path(trace)
+    x, x_bar, x_tilde = blocks = np.load(npy)
+    x_tilde[3] = x_bar[3] = x_tilde[2]
+    np.save(npy, blocks)
     capsys.readouterr()
     assert main(["check", str(trace), "--config", str(cfg)]) == 1
     out = capsys.readouterr().out
@@ -593,11 +590,11 @@ def test_check_empty_iterate_cell_is_config_error(tmp_path, capsys, column):
     cfg = write_cfg(tmp_path, GOLDEN_CFG)
     assert main(["run", str(cfg)]) == 0
     trace = next((tmp_path / "out").glob("*agraal.csv"))
-    lines = trace.read_text().splitlines()
-    row = lines[4].split(",")
-    row[lines[0].split(",").index(column)] = ""
-    lines[4] = ",".join(row)
-    trace.write_text("\n".join(lines) + "\n")
+    # row 5 of the CSV, k = 3, in the iterate file
+    npy = aagd.traceio.iterates_path(trace)
+    blocks = np.load(npy)
+    blocks[("x_0", "xbar_0", "xtilde_0").index(column), 3, 0] = np.nan
+    np.save(npy, blocks)
     capsys.readouterr()
     assert main(["check", str(trace), "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
@@ -605,6 +602,36 @@ def test_check_empty_iterate_cell_is_config_error(tmp_path, capsys, column):
     block = column[:-2]
     assert captured.err == (f"config error: row 5: {block} has an empty or non-finite cell; "
                             "the solver stores only finite iterates\n")
+
+
+def test_check_damaged_iterate_file_is_config_error(tmp_path, capsys, iterate_damage):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    message = iterate_damage(Path(aagd.traceio.iterates_path(trace)))
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
+def test_check_trace_in_the_layout_with_iterate_columns_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    lines = trace.read_text().splitlines()
+    x, x_bar, x_tilde = np.load(aagd.traceio.iterates_path(trace))
+    lines[0] += ",x_0,xbar_0,xtilde_0"
+    for r in range(1, len(lines)):
+        lines[r] += f",{x[r - 1, 0]:.17g},{x_bar[r - 1, 0]:.17g},{x_tilde[r - 1, 0]:.17g}"
+    trace.write_text("\r\n".join(lines) + "\r\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: 3 columns after evals_cum: iterates are stored in "
+                            f"{trace.name}.npy beside the CSV, not in its columns\n")
 
 
 @pytest.mark.parametrize("kind, option, message", [
@@ -624,6 +651,7 @@ def test_run_invalid_method_value_is_config_error_before_any_run(tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and message in captured.err
     assert not list(tmp_path.glob("out/*.csv"))
+    assert not list(tmp_path.glob("out/*.npy"))
 
 
 @pytest.mark.parametrize("cell", ["0", ""])
@@ -649,7 +677,7 @@ def test_check_cell_over_the_csv_field_limit_is_config_error(tmp_path, capsys):
     trace = next((tmp_path / "out").glob("*agraal.csv"))
     lines = trace.read_text().splitlines()
     row = lines[3].split(",")
-    row[lines[0].split(",").index("x_0")] = "1" * 140001
+    row[lines[0].split(",").index("f_bar")] = "1" * 140001
     lines[3] = ",".join(row)
     trace.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -760,12 +788,10 @@ def test_check_oracle_failure_at_a_stored_iterate_is_config_error(tmp_path, caps
                               "store_iterates = true\n")
     assert main(["run", str(cfg)]) == 0
     trace = next((tmp_path / "out").glob("*__a.csv"))
-    lines = trace.read_text().splitlines()
-    header, row = lines[0].split(","), lines[4].split(",")
-    for i in range(3):
-        row[header.index(f"xbar_{i}")] = "1.7e308"
-    lines[4] = ",".join(row)
-    trace.write_text("\n".join(lines) + "\n")
+    npy = aagd.traceio.iterates_path(trace)
+    blocks = np.load(npy)
+    blocks[1, 3] = 1.7e308  # x_bar at k = 3
+    np.save(npy, blocks)
     capsys.readouterr()
     assert main(["check", str(trace), "--config", str(cfg)]) == 2
     captured = capsys.readouterr()

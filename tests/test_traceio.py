@@ -12,7 +12,7 @@ import pytest
 
 from aagd import (BaselineMethod, StopRule, Trace, default_params, identity_quadratic,
                   logsumexp_problem, read_csv, run, run_baseline, write_csv)
-from aagd.traceio import SCALAR_COLUMNS, TraceSchemaError
+from aagd.traceio import SCALAR_COLUMNS, TraceSchemaError, _read_iterates, iterates_path
 
 
 def _assert_scalar_equal(a, b):
@@ -97,25 +97,14 @@ def test_schema_rejects_empty_file(tmp_path):
         read_csv(path)
 
 
-def test_schema_rejects_bad_iterate_block(tmp_path):
-    p = identity_quadratic(2)
-    tr = run(p.oracle, np.ones(2), default_params(eta0=0.1), StopRule(max_iters=2),
-             store_iterates=True)
-    path = tmp_path / "t.csv"
-    write_csv(tr, path)
-    text = path.read_text().replace("xtilde_1", "oops_1")
-    path.write_text(text)
-    with pytest.raises(TraceSchemaError):
-        read_csv(path)
-
-
 # sha256 of the bytes write_csv emits, recorded with the csv.writer-based
-# writer ("special" since +-inf cells are written as inf and -inf); like
-# the trace pins in test_driver.py they assume numpy 2.4 with its bundled
-# OpenBLAS on x86-64
+# writer ("special" since +-inf cells are written as inf and -inf, "aagd"
+# and "special" since the iterates went to the .npy file beside the CSV,
+# whose bytes PINNED_ITERATE_BYTES pins); like the trace pins in
+# test_driver.py they assume numpy 2.4 with its bundled OpenBLAS on x86-64
 PINNED_BYTES = {
     "aagd":
-        "3f3a026fd88182f7c1f57fd1afb8245683002a621d41521ca9cb497baa822a41",
+        "caac3b292fdd18722bc9fe8f5a545c78e5e661a1debafe22aa1a83c484673024",
     "gd":
         "ca864fe6dc2845aa5d9c72dc6de39ff10ddeb7a883b42a6c23bbf4101f41f81b",
     "agd":
@@ -127,7 +116,13 @@ PINNED_BYTES = {
     "bb":
         "76f79066579d5507ea4a4e77baea767b33acd0070355cd6605aaed9d98c8a5a5",
     "special":
-        "a8fea3a4c6a2f56e14046a5a92b2243e30e4c9683c6b2b92ee7401f74b4965e4",
+        "12e44e1679ea879cde2ff2bdcf312aaca5b8a67a107d0eb8d099826cabb53d9e",
+}
+PINNED_ITERATE_BYTES = {
+    "aagd":
+        "f409d7383c5a1912e419add6ab1fd769814c3fed3dbc13e0dd7dd41b2eaa81ab",
+    "special":
+        "9ae6b1011803b744b743bc3de95abf91475befa270511fcc99448ae69e4227e2",
 }
 
 SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1 + 1e-17]
@@ -170,6 +165,20 @@ def test_written_bytes_pinned(tmp_path, name):
     data = path.read_bytes()
     assert data.endswith(b"\r\n")
     assert hashlib.sha256(data).hexdigest() == PINNED_BYTES[name]
+    assert os.path.exists(iterates_path(path)) == (name in PINNED_ITERATE_BYTES)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ITERATE_BYTES))
+def test_iterate_bytes_pinned(tmp_path, name):
+    # the streamed file is the one np.save writes for the stacked blocks
+    path = tmp_path / "t.csv"
+    tr = pinned_bytes_trace(name)
+    write_csv(tr, path)
+    with open(iterates_path(path), "rb") as fh:
+        data = fh.read()
+    assert hashlib.sha256(data).hexdigest() == PINNED_ITERATE_BYTES[name]
+    np.save(tmp_path / "stacked.npy", np.stack([tr.x, tr.x_bar, tr.x_tilde]))
+    assert (tmp_path / "stacked.npy").read_bytes() == data
 
 
 def test_nan_cells_are_empty_and_inf_cells_round_trip(tmp_path):
@@ -180,12 +189,35 @@ def test_nan_cells_are_empty_and_inf_cells_round_trip(tmp_path):
     assert "nan" not in text and ",inf," in text and ",-inf," in text
     back = read_csv(path)
     for name in ("eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
-                 "grad_norm_tilde", "x", "x_bar", "x_tilde"):
+                 "grad_norm_tilde"):
         want = getattr(tr, name)
         got = getattr(back, name)
         assert np.array_equal(got, want, equal_nan=True)
-        # -0.0, the subnormal and +-inf keep their bits
+        # -0.0, the subnormal and +-inf keep their bits; an empty cell reads as +nan
         assert np.array_equal(np.signbit(got), np.signbit(want) & ~np.isnan(want))
+    for name in ("x", "x_bar", "x_tilde"):
+        # the .npy file keeps every bit, the sign of a nan included
+        assert getattr(back, name).tobytes() == getattr(tr, name).tobytes()
+
+
+def test_trace_without_iterates_deletes_the_old_iterate_file(tmp_path):
+    path, _ = _small_csv(tmp_path)
+    assert read_csv(path).has_iterates
+    p = identity_quadratic(2)
+    gd = run_baseline(BaselineMethod(kind="gd", eta=0.3), p.oracle, np.ones(2),
+                      StopRule(max_iters=4))
+    write_csv(gd, path)
+    assert not os.path.exists(iterates_path(path))
+    back = read_csv(path)
+    assert not back.has_iterates
+    _assert_scalar_equal(back.eta, gd.eta)
+
+
+def test_damaged_iterate_file_is_a_schema_error(tmp_path, iterate_damage):
+    path, _ = _small_csv(tmp_path)
+    message = iterate_damage(tmp_path / "t.csv.npy")
+    with pytest.raises(TraceSchemaError, match=f"^{re.escape(message)}$"):
+        read_csv(path)
 
 
 def test_write_csv_streams_rows(tmp_path):
@@ -274,18 +306,17 @@ def _schema_case(tmp_path, case):
         path.write_text("")
     elif case == "wrong columns":
         path.write_text("a,b,c\n1,2,3\n")
-    elif case == "blocks not in threes":
-        path.write_text(header + ",x_0,x_1\n")
-    elif case == "wrong iterate names":
-        path.write_text("\n".join(lines).replace("xtilde_1", "oops_1") + "\n")
+    elif case == "old layout":
+        lines[0] += ",x_0,x_1,xbar_0,xbar_1,xtilde_0,xtilde_1"
+        path.write_text("\n".join(lines) + "\n")
     elif case == "ragged row":
         lines[2] += ",42"
         path.write_text("\n".join(lines) + "\n")
     elif case == "non-numeric cell":
-        _edit_cell(lines, 3, 12, "abc")
+        _edit_cell(lines, 3, 6, "abc")
         path.write_text("\n".join(lines) + "\n")
     elif case == "no rows":
-        path.write_text(header + ",x_0,x_1,xbar_0,xbar_1,xtilde_0,xtilde_1\r\n")
+        path.write_text(header + "\r\n")
     elif case == "bad integer column":
         _edit_cell(lines, 4, 0, "3.7")
         path.write_text("\n".join(lines) + "\n")
@@ -295,9 +326,9 @@ def _schema_case(tmp_path, case):
 SCHEMA_MESSAGES = {
     "empty file": "empty trace file",
     "wrong columns": f"unexpected columns ['a', 'b', 'c'], want {list(SCALAR_COLUMNS)}",
-    "blocks not in threes": "iterate columns must come in three blocks",
-    "wrong iterate names": "unexpected iterate column names",
-    "ragged row": "row 3: expected 16 cells, got 17",
+    "old layout": "6 columns after evals_cum: iterates are stored in t.csv.npy "
+                  "beside the CSV, not in its columns",
+    "ragged row": "row 3: expected 10 cells, got 11",
     "non-numeric cell": "row 4: could not convert string to float: 'abc'",
     "no rows": "trace file has no rows",
     "bad integer column":
@@ -328,14 +359,14 @@ def test_rows_are_checked_in_file_order(tmp_path):
     # a ragged row before a non-numeric one is reported, and a bad integer
     # column is reported only after every row has parsed
     path, lines = _small_csv(tmp_path)
-    _edit_cell(lines, 4, 11, "abc")
+    _edit_cell(lines, 4, 6, "abc")
     lines[3] += ",1"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceSchemaError, match="^row 4: expected 16 cells, got 17$"):
+    with pytest.raises(TraceSchemaError, match="^row 4: expected 10 cells, got 11$"):
         read_csv(path)
     path, lines = _small_csv(tmp_path)
     _edit_cell(lines, 2, 9, "3.7")
-    _edit_cell(lines, 5, 11, "abc")
+    _edit_cell(lines, 5, 6, "abc")
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceSchemaError, match="^row 6: could not convert"):
         read_csv(path)
@@ -343,10 +374,10 @@ def test_rows_are_checked_in_file_order(tmp_path):
 
 def test_header_is_checked_before_any_row(tmp_path):
     path, lines = _small_csv(tmp_path)
-    lines[0] = lines[0].replace("xtilde_1", "oops_1")
+    lines[0] += ",x_0"
     lines[2] += ",42"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceSchemaError, match="^unexpected iterate column names$"):
+    with pytest.raises(TraceSchemaError, match="^1 columns after evals_cum"):
         read_csv(path)
 
 
@@ -364,7 +395,7 @@ def test_blank_lines_are_skipped_and_not_counted(tmp_path):
     spaced = [lines[0], ""] + [s for line in lines[1:] for s in (line, "")]
     path.write_text("\r\n".join(spaced) + "\r\n")
     _assert_traces_equal(read_csv(path), want)
-    _edit_cell(spaced, 6, 11, "abc")  # the third data row
+    _edit_cell(spaced, 6, 6, "abc")  # the third data row
     path.write_text("\r\n".join(spaced) + "\r\n")
     with pytest.raises(TraceSchemaError, match="^row 4: could not convert"):
         read_csv(path)
@@ -374,7 +405,7 @@ def test_quoted_numeric_cell_reads_as_its_value(tmp_path):
     path, lines = _small_csv(tmp_path)
     want = read_csv(path)
     row = lines[2].split(",")
-    row[0], row[1], row[12] = f'"{row[0]}"', f'"{row[1]}"', f'"{row[12]}"'
+    row[0], row[1], row[6] = f'"{row[0]}"', f'"{row[1]}"', f'"{row[6]}"'
     lines[2] = ",".join(row)
     path.write_text("\r\n".join(lines) + "\r\n")
     _assert_traces_equal(read_csv(path), want)
@@ -410,7 +441,7 @@ def test_read_csv_streams_rows(tmp_path):
 def test_cell_over_the_csv_field_limit_is_a_schema_error(tmp_path, line):
     # csv.reader refuses a cell over csv.field_size_limit() (131072 characters)
     path, lines = _small_csv(tmp_path)
-    _edit_cell(lines, line, 11, "1" * 140001)
+    _edit_cell(lines, line, 6, "1" * 140001)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceSchemaError, match=f"^row {line + 1}: field larger than field limit"):
         read_csv(path)
@@ -418,28 +449,29 @@ def test_cell_over_the_csv_field_limit_is_a_schema_error(tmp_path, line):
 
 # spellings float() accepts; a trace cell holding one must read to float(cell)'s bits
 FLOAT_SPELLINGS = [" 1.5", "1.5 ", "+1.5", "1.", ".5", "1E5", "Infinity", "-0", "1e500",
-                   "-1e-400", "4.9406564584124654e-324", '"2.5"']
+                   "-1e-400", "4.9406564584124654e-324", '"2.5"', "1_0", "\u0661"]
 
 
 @pytest.mark.parametrize("cell", FLOAT_SPELLINGS)
 def test_cell_spellings_read_to_the_bits_of_float(tmp_path, cell):
     path, lines = _small_csv(tmp_path)
-    _edit_cell(lines, 3, 12, cell)
-    path.write_text("\r\n".join(lines) + "\r\n")
-    got = read_csv(path).x_bar[2, 0]
+    _edit_cell(lines, 3, 6, cell)
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    got = read_csv(path).f_bar[2]
     assert got.tobytes() == np.float64(float(cell.strip('"'))).tobytes()
 
 
 @pytest.mark.parametrize("cell,shown", [
     ("1#5", "1#5"), (" ", " "), ("0x10", "0x10"), ('"1,5"', "1,5"), ('"1\r\n5"', "1\r\n5"),
-    ('"\n"', "\n"), ('"1""5"', '1"5'), ("1\x005", "1\x005"), ("1_0", "1_0"), ("١", "١"),
+    ('"\n"', "\n"), ('"1""5"', '1"5'), ("1\x005", "1\x005"), ("\x1c1.5", "\x1c1.5"),
+    ("1.5\x1f", "1.5\x1f"),
 ])
 def test_cells_that_are_not_floats_are_named(tmp_path, cell, shown):
     # a comment sign, a quoted separator or line break, a quote and a NUL
-    # are plain text inside one cell; float() alone takes digit-group
-    # underscores and non-ASCII digits, which write_csv never writes
+    # are plain text inside one cell, and float() strips no control
+    # character 0x1c-0x1f around a number
     path, lines = _small_csv(tmp_path)
-    _edit_cell(lines, 3, 12, cell)
+    _edit_cell(lines, 3, 6, cell)
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     message = f"row 4: could not convert string to float: {shown!r}"
     with pytest.raises(TraceSchemaError, match=f"^{re.escape(message)}$"):
@@ -451,31 +483,31 @@ def test_quoted_record_over_several_lines_is_one_row(tmp_path):
     # record keep csv's count
     path, lines = _small_csv(tmp_path)
     want = read_csv(path)
-    _edit_cell(lines, 3, 12, '"\r\n0.25\n"')
+    _edit_cell(lines, 3, 6, '"\r\n0.25\n"')
     path.write_text("\r\n".join(lines) + "\r\n")
     got = read_csv(path)
-    assert got.x_bar[2, 0] == 0.25
-    got.x_bar[2, 0] = want.x_bar[2, 0]
+    assert got.f_bar[2] == 0.25
+    got.f_bar[2] = want.f_bar[2]
     _assert_traces_equal(got, want)
-    _edit_cell(lines, 5, 11, "abc")
+    _edit_cell(lines, 5, 6, "abc")
     path.write_text("\r\n".join(lines) + "\r\n")
     with pytest.raises(TraceSchemaError, match="^row 6: could not convert string to float: 'abc'"):
         read_csv(path)
 
 
 _COLUMN_ORDER = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
-                 "grad_norm_tilde", "evals_cum", "x", "x_bar", "x_tilde")
+                 "grad_norm_tilde", "evals_cum")
 
 
 def _row(trace, r):
-    """Row r of a trace with iterates, one value per CSV cell."""
+    """Row r of a trace, one value per CSV cell."""
     return np.hstack([getattr(trace, name)[r] for name in _COLUMN_ORDER])
 
 
 def test_runs_of_empty_cells_read_as_nan(tmp_path):
     path, lines = _small_csv(tmp_path)
     want = read_csv(path)
-    empty = {2: [1, 2, 3, 5], 3: [12, 13, 14, 15], 4: [8, 10, 11, 12, 13, 14, 15]}
+    empty = {2: [1, 2, 3, 5], 3: [6, 7, 8], 4: [1, 3, 4, 5, 6, 7, 8]}
     for line, columns in empty.items():
         for column in columns:
             _edit_cell(lines, line, column, "")
@@ -488,10 +520,10 @@ def test_runs_of_empty_cells_read_as_nan(tmp_path):
 
 
 def test_ragged_row_after_a_bad_cell_reports_the_bad_cell(tmp_path):
-    # loadtxt pulls rows as it parses them: an error on an earlier row is
+    # rows are parsed in file order: an error on an earlier row is
     # never hidden behind a later row that stopped the read
     path, lines = _small_csv(tmp_path)
-    _edit_cell(lines, 2, 12, "abc")
+    _edit_cell(lines, 2, 6, "abc")
     lines[5] += ",1"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceSchemaError, match="^row 3: could not convert string to float: 'abc'"):
@@ -508,8 +540,9 @@ def test_header_and_blank_lines_only_has_no_rows(tmp_path):
 
 
 def time_read(rounds=11):
-    """Print the median [q1, q3] ms of ``write_csv`` and of ``read_csv`` on the
-    K=2000, d=40 shape of the streaming tests, the two alternating in each round.
+    """Print the median [q1, q3] ms of ``write_csv``, of ``read_csv`` and of the
+    iterate file's share of the read on the K=2000, d=40 shape of the streaming
+    tests, the three alternating in each round, with the size of each file.
 
         PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
             import test_traceio as t; t.time_read()"
@@ -522,16 +555,18 @@ def time_read(rounds=11):
                grad_norm_tilde=scalars[7], evals_cum=2 * np.arange(K + 1) + 1,
                x=rng.standard_normal((K + 1, d)), x_bar=rng.standard_normal((K + 1, d)),
                x_tilde=rng.standard_normal((K + 1, d)))
-    ms = {"write_csv": [], "read_csv": []}
+    ms = {"write_csv": [], "read_csv": [], "read of the .npy": []}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "big.csv")
+        npy = iterates_path(path)
         for _ in range(rounds):
             for name, call in (("write_csv", lambda: write_csv(tr, path)),
-                               ("read_csv", lambda: read_csv(path))):
+                               ("read_csv", lambda: read_csv(path)),
+                               ("read of the .npy", lambda: _read_iterates(npy, K + 1))):
                 start = time.perf_counter()
                 call()
                 ms[name].append(1e3 * (time.perf_counter() - start))
-        size = os.path.getsize(path)
+        print(f"CSV {os.path.getsize(path) / 1e6:.2f} MB, .npy {os.path.getsize(npy) / 1e6:.2f} MB")
     for name, vals in ms.items():
         q1, med, q3 = np.percentile(vals, [25, 50, 75])
-        print(f"{name} {size / 1e6:.1f} MB: {med:.1f} [{q1:.1f}, {q3:.1f}] ms")
+        print(f"{name}: {med:.2f} [{q1:.2f}, {q3:.2f}] ms")
