@@ -90,6 +90,17 @@ def test_schema_rejects_ragged_rows(tmp_path):
         read_csv(path)
 
 
+def test_schema_rejects_bad_iterate_block(tmp_path):
+    # a CSV in the old layout, iterate cells and all, with a misnamed iterate
+    # column is refused by the column count before any name is looked at
+    path, lines = _small_csv(tmp_path, store_iterates=False)
+    lines[0] += ",x_0,x_1,xbar_0,xbar_1,xtilde_0,oops_1"
+    lines[1:] = [line + ",1,1,1,1,1,1" for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceSchemaError, match="^6 columns after evals_cum: "):
+        read_csv(path)
+
+
 def test_schema_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -309,6 +320,11 @@ def _schema_case(tmp_path, case):
     elif case == "old layout":
         lines[0] += ",x_0,x_1,xbar_0,xbar_1,xtilde_0,xtilde_1"
         path.write_text("\n".join(lines) + "\n")
+    elif case == "blocks not in threes":
+        path.write_text(header + ",x_0,x_1\n")
+    elif case == "wrong iterate names":
+        lines[0] += ",x_0,x_1,xbar_0,xbar_1,xtilde_0,oops_1"
+        path.write_text("\n".join(lines) + "\n")
     elif case == "ragged row":
         lines[2] += ",42"
         path.write_text("\n".join(lines) + "\n")
@@ -328,6 +344,11 @@ SCHEMA_MESSAGES = {
     "wrong columns": f"unexpected columns ['a', 'b', 'c'], want {list(SCALAR_COLUMNS)}",
     "old layout": "6 columns after evals_cum: iterates are stored in t.csv.npy "
                   "beside the CSV, not in its columns",
+    # iterate columns of the old layout are refused whatever their count or names
+    "blocks not in threes": "2 columns after evals_cum: iterates are stored in "
+                            "t.csv.npy beside the CSV, not in its columns",
+    "wrong iterate names": "6 columns after evals_cum: iterates are stored in "
+                           "t.csv.npy beside the CSV, not in its columns",
     "ragged row": "row 3: expected 10 cells, got 11",
     "non-numeric cell": "row 4: could not convert string to float: 'abc'",
     "no rows": "trace file has no rows",
