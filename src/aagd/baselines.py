@@ -124,8 +124,8 @@ def _bb(method, oracle, notes, res):
         nxt = _descend(oracle, s)
         # secant ratio <dx, dg> / ||dg||^2, undefined for a vanishing dg
         dg = nxt.grad - s.bar_res.grad
-        dg2 = float(dg @ dg)
-        cand = float((nxt.x - s.bar_res.x) @ dg) / dg2 if dg2 > 0.0 else -1.0
+        dg2 = float(dg.dot(dg))
+        cand = float((nxt.x - s.bar_res.x).dot(dg)) / dg2 if dg2 > 0.0 else -1.0
         if cand > 0.0:
             return _State(s.k + 1, nxt, cand)
         notes.append((s.k + 1, "bb stepsize undefined or nonpositive, kept previous"))

@@ -215,18 +215,19 @@ def cmd_params(theta: float, gamma: float | None) -> int:
     return EXIT_OK
 
 
-def _check_stored_iterates(trace: solver.Trace, dim: int) -> None:
+def _check_stored_iterates(trace: solver.Trace, dim: int, trace_path: str) -> None:
     """Reject stored iterates that no oracle call could take: a width other
-    than the problem's dim, or a non-finite entry; its row is the CSV's."""
+    than the problem's dim, or a non-finite entry, named by its block in
+    the iterate file beside ``trace_path`` and its k."""
     if trace.x.shape[1] != dim:
         raise ConfigError(f"the trace stores iterates of dimension {trace.x.shape[1]}, "
                           f"the problem has dim = {dim}")
     bad = np.array([~np.isfinite(v).all(axis=1) for v in (trace.x, trace.x_bar, trace.x_tilde)])
     if bad.any():
-        r = int(bad.any(axis=0).argmax())
-        block = ("x", "xbar", "xtilde")[int(bad[:, r].argmax())]
-        raise ConfigError(f"row {r + 2}: {block} has an empty or non-finite cell; "
-                          "the solver stores only finite iterates")
+        k = int(bad.any(axis=0).argmax())
+        block = ("x", "x_bar", "x_tilde")[int(bad[:, k].argmax())]
+        raise ConfigError(f"{traceio.iterates_path(trace_path)}: {block} at k = {k} has a "
+                          "non-finite entry; the solver stores only finite iterates")
 
 
 def _aagd_spec(cfg: ExperimentConfig, trace_path: str) -> MethodSpec:
@@ -253,7 +254,7 @@ def cmd_check(trace_path: str, config_path: str) -> int:
         _check_smoothness(cfg, problem)
         trace = traceio.read_csv(trace_path)
         if trace.has_iterates:
-            _check_stored_iterates(trace, problem.dim)
+            _check_stored_iterates(trace, problem.dim, trace_path)
         params = _method_params(_aagd_spec(cfg, trace_path), float(trace.eta[0]))
         notes: list[str] = []
         x0 = trace.x[0] if trace.has_iterates else _start_point(cfg.problem, problem, cfg.seed)

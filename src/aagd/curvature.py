@@ -47,7 +47,7 @@ def bregman(a: OracleResult, b: OracleResult) -> float:
 
 
 def _bregman(a: OracleResult, b: OracleResult, dx: np.ndarray) -> float:
-    return float(a.value - b.value - b.grad @ dx)
+    return float(a.value - b.value - b.grad.dot(dx))
 
 
 def _secant(dx2: float, gap2: float) -> float:

@@ -5,6 +5,9 @@ regularized logistic over CSR data, smoothed max of affine terms) and
 the fused per-iteration vector update of the accelerated solver. Each
 kernel is deterministic: the same inputs give the same bits.
 
+Dense products are ``ndarray.dot`` calls: the same BLAS routines and
+bits as ``@``, without the per-call dispatch of the matmul gufunc.
+
 Sparse products ``A x`` and ``A' u`` go through a :class:`CsrLayout`
 of scipy CSR matrices, built once per dataset. scipy is imported there,
 so quadratic and logsumexp runs never load it.
@@ -21,8 +24,8 @@ BACKEND = "numpy"
 # ---------------------------------------------------------------------------
 
 def quad_value_grad(A, b, x):
-    Ax = A @ x
-    value = 0.5 * float(x @ Ax) - float(b @ x)
+    Ax = A.dot(x)
+    value = 0.5 * float(x.dot(Ax)) - float(b.dot(x))
     return value, Ax - b
 
 
@@ -72,7 +75,7 @@ def logistic_value_grad(layout, y, reg, w):
     sig = np.where(t >= 0.0, e, 1.0) / (1.0 + e)
     g = layout.rmatvec(-y * sig / n)
     if reg != 0.0:
-        loss += 0.5 * reg * float(w @ w)
+        loss += 0.5 * reg * float(w.dot(w))
         g = g + reg * w
     return loss, g
 
@@ -82,12 +85,16 @@ def logistic_value_grad(layout, y, reg, w):
 # ---------------------------------------------------------------------------
 
 def logsumexp_value_grad(A, b, mu, x):
-    z = (A @ x - b) / mu
+    z = A.dot(x)
+    z -= b
+    z /= mu
     m = float(z.max())
-    p = np.exp(z - m)
-    s = float(p.sum())
+    z -= m
+    np.exp(z, out=z)
+    s = float(z.sum())
     value = mu * (m + np.log(s))
-    return value, (p / s) @ A
+    z /= s
+    return value, z.dot(A)
 
 
 # ---------------------------------------------------------------------------

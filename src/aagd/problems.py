@@ -151,7 +151,7 @@ def identity_quadratic(dim: int) -> Problem:
         raise ValueError("dim must be >= 1")
 
     def fn(x):
-        return 0.5 * float(x @ x), x
+        return 0.5 * float(x.dot(x)), x
 
     return Problem(
         oracle=Oracle(fn, dim, label=f"identity_quadratic(dim={dim})"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .curvature import local_curvature
+from .curvature import lambda_option2, local_curvature
 from .oracle import NonFiniteError, Oracle, OracleResult, _evaluate, evaluate, sq_norm
 from .params import SolverParams, check_valid
 
@@ -161,7 +161,10 @@ def _step(state: IterState, oracle: Oracle, params: SolverParams,
     # makes x_hat (theta > 0) and then xt_next non-finite too
     bar_res = _evaluate(oracle, xbar_next)
     tilde_res = _evaluate(oracle, xt_next)
-    lam_next = local_curvature(bar_res, state.tilde_res, tilde_res)
+    # at beta = 1, xbar_next is x_tilde entry by entry (x_bar is finite), so the
+    # first estimate is +inf: min(inf, lam2) is local_curvature's result, nan too
+    lam_next = (min(math.inf, lambda_option2(bar_res, tilde_res)) if state.beta == 1.0
+                else local_curvature(bar_res, state.tilde_res, tilde_res))
 
     if growth_cap and state.k >= 1:
         grow = (state.k + 1.0) / state.k * state.eta
@@ -229,7 +232,8 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
     stepsize ends the run, as no method moves from it. ``row`` gives a
     state's scalar columns up to ``f_tilde`` and then the oracle result
     whose gradient norm is recorded; the driver adds that norm and the
-    calls made so far. The :class:`NonFiniteError` of a non-finite
+    calls made so far. Every baseline records ``bar_res``, whose norm is
+    then formed once per row. The :class:`NonFiniteError` of a non-finite
     query point or oracle output ends the run with ``diverged`` set and
     a note instead of raising, before a row could count the rejected call.
 
@@ -249,11 +253,12 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
         state, advance = start(Oracle(counted, oracle.dim, oracle.label))
         while True:
             *scalars, recorded = row(state)
-            rows.append((*scalars, _grad_norm(recorded), calls))
+            res = state.bar_res
+            norm = _grad_norm(res)
+            rows.append((*scalars, norm if recorded is res else _grad_norm(recorded), calls))
             if store_iterates:
                 iterates.append((state.x, state.x_bar, state.x_tilde))
-            res = state.bar_res
-            if (state.k >= stop.max_iters or _grad_norm(res) <= stop.grad_tol
+            if (state.k >= stop.max_iters or norm <= stop.grad_tol
                     or (stop.gap_tol is not None and res.value - stop.f_star <= stop.gap_tol)
                     or state.eta == 0.0):
                 break

@@ -45,7 +45,7 @@ def estimate(a, b):
     dx2 = sq(dx)
     if dx2 <= GUARD * max(1.0, xa2, xb2):
         return math.inf
-    breg = float(fa - fb - gb @ dx)
+    breg = float(fa - fb - gb.dot(dx))
     if breg <= NOISE * (1.0 + abs(fa) + abs(fb)):
         return math.sqrt(dx2) / math.sqrt(gap2)
     return 2.0 * breg / gap2

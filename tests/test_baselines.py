@@ -90,6 +90,24 @@ def test_bb_fallback_on_constant_gradient():
     assert any("bb stepsize" in note for _, note in tr.notes)
 
 
+def test_bb_stepsizes_match_the_matmul_formula_bit_for_bit():
+    # bb's inner products are ndarray.dot; the loop below writes them with @
+    p = make_quadratic(9, 40, 1e3)
+    x, eta, etas = np.ones(40), 1e-3, []
+    tr = run_baseline(BaselineMethod(kind="bb", eta0=eta), p.oracle, x, StopRule(max_iters=60))
+    g = p.oracle.fn(x)[1]
+    for _ in range(60):
+        etas.append(eta)
+        x_next = x - eta * g
+        g_next = p.oracle.fn(x_next)[1]
+        dg = g_next - g
+        cand = float((x_next - x) @ dg) / float(dg @ dg)
+        eta = cand if cand > 0.0 else eta
+        x, g = x_next, g_next
+    etas.append(eta)
+    assert [v.hex() for v in etas] == [float(v).hex() for v in tr.eta]
+
+
 def test_agd_beats_gd_at_200_iterations():
     p = make_quadratic(12, 30, 1000.0)
     x0 = np.zeros(30)

@@ -590,17 +590,18 @@ def test_check_empty_iterate_cell_is_config_error(tmp_path, capsys, column):
     cfg = write_cfg(tmp_path, GOLDEN_CFG)
     assert main(["run", str(cfg)]) == 0
     trace = next((tmp_path / "out").glob("*agraal.csv"))
-    # row 5 of the CSV, k = 3, in the iterate file
+    # k = 3 of one block of the iterate file
     npy = aagd.traceio.iterates_path(trace)
     blocks = np.load(npy)
-    blocks[("x_0", "xbar_0", "xtilde_0").index(column), 3, 0] = np.nan
+    index = ("x_0", "xbar_0", "xtilde_0").index(column)
+    blocks[index, 3, 0] = np.nan
     np.save(npy, blocks)
     capsys.readouterr()
     assert main(["check", str(trace), "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    block = column[:-2]
-    assert captured.err == (f"config error: row 5: {block} has an empty or non-finite cell; "
+    block = ("x", "x_bar", "x_tilde")[index]
+    assert captured.err == (f"config error: {npy}: {block} at k = 3 has a non-finite entry; "
                             "the solver stores only finite iterates\n")
 
 

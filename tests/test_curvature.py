@@ -36,6 +36,23 @@ def test_bregman_diag_quadratic():
     assert bregman(ev(o, 1.0, 1.0), ev(o, 0.0, 0.0)) == pytest.approx(2.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 40, 100, 500])
+def test_bregman_matches_the_matmul_formula_bit_for_bit(d):
+    # bregman's inner product is ndarray.dot; the formula below writes it with @
+    rng = np.random.default_rng(d)
+    g, signed = rng.standard_normal(d), rng.standard_normal(d)
+    signed[::2] = -0.0
+    points = [rng.standard_normal(d), rng.standard_normal(3 * d)[::3], signed, 1e200 * signed]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xa in points:
+            for xb in points:
+                for gb in (g, signed, 1e200 * g):
+                    a = OracleResult(rng.standard_normal(), rng.standard_normal(d), xa)
+                    b = OracleResult(rng.standard_normal(), gb, xb)
+                    want = float(a.value - b.value - gb @ (xa - xb))
+                    assert np.float64(bregman(a, b)).tobytes() == np.float64(want).tobytes()
+
+
 def test_lambda_option2_identity():
     o = identity_quadratic(2).oracle
     assert lambda_option2(ev(o, 1.0, 0.0), ev(o, 0.0, 0.0)) == pytest.approx(1.0, rel=1e-14)

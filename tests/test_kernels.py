@@ -241,3 +241,59 @@ assert 'scipy' not in sys.modules
     out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def _bits(v):
+    """The bytes of a float or an array, so -0.0 and +0.0 differ."""
+    return np.float64(v).tobytes() if np.ndim(v) == 0 else np.asarray(v).tobytes()
+
+
+def _query_points(rng, d):
+    """A contiguous x, a strided view, one with -0.0 entries, and one that
+    overflows the products."""
+    x = rng.standard_normal(d)
+    signed = x.copy()
+    signed[::3] = -0.0
+    return [x, rng.standard_normal(3 * d)[::3], signed, np.full(d, -0.0), 1e200 * x]
+
+
+@pytest.mark.parametrize("d", [1, 40, 100, 500])
+def test_dot_kernels_match_the_matmul_formulas_bit_for_bit(d):
+    # the kernels call ndarray.dot; the formulas below are the same products with @
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    A = A @ A.T + d * np.eye(d)
+    b = rng.standard_normal(d)
+    signed_b = b.copy()
+    signed_b[1::2] = -0.0
+    terms = rng.standard_normal((2 * d + 1, d))
+    t_b = rng.standard_normal(2 * d + 1)
+    fn = aagd.identity_quadratic(d).oracle.fn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in _query_points(rng, d):
+            for bb in (b, signed_b):
+                Ax = A @ x
+                value, grad = kernels.quad_value_grad(A, bb, x)
+                assert _bits(value) == _bits(0.5 * float(x @ Ax) - float(bb @ x))
+                assert _bits(grad) == _bits(Ax - bb)
+            for mu in (0.1, 3.0):
+                z = (terms @ x - t_b) / mu
+                m = float(z.max())
+                p = np.exp(z - m)
+                s = float(p.sum())
+                value, grad = kernels.logsumexp_value_grad(terms, t_b, mu, x)
+                assert _bits(value) == _bits(mu * (m + np.log(s)))
+                assert _bits(grad) == _bits((p / s) @ terms)
+            value, grad = fn(x)
+            assert _bits(value) == _bits(0.5 * float(x @ x)) and grad is x
+
+
+def test_logistic_regularizer_matches_the_matmul_formula_bit_for_bit():
+    data = make_classification_dataset(3, 60, 40, density=0.2)
+    layout, y = data.layout, data.labels
+    rng = np.random.default_rng(5)
+    for w in (rng.standard_normal(40), rng.standard_normal(120)[::3], np.full(40, -0.0)):
+        loss, grad = kernels.logistic_value_grad(layout, y, 1e-3, w)
+        bare, bare_grad = kernels.logistic_value_grad(layout, y, 0.0, w)
+        assert _bits(loss) == _bits(bare + 0.5 * 1e-3 * float(w @ w))
+        assert _bits(grad) == _bits(bare_grad + 1e-3 * w)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from aagd import (BaselineMethod, InvalidParamsError, NonFiniteError, Oracle, StopRule,
-                  default_params, evaluate, identity_quadratic, init, lemma_suite,
-                  logsumexp_problem, make_quadratic, run, run_baseline, step)
+                  default_params, evaluate, identity_quadratic, init, lambda_option2,
+                  lemma_suite, local_curvature, logistic_problem, logsumexp_problem,
+                  make_classification_dataset, make_quadratic, run, run_baseline, step)
 from aagd.params import SolverParams
 
 
@@ -336,8 +337,8 @@ def test_vdot_calls_per_step_pinned(monkeypatch):
     # 2 squares of the new query points and 2 of the new gradients, all
     # taken by the evaluations, and per estimate 1 for the gradient gap
     # plus 1 for the point gap unless the gradient guard fired; on the
-    # growth branch the new averaged point is the old lookahead point, so
-    # the first estimate fires its guard and the step makes 7 calls
+    # growth branch (beta = 1) the new averaged point is the old lookahead
+    # point, so the first estimate is +inf and is skipped: 6 calls
     p = make_quadratic(3, 20, 1e3)
     params = default_params(eta0=1e-3)
     st = init(np.ones(20), params, p.oracle)
@@ -354,7 +355,75 @@ def test_vdot_calls_per_step_pinned(monkeypatch):
         calls[0] = 0
         st = step(st, p.oracle, params)
         counts.append(calls[0])
-    assert counts == [7, 8, 8] + [7] * 37
+    assert counts == [6, 8, 8] + [6] * 37
+
+
+def nan_estimate_oracle():
+    """From x0 = 0 with eta0 = 0.25, the first step's lookahead point lies
+    about 4e153 below 0 in the first coordinate, where value and gradient
+    flip sign. The Bregman value of the second estimate and its squared
+    gradient gap then both overflow to +inf, and the estimate is nan."""
+    def fn(x):
+        if x[0] >= 0.0:
+            return 1e308, np.array([1e154, 0.0])
+        return -0.7e308, np.array([-1e154, 0.0])
+
+    return Oracle(fn, 2, label="nan_estimate")
+
+
+def lam_cases():
+    """(oracle, x0, eta0, growth_cap, steps) per case."""
+    data = make_classification_dataset(2, 200, 30, density=0.2)
+    rng = np.random.default_rng(1)
+    return {
+        "quadratic": (make_quadratic(7, 100, 1e4).oracle, rng.standard_normal(100), 1e-6,
+                      False, 300),
+        "logistic": (logistic_problem(data, reg=1e-3).oracle, rng.standard_normal(30), 1e-3,
+                     False, 300),
+        "logsumexp": (logsumexp_problem(1, 40, 100, 0.1).oracle, rng.standard_normal(40), 1e-6,
+                      False, 300),
+        "growth_cap": (make_quadratic(3, 20, 1e3).oracle, rng.standard_normal(20), 1e-3,
+                       True, 300),
+        "nan_estimate": (nan_estimate_oracle(), np.zeros(2), 0.25, False, 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(lam_cases()))
+def test_recorded_lam_is_local_curvature_of_the_full_triple(case):
+    # the step skips the first estimate when beta = 1; the full min must agree
+    oracle, x0, eta0, cap, steps = lam_cases()[case]
+    params = default_params(eta0=eta0)
+    st = init(x0, params, oracle)
+    unit = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            nxt = step(st, oracle, params, growth_cap=cap)
+            want = local_curvature(nxt.bar_res, st.tilde_res, nxt.tilde_res)
+            assert nxt.lam.hex() == want.hex()
+            unit.append(st.beta == 1.0)
+            st = nxt
+        second = lambda_option2(st.bar_res, st.tilde_res)
+    if case == "nan_estimate":
+        assert math.isnan(second) and st.lam == math.inf
+    else:
+        assert any(unit) and not all(unit)
+
+
+def test_unit_beta_step_survives_signed_zeros():
+    # 1.0 * (-0.0) + 0.0 * 1.0 is +0.0: the new averaged point differs from
+    # the old lookahead point in a zero's sign, and this oracle's gradient
+    # tells the two apart, so only the point guard makes the first estimate +inf
+    oracle = Oracle(lambda x: (0.5 * float(x @ x) + 1e3 * float(np.signbit(x).sum()),
+                               x + 1e3 * np.signbit(x)), 2)
+    params = default_params(eta0=1e-3)
+    st = init(np.ones(2), params, oracle)
+    x_tilde = np.array([-0.0, 1.0])
+    st = dataclasses.replace(st, x_tilde=x_tilde, tilde_res=evaluate(oracle, x_tilde))
+    nxt = step(st, oracle, params)
+    assert st.beta == 1.0 and not np.signbit(nxt.x_bar[0])
+    assert not np.array_equal(nxt.bar_res.grad, st.tilde_res.grad)
+    assert lambda_option2(nxt.bar_res, st.tilde_res) == math.inf
+    assert nxt.lam.hex() == local_curvature(nxt.bar_res, st.tilde_res, nxt.tilde_res).hex()
 
 
 def test_divergence_notes_unchanged():
