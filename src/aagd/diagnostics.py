@@ -24,7 +24,8 @@ the bits of the per-k formulas. So the sweep holds O(B d) floats per
 temporary plus O(K) scalars, never the trace's fresh gradients. It
 builds the per-k arrays that the decay series at every reference point,
 the endpoint bound and the lemma suite read. Each check sweeps an array
-of violations; a positive or NaN one fails it.
+of violations; a positive or NaN one fails it, and an empty one (too few
+rows to compare) passes it as not applicable.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import lambda_option2_rows
-from .oracle import Oracle, OracleResult, evaluate, evaluate_rows
+from .oracle import Oracle, OracleResult, evaluate, evaluate_rows, sq_norm
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
@@ -105,13 +106,15 @@ class LyapunovSeries:
 def _sweep(name: str, ks, viol, detail: str = "", pass_k: int = 0) -> CertificateEntry:
     """Entry for the violations ``viol`` at iterations ``ks``: fails on a
     positive or NaN one and reports the worst (NaN first) at the first k
-    attaining it; a pass reports 0 at ``pass_k``.
+    attaining it; a pass reports 0 at ``pass_k``, and no violations at all
+    (no rows to compare) a pass at k = 0 as not applicable.
     """
     viol = np.asarray(viol, dtype=np.float64)
-    if len(viol):
-        i = int(np.argmax(viol))  # the first NaN if any, else the first maximum
-        if not viol[i] <= 0.0:
-            return CertificateEntry(name, False, float(viol[i]), int(ks[i]), detail)
+    if not len(viol):
+        return CertificateEntry(name, True, 0.0, 0, "not applicable: no rows to compare")
+    i = int(np.argmax(viol))  # the first NaN if any, else the first maximum
+    if not viol[i] <= 0.0:
+        return CertificateEntry(name, False, float(viol[i]), int(ks[i]), detail)
     return CertificateEntry(name, True, 0.0, pass_k, detail)
 
 
@@ -126,8 +129,6 @@ def _reference(trace: Trace, oracle: Oracle, x_ref) -> tuple[np.ndarray, float]:
     """A reference point as floats with its fresh objective value."""
     if not trace.has_iterates:
         raise MissingIteratesError()
-    if trace.n_iters < 1:
-        raise ValueError("trace has no iterations")
     x_ref = np.asarray(x_ref, dtype=np.float64)
     return x_ref, evaluate(oracle, x_ref).value
 
@@ -201,10 +202,10 @@ def _corollary(trace: Trace, p: SolverParams, x_ref: np.ndarray, series: Lyapuno
                grad0_sq: float, name: str) -> CertificateEntry:
     """Endpoint bound at k = 1..K from the series' distance and gap terms."""
     d0 = trace.x[0] - x_ref
-    rhs = 0.5 * float(d0 @ d0) + 0.5 * (1.0 + p.gamma * p.theta) * trace.eta[0]**2 * grad0_sq
+    rhs = 0.5 * sq_norm(d0) + 0.5 * (1.0 + p.gamma * p.theta) * trace.eta[0]**2 * grad0_sq
     lhs = series.dist_term + series.gap_term
     e = _sweep(name, series.k, lhs - (rhs * (1.0 + REL_TOL) + ABS_TOL), pass_k=trace.n_iters)
-    return replace(e, detail=f"lhs={lhs[e.worst_k - 1]:.6e} rhs={rhs:.6e}")
+    return replace(e, detail=f"lhs={lhs[e.worst_k - 1]:.6e} rhs={rhs:.6e}") if len(lhs) else e
 
 
 def lyapunov_series(trace: Trace, x_ref, oracle: Oracle,
@@ -342,17 +343,8 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
     """
     params = _params(trace, params) if set(checks) - {"evals"} else None
     report = CertificateReport()
-    kinds = [n for c, n in (("psi", "psi_monotone"), ("corollary", "corollary_bound"))
-             if c in checks]
-    refs = (x_refs or {}) if kinds else {}
-    # both reference checks compare iterates at k >= 1; a run that stopped
-    # at its start point (already optimal) has none, so they do not apply
-    if trace.n_iters == 0:
-        why = "not applicable: trace has no iterations"
-        report.entries += [CertificateEntry(f"{n}[{r}]", True, 0.0, 0, why)
-                           for n in kinds for r in refs]
-        refs = {}
-    refs = {r: _reference(trace, oracle, x) for r, x in refs.items()}
+    refs = ({r: _reference(trace, oracle, x) for r, x in (x_refs or {}).items()}
+            if {"psi", "corollary"} & set(checks) else {})
     fresh = (_replay(trace, oracle, params, list(refs.values()))
              if refs or ("lemmas" in checks and trace.has_iterates) else None)
     series = dict(zip(refs, fresh.series)) if refs else {}

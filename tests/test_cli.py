@@ -280,6 +280,22 @@ def test_check_requires_iterates_for_psi(tmp_path, capsys):
     assert "store_iterates required" in err
 
 
+def test_check_of_a_run_stopped_at_its_start_requires_iterates_for_psi(tmp_path, capsys):
+    # x0 = 0 is the minimizer: the K = 0 trace takes the common path and its error
+    run_text = (GOLDEN_CFG
+                .replace("store_iterates = true", "store_iterates = false")
+                .replace("seed = 0", "seed = 0\nchecks = lemmas, evals")
+                .replace("x0 = ones", "x0 = zeros"))
+    run_cfg = write_cfg(tmp_path, run_text, name="run.ini")
+    assert main(["run", str(run_cfg)]) == 0
+    assert "iters=0 " in (tmp_path / "out" / "summary.txt").read_text()
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    check_cfg = write_cfg(tmp_path, GOLDEN_CFG, name="check.ini", out="out2")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(check_cfg)]) == 2
+    assert capsys.readouterr().err == "config error: store_iterates required for this check\n"
+
+
 def test_run_psi_without_stored_iterates_is_config_error_before_any_run(tmp_path, capsys):
     # gd comes first: it must not run, and no CSV may be left behind
     cfg = write_cfg(tmp_path, """
@@ -333,6 +349,28 @@ def test_run_zero_iterations_certificates_not_applicable(tmp_path, capsys):
         assert name in summary
     assert summary.count("not applicable") == 4
     assert "FAIL" not in summary
+
+
+@pytest.mark.parametrize("K, vacuous", [
+    (0, ["psi_monotone[xstar]", "psi_monotone[x0]", "corollary_bound[xstar]",
+         "corollary_bound[x0]", "eta_growth", "h_growth", "lambda_floor", "beta_f_value",
+         "beta_f_bregman"]),
+    (1, ["psi_monotone[xstar]", "psi_monotone[x0]", "beta_f_value", "beta_f_bregman"]),
+], ids=["K0", "K1"])
+def test_run_and_check_of_a_short_trace_name_the_entries_that_compare_nothing(
+        tmp_path, capsys, K, vacuous):
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("max_iters = 200\nstore_iterates",
+                                               f"max_iters = {K}\nstore_iterates"))
+    assert main(["run", str(cfg)]) == 0
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert f"agraal           iters={K} " in summary
+    lines = [ln[2:] for ln in summary.splitlines() if ln.startswith("  ")]
+    assert [ln.split()[0] for ln in lines
+            if ln.endswith("  [not applicable: no rows to compare]")] == vacuous
+    trace = next((tmp_path / "out").glob("*__agraal.csv"))
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[:len(lines)] == lines
 
 
 def test_check_infinite_curvature_with_nonzero_carry_over(tmp_path, capsys):
