@@ -4,7 +4,7 @@ Subcommands: ``run`` executes a config-driven experiment and writes one
 trace CSV per (problem, method) cell, and a .npy of its stored iterates,
 plus a summary; ``params`` solves and validates the solver constants
 for a given extrapolation parameter; ``check`` replays the certificate
-suite on a stored trace.
+suite on a stored trace with the solver parameters the trace carries.
 
 Exit codes: 0 success, 1 certificate failure, 2 config error, 3 run
 divergence. Inputs that the config parser, the dataset reader, the
@@ -28,7 +28,7 @@ import numpy as np
 from . import baselines, diagnostics, problems, solver, traceio
 from .config import ConfigError, ExperimentConfig, MethodSpec, parse_config
 from .oracle import OracleError, evaluate
-from .params import SolverParams, make_params, max_gamma, validate
+from .params import make_params, max_gamma, validate
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -88,11 +88,6 @@ def _check_smoothness(cfg: ExperimentConfig, problem: problems.Problem) -> None:
                           f"{', '.join(users)} need L > 0")
 
 
-def _method_params(spec: MethodSpec, eta0: float) -> SolverParams:
-    given = {key: spec.options[key] for key in _PARAM_KEYS if key in spec.options}
-    return make_params(eta0=eta0, **given)
-
-
 def _start_point(spec: dict, problem: problems.Problem, seed: int) -> np.ndarray:
     name = spec.get("x0", "zeros")
     if name == "ones":
@@ -113,9 +108,9 @@ def _method(spec: MethodSpec, problem: problems.Problem):
     stop = _stop_rule(spec.options, problem)
     given = {key: value for key, value in spec.options.items() if key not in _STOP_KEYS}
     if spec.kind == "aagd":
-        params = _method_params(spec, given.pop("eta0"))
-        flags = {key: value for key, value in given.items() if key not in _PARAM_KEYS}
-        return lambda x0: solver.run(problem.oracle, x0, params, stop, **flags)
+        params = make_params(eta0=given.pop("eta0"),
+                             **{key: given.pop(key) for key in _PARAM_KEYS if key in given})
+        return lambda x0: solver.run(problem.oracle, x0, params, stop, **given)
     if given.get("eta") == "auto":
         given["eta"] = 1.0 / problem.L
     if spec.kind == "polyak":
@@ -230,23 +225,6 @@ def _check_stored_iterates(trace: solver.Trace, dim: int, trace_path: str) -> No
                           "non-finite entry; the solver stores only finite iterates")
 
 
-def _aagd_spec(cfg: ExperimentConfig, trace_path: str) -> MethodSpec:
-    """The aagd method section whose parameters a stored trace is checked with."""
-    aagd_specs = [m for m in cfg.methods if m.kind == "aagd"]
-    if not aagd_specs:
-        raise ConfigError("check needs an aagd method section for the parameters")
-    if len(aagd_specs) > 1:
-        # run names each CSV <problem label>__<method name>.csv; the longest
-        # matching name is the most specific one
-        stem = Path(trace_path).stem
-        aagd_specs = sorted((m for m in aagd_specs if stem.endswith(f"__{m.name}")),
-                            key=lambda m: len(m.name), reverse=True)
-        if not aagd_specs:
-            raise ConfigError(f"{stem!r} matches no aagd method section by its "
-                              "__<name> suffix, and the config has several")
-    return aagd_specs[0]
-
-
 def cmd_check(trace_path: str, config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
@@ -255,12 +233,11 @@ def cmd_check(trace_path: str, config_path: str) -> int:
         trace = traceio.read_csv(trace_path)
         if trace.has_iterates:
             _check_stored_iterates(trace, problem.dim, trace_path)
-        params = _method_params(_aagd_spec(cfg, trace_path), float(trace.eta[0]))
         notes: list[str] = []
         x0 = trace.x[0] if trace.has_iterates else _start_point(cfg.problem, problem, cfg.seed)
         refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
         report = diagnostics.run_certificates(
-            trace, problem.oracle, params, L=problem.L, x_refs=refs, checks=cfg.checks)
+            trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)
     except (ValueError, OSError, OracleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,7 @@ Sections::
     # logistic:   reg, plus either path=<libsvm file> or n, dim (synthetic)
     # logsumexp:  dim, terms, smoothing
 
-    [method NAME]             # one section per method, NAME labels outputs
+    [method NAME]             # one section per method, NAME labels outputs (no / or \\)
     kind = aagd               # aagd | gd | agd | adgd | adagrad | bb | polyak
     max_iters = 2000          # required
     grad_tol = 0              # optional
@@ -154,6 +154,8 @@ def parse_config(path) -> ExperimentConfig:
         elif head == "method" and name:
             if any(m.name == name for m in methods):
                 raise ConfigError(f"{section}: method name {name!r} is already used")
+            if "/" in name or "\\" in name:  # the name is part of a file name
+                raise ConfigError(f"{section}: method name {name!r} contains a path separator")
             kind, options = _section(section, items, _METHOD)
             methods.append(MethodSpec(name=name, kind=kind, options=options))
         else:

@@ -5,28 +5,32 @@ f_tilde, grad_norm_tilde, evals_cum. Floats are written with 17
 significant digits so a parse of an emitted file reproduces every
 non-nan value bit-exactly: a nan (lambda at k=0, the columns a baseline
 does not use) is an empty cell, and +-inf (lambda where the estimator's
-guard fired) is written as inf or -inf. Lines end in \r\n.
+guard fired) is written as inf or -inf. Lines end in \r\n. A trace with
+params (an aagd trace) ends with ``# theta=<theta> gamma=<gamma>``, which
+the reader turns back into params with eta0 = eta[0].
 
 A trace with iterates also writes ``<path>.npy``: one C-order float64
 (3, K+1, d) array of x, x_bar and x_tilde, exact by construction. A trace
 without them deletes that file, so none is left from an earlier write.
 
 The reader parses the CSV with csv.reader and float(); the row numbers
-of its messages skip blank lines, and k must read 0, 1, ..., K. It then
-checks the .npy file's header and size against the CSV's rows before it
-reads the data. A CSV with iterate columns, the layout before the .npy
-file, is refused.
+of its messages skip blank lines, k must read 0, 1, ..., K, and no row
+may follow the parameter line. It then checks the .npy file's header and
+size against the CSV's rows before it reads the data. A CSV with iterate
+columns, the layout before the .npy file, is refused.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
+import re
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
+from .params import make_params
 from .solver import _COLUMNS, _INT_COLUMNS, Trace
 
 # the header names of the trace's scalar columns; only lam is renamed
@@ -34,6 +38,7 @@ SCALAR_COLUMNS = tuple("lambda" if name == "lam" else name for name in _COLUMNS)
 # a row's integer cells, as text, in _INT_COLUMNS order
 _int_cells = itemgetter(*(_COLUMNS.index(name) for name in _INT_COLUMNS))
 _ITERATES = np.dtype("<f8")
+_PARAMETER_LINE = re.compile(r"# theta=(\S*) gamma=(\S*)")
 
 
 class TraceSchemaError(ValueError):
@@ -54,6 +59,8 @@ def write_csv(trace: Trace, path) -> None:
         fh.write(",".join(SCALAR_COLUMNS) + "\r\n")
         for row in rows:
             fh.write((line % row).replace("nan", ""))
+        if trace.params is not None:
+            fh.write("# theta=%.17g gamma=%.17g\r\n" % (trace.params.theta, trace.params.gamma))
     if not trace.has_iterates:
         Path(iterates_path(path)).unlink(missing_ok=True)
         return
@@ -91,6 +98,13 @@ def _read_iterates(path, rows: int):
         return np.fromfile(fh, dtype=_ITERATES, count=count).reshape(shape)
 
 
+def _parameter_line(text: str) -> tuple[float, float]:
+    match = _PARAMETER_LINE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"parameter line {text!r}, want '# theta=<float> gamma=<float>'")
+    return float(match[1]), float(match[2])
+
+
 def read_csv(path) -> Trace:
     width = len(SCALAR_COLUMNS)
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -110,17 +124,22 @@ def read_csv(path) -> Trace:
                 f"{os.path.basename(iterates_path(path))} beside the CSV, not in its columns")
         # each row becomes a list of floats as it is read; only the integer
         # columns' text is kept, for the error message below
-        rows, int_cells = [], []
+        rows, int_cells, theta_gamma = [], [], None
         try:
             for row in reader:
                 if not row:
                     continue
                 if len(row) != width:
+                    if row[0].startswith("#"):
+                        theta_gamma = _parameter_line(",".join(row))
+                        if any(reader):  # a row that is not blank
+                            raise ValueError("a row after the parameter line")
+                        break
                     raise ValueError(f"expected {width} cells, got {len(row)}")
                 rows.append([math.nan if c == "" else float(c) for c in row])
                 int_cells.append(_int_cells(row))
         except (ValueError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit()
-            raise TraceSchemaError(f"row {len(rows) + 2}: {exc}")
+            raise TraceSchemaError(f"row {len(rows) + 2 + (theta_gamma is not None)}: {exc}")
     if not rows:
         raise TraceSchemaError("trace file has no rows")
 
@@ -140,5 +159,5 @@ def read_csv(path) -> Trace:
         raise TraceSchemaError(f"row {r + 2}: k must be {r}, got {cols['k'][r]}")
     blocks = _read_iterates(iterates_path(path), len(table))
     x, x_bar, x_tilde = (None, None, None) if blocks is None else blocks
-
-    return Trace(**cols, x=x, x_bar=x_bar, x_tilde=x_tilde)
+    params = None if theta_gamma is None else make_params(*theta_gamma, eta0=float(cols["eta"][0]))
+    return Trace(**cols, x=x, x_bar=x_bar, x_tilde=x_tilde, params=params)

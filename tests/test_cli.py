@@ -456,15 +456,19 @@ def test_check_takes_parameters_of_the_named_method(tmp_path, capsys):
         assert "FAIL" not in capsys.readouterr().out
 
 
-def test_check_unmatched_csv_with_several_aagd_methods(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TWO_AAGD_CFG)
-    assert main(["run", str(cfg)]) == 0
+def test_check_takes_the_parameters_the_trace_carries(tmp_path, capsys):
+    # the theta = 4 trace, renamed, against a config whose only aagd section
+    # has theta = 2: checked with theta = 2, its eta_growth lemma fails
+    assert main(["run", str(write_cfg(tmp_path, TWO_AAGD_CFG))]) == 0
     trace = next((tmp_path / "out").glob("*__b.csv"))
     renamed = trace.with_name("renamed.csv")
     trace.rename(renamed)
+    Path(aagd.traceio.iterates_path(trace)).rename(aagd.traceio.iterates_path(renamed))
+    theta_two = write_cfg(tmp_path, TWO_AAGD_CFG.split("[method b]")[0], name="a.ini")
     capsys.readouterr()
-    assert main(["check", str(renamed), "--config", str(cfg)]) == 2
-    assert "no aagd method section" in capsys.readouterr().err
+    assert main(["check", str(renamed), "--config", str(theta_two)]) == 0
+    out = capsys.readouterr().out
+    assert "eta_growth" in out and "FAIL" not in out
 
 
 ZERO_LOGISTIC_CFG = """
@@ -662,7 +666,7 @@ def test_check_trace_in_the_layout_with_iterate_columns_is_config_error(tmp_path
     lines = trace.read_text().splitlines()
     x, x_bar, x_tilde = np.load(aagd.traceio.iterates_path(trace))
     lines[0] += ",x_0,xbar_0,xtilde_0"
-    for r in range(1, len(lines)):
+    for r in range(1, len(lines) - 1):  # the last line holds the parameters
         lines[r] += f",{x[r - 1, 0]:.17g},{x_bar[r - 1, 0]:.17g},{x_tilde[r - 1, 0]:.17g}"
     trace.write_text("\r\n".join(lines) + "\r\n")
     capsys.readouterr()
@@ -945,7 +949,7 @@ def test_guard_rows_round_trip_as_inf_through_run_and_check(tmp_path, capsys):
                    aagd.StopRule(max_iters=300))
     guard = np.isinf(lib.lam)
     assert guard.sum() > 100
-    cells = [line.split(",")[5] for line in path.read_text().splitlines()[1:]]
+    cells = [line.split(",")[5] for line in path.read_text().splitlines()[1:-1]]
     assert [c == "inf" for c in cells] == guard.tolist()
     assert cells[0] == "" and np.isnan(stored.lam[0])
     assert np.array_equal(stored.lam, lib.lam, equal_nan=True)
@@ -1055,14 +1059,68 @@ def test_build_problem_rejects_an_unknown_kind():
         aagd.cli.build_problem({"kind": "cubic"}, 0)
 
 
-def test_check_without_an_aagd_method_section_is_config_error(tmp_path, capsys):
+def test_check_needs_no_aagd_method_section(tmp_path, capsys):
     cfg = write_cfg(tmp_path, GOLDEN_CFG)
     assert main(["run", str(cfg)]) == 0
     trace = next((tmp_path / "out").glob("*__agraal.csv"))
     gd_only = GOLDEN_CFG.split("[method agraal]")[0] + "[method g]\nkind = gd\neta = 0.1\n"
     other = write_cfg(tmp_path, gd_only + "max_iters = 5\n", name="gd.ini")
     capsys.readouterr()
-    assert main(["check", str(trace), "--config", str(other)]) == 2
+    assert main(["check", str(trace), "--config", str(other)]) == 0
+    captured = capsys.readouterr()
+    assert "psi_monotone" in captured.out and "FAIL" not in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("# theta=2", "row {row}: parameter line '# theta=2', want '# theta=<float> gamma=<float>'"),
+    ("# gamma=0.04", "row {row}: parameter line '# gamma=0.04', "
+                     "want '# theta=<float> gamma=<float>'"),
+    ("# theta=2 gamma=0.04 nu=0.005", "row {row}: parameter line '# theta=2 gamma=0.04 "
+                                      "nu=0.005', want '# theta=<float> gamma=<float>'"),
+    ("# theta=2 gamma=x", "row {row}: could not convert string to float: 'x'"),
+    # values that make_params refuses
+    ("# theta=1.5 gamma=0.01", "theta=1.5 is infeasible: need theta > (1+sqrt(5))/2 ~ 1.618034"),
+    ("# theta=2 gamma=0.5", "gamma=0.5 outside (0, gamma_max(theta)=0.0454545]"),
+], ids=["missing_gamma", "missing_theta", "extra_key", "not_a_float", "theta", "gamma"])
+def test_check_malformed_or_infeasible_parameter_line_is_config_error(tmp_path, capsys, line,
+                                                                      message):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    lines = trace.read_text().splitlines()
+    trace.write_text("\n".join(lines[:-1] + [line]) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: check needs an aagd method section for the parameters\n"
+    assert captured.err == f"config error: {message.format(row=len(lines))}\n"
+
+
+def test_check_row_after_the_parameter_line_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    lines = trace.read_text().splitlines()
+    trace.write_text("\n".join(lines + lines[-2:-1]) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: row {len(lines) + 1}: a row after the parameter line\n"
+
+
+@pytest.mark.parametrize("which", ["baseline", "aagd_without_parameter_line"])
+def test_check_of_a_trace_without_parameters_is_config_error(tmp_path, capsys, which):
+    cfg = write_cfg(tmp_path, GOLDEN_CFG + "\n[method g]\nkind = gd\neta = 0.1\nmax_iters = 5\n")
+    assert main(["run", str(cfg)]) == 0
+    if which == "baseline":
+        trace = next((tmp_path / "out").glob("*__g.csv"))
+    else:
+        trace = next((tmp_path / "out").glob("*__agraal.csv"))
+        trace.write_text("\n".join(trace.read_text().splitlines()[:-1]) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: solver parameters required (trace carries none)\n"

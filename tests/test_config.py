@@ -148,6 +148,22 @@ def test_repeated_method_name_rejected(tmp_path):
     assert main(["run", str(write(tmp_path, dup))]) == 2
 
 
+@pytest.mark.parametrize("name", ["sub/dir", "sub\\dir"])
+def test_method_name_with_a_path_separator_rejected(tmp_path, capsys, name):
+    # the name ends the CSV's file name: run would fail after writing earlier CSVs
+    text = ("[experiment]\noutdir = {out}\n\n[problem]\nkind = identity\ndim = 3\n\n"
+            "[method ok]\nkind = gd\neta = 0.5\nmax_iters = 5\n\n"
+            f"[method {name}]\nkind = gd\neta = 0.5\nmax_iters = 5\n")
+    path = write(tmp_path, text.format(out=tmp_path / "out"))
+    message = f"method {name}: method name {name!r} contains a path separator"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(path)
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_readme_example_config_parses(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)

@@ -38,3 +38,21 @@ def test_traced_run_wraps_package_attributes_and_restores_each(monkeypatch):
     for m, b, a in zip(MODULES, before, after):
         assert a.keys() == b.keys(), m.__name__
         assert [name for name in b if a[name] is not b[name]] == [], m.__name__
+
+
+def test_cli_workload_passes_its_output_check_at_200_iterations(tmp_path, monkeypatch):
+    # the benchmark's cli-logsumexp operation, shortened: a package change that
+    # makes it report an incorrect output (a summary that no longer parses, a
+    # failing aagd check, a CSV unlike the library run) fails here as well
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    text = workloads.EXPERIMENT
+    assert text.count("max_iters = 2000\n") == 6
+    monkeypatch.setattr(workloads, "EXPERIMENT",
+                        text.replace("max_iters = 2000\n", "max_iters = 200\n"))
+    monkeypatch.setattr(workloads.CliLogsumexp, "ITERS", 200)
+    workload = workloads.CliLogsumexp(0, tmp_path)
+    for _ in range(2):  # the first operation cross-checks, the second compares with it
+        result = workload.op()
+        assert result.error is None
+        assert (result.iters, result.evals) == (1200, 1606)

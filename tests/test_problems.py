@@ -336,6 +336,32 @@ def test_classification_dataset_clips_gaps_past_a_present_cell(monkeypatch):
     assert data.indices[0] == 1
 
 
+def test_classification_dataset_continues_a_chunk_that_ends_short_of_the_grid(monkeypatch):
+    # a first chunk of gaps that ends before the grid's end, about a five sigma
+    # event, is kept whole and the positions go on from its last one
+    real = np.random.default_rng
+    calls = []
+
+    class ShortFirstDraw:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def geometric(self, p, size):
+            calls.append(size)
+            gaps = self.rng.geometric(p, size)
+            return gaps[:size // 4] if len(calls) == 1 else gaps
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", ShortFirstDraw)
+    data = make_classification_dataset(1, 200, 30, density=0.3)
+    assert len(calls) >= 2
+    SparseDataset(indptr=data.indptr, indices=data.indices, data=data.data,
+                  labels=data.labels, n_features=30)
+    assert np.all(np.diff(data.indptr) >= 1)
+
+
 @pytest.mark.parametrize("n, d", [(1, 1), (7, 1), (1, 9), (40, 13)])
 def test_classification_dataset_at_full_density_holds_every_feature_in_order(n, d):
     data = make_classification_dataset(3, n, d, density=1.0)

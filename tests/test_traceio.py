@@ -6,12 +6,14 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aagd import (BaselineMethod, StopRule, Trace, default_params, identity_quadratic,
-                  logsumexp_problem, read_csv, run, run_baseline, write_csv)
+from aagd import (GOLDEN_RATIO, BaselineMethod, StopRule, Trace, default_params,
+                  identity_quadratic, lemma_suite, logsumexp_problem, make_params, read_csv, run,
+                  run_baseline, run_certificates, write_csv)
 from aagd.traceio import SCALAR_COLUMNS, TraceSchemaError, _read_iterates, iterates_path
 
 
@@ -111,11 +113,12 @@ def test_schema_rejects_empty_file(tmp_path):
 # sha256 of the bytes write_csv emits, recorded with the csv.writer-based
 # writer ("special" since +-inf cells are written as inf and -inf, "aagd"
 # and "special" since the iterates went to the .npy file beside the CSV,
-# whose bytes PINNED_ITERATE_BYTES pins); like the trace pins in
+# whose bytes PINNED_ITERATE_BYTES pins, "aagd" since it ends with its
+# parameter line); like the trace pins in
 # test_driver.py they assume numpy 2.4 with its bundled OpenBLAS on x86-64
 PINNED_BYTES = {
     "aagd":
-        "caac3b292fdd18722bc9fe8f5a545c78e5e661a1debafe22aa1a83c484673024",
+        "a0ea87521f0857e07174681c17add9901a5c5326539988f91f8838821eb91ede",
     "gd":
         "ca864fe6dc2845aa5d9c72dc6de39ff10ddeb7a883b42a6c23bbf4101f41f81b",
     "agd":
@@ -591,3 +594,93 @@ def time_read(rounds=11):
     for name, vals in ms.items():
         q1, med, q3 = np.percentile(vals, [25, 50, 75])
         print(f"{name}: {med:.2f} [{q1:.2f}, {q3:.2f}] ms")
+
+
+@pytest.mark.parametrize("theta", [2.0, float(np.nextafter(GOLDEN_RATIO, 2.0)), 10.0],
+                         ids=["two", "above_golden_ratio", "ten"])
+def test_parameters_round_trip(tmp_path, theta):
+    p = identity_quadratic(3)
+    tr = run(p.oracle, np.ones(3), make_params(theta=theta, eta0=0.1), StopRule(max_iters=20))
+    path = tmp_path / "t.csv"
+    write_csv(tr, path)
+    assert path.read_text().splitlines()[-1] == (
+        f"# theta={tr.params.theta:.17g} gamma={tr.params.gamma:.17g}")
+    back = read_csv(path).params
+    assert back == tr.params
+    assert back.nu.hex() == tr.params.nu.hex()
+
+
+def test_baseline_trace_reads_back_without_parameters(tmp_path):
+    p = identity_quadratic(3)
+    tr = run_baseline(BaselineMethod(kind="gd", eta=0.3), p.oracle, np.ones(3),
+                      StopRule(max_iters=5))
+    path = tmp_path / "b.csv"
+    write_csv(tr, path)
+    assert not path.read_text().splitlines()[-1].startswith("#")
+    assert read_csv(path).params is None
+
+
+@pytest.mark.parametrize("name", ["aagd", "gd"])
+def test_read_then_write_is_byte_identical(tmp_path, name):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_csv(pinned_bytes_trace(name), first)
+    write_csv(read_csv(first), second)
+    assert second.read_bytes() == first.read_bytes()
+    assert os.path.exists(iterates_path(second)) == (name == "aagd")
+    if name == "aagd":
+        assert (Path(iterates_path(second)).read_bytes()
+                == Path(iterates_path(first)).read_bytes())
+    assert read_csv(second).params == read_csv(first).params
+
+
+# parameter lines that read_csv refuses, with the message after "row 7: "
+MALFORMED_PARAMETER_LINES = {
+    "missing_gamma": ("# theta=2", "parameter line '# theta=2', "
+                                   "want '# theta=<float> gamma=<float>'"),
+    "extra_key": ("# theta=2 gamma=0.04 nu=0.005",
+                  "parameter line '# theta=2 gamma=0.04 nu=0.005', "
+                  "want '# theta=<float> gamma=<float>'"),
+    "repeated_key": ("# theta=2 theta=3", "parameter line '# theta=2 theta=3', "
+                                          "want '# theta=<float> gamma=<float>'"),
+    "no_keys": ("#", "parameter line '#', want '# theta=<float> gamma=<float>'"),
+    "comma": ("# theta=2,gamma=0.04", "parameter line '# theta=2,gamma=0.04', "
+                                      "want '# theta=<float> gamma=<float>'"),
+    "not_a_float": ("# theta=two gamma=0.04", "could not convert string to float: 'two'"),
+    "no_value": ("# theta=2 gamma=", "could not convert string to float: ''"),
+    "no_equals_sign": ("# theta=2 gamma", "parameter line '# theta=2 gamma', "
+                                          "want '# theta=<float> gamma=<float>'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PARAMETER_LINES))
+def test_malformed_parameter_line_is_a_schema_error(tmp_path, case):
+    line, message = MALFORMED_PARAMETER_LINES[case]
+    path, lines = _small_csv(tmp_path)
+    path.write_text("\n".join(lines[:-1] + [line]) + "\n")
+    with pytest.raises(TraceSchemaError, match=f"^row 7: {re.escape(message)}$"):
+        read_csv(path)
+
+
+def test_row_after_the_parameter_line_is_a_schema_error(tmp_path):
+    path, lines = _small_csv(tmp_path)
+    path.write_text("\n".join(lines + ["", lines[1]]) + "\n")
+    with pytest.raises(TraceSchemaError, match="^row 8: a row after the parameter line$"):
+        read_csv(path)
+    path.write_text("\n".join(lines + ["", ""]) + "\n")  # blank lines may follow it
+    assert read_csv(path).params == default_params(eta0=0.1)
+
+
+def test_checks_run_with_the_parameters_the_file_carries(tmp_path):
+    p = identity_quadratic(3)
+    tr = run(p.oracle, np.ones(3), make_params(theta=4.0, eta0=0.1), StopRule(max_iters=40),
+             store_iterates=True)
+    path = tmp_path / "t.csv"
+    write_csv(tr, path)
+    back = read_csv(path)
+    want = [e.line() for e in lemma_suite(tr, tr.params, L=p.L, oracle=p.oracle)]
+    assert [e.line() for e in lemma_suite(back, L=p.L, oracle=p.oracle)] == want
+    refs = {"xstar": p.x_star, "x0": tr.x[0]}
+    report = run_certificates(back, p.oracle, None, L=p.L, x_refs=refs)
+    assert report.passed
+    assert report.lines() == run_certificates(tr, p.oracle, tr.params, L=p.L,
+                                              x_refs=refs).lines()
