@@ -8,14 +8,14 @@ suite on a stored trace with the solver parameters the trace carries.
 
 Exit codes: 0 success, 1 certificate failure, 2 config error, 3 run
 divergence. Inputs that the config parser, the dataset reader, the
-problem constructors, the method parameters or the trace reader reject
-(an empty dataset, an infeasible theta, say) are config errors: all of
-them raise ``ValueError``, and ``run`` validates every method before the
-first one runs, so a config error leaves no trace file behind. A psi or
-corollary check with a reference point on an aagd method without
-``store_iterates`` is one of them, and so is an oracle failure: at the
-start point, which ``run`` evaluates before any method, or at a stored
-iterate that ``check`` replays. So is an outdir ``run`` cannot create.
+problem constructors, the method parameters, the certificates' input
+rule (``diagnostics.check_inputs``: L > 0 for a check that reads it,
+stored iterates for one that replays them) or the trace reader reject
+are config errors: all raise ``ValueError``. ``run`` refuses each of them,
+an oracle failure at the start point and an outdir it cannot create
+before the first method runs, so a config error leaves no file behind;
+``check`` refuses only what the checks it runs need, and an oracle
+failure at a stored iterate it replays.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, diagnostics, problems, solver, traceio
-from .config import ConfigError, ExperimentConfig, MethodSpec, parse_config
+from .config import ConfigError, MethodSpec, parse_config
 from .oracle import OracleError, evaluate
 from .params import make_params, max_gamma, validate
 
@@ -71,23 +71,6 @@ def _stop_rule(opts: dict, problem: problems.Problem) -> solver.StopRule:
     )
 
 
-def _check_smoothness(cfg: ExperimentConfig, problem: problems.Problem) -> None:
-    """Reject settings that divide by L when the problem's L is zero.
-
-    All-zero logistic data with ``reg = 0`` gives L = 0; ``eta = auto``
-    and the h_envelope and lemma checks of an aagd run all need L > 0.
-    """
-    if problem.L > 0.0:
-        return
-    users = [f"method {m.name} (eta = auto)" for m in cfg.methods
-             if m.options.get("eta") == "auto"]
-    if any(m.kind == "aagd" for m in cfg.methods):
-        users += [f"check {name}" for name in ("h_envelope", "lemmas") if name in cfg.checks]
-    if users:
-        raise ConfigError(f"L = {problem.L:g} for this problem, but "
-                          f"{', '.join(users)} need L > 0")
-
-
 def _start_point(spec: dict, problem: problems.Problem, seed: int) -> np.ndarray:
     name = spec.get("x0", "zeros")
     if name == "ones":
@@ -97,21 +80,26 @@ def _start_point(spec: dict, problem: problems.Problem, seed: int) -> np.ndarray
     return np.zeros(problem.dim)
 
 
-def _method(spec: MethodSpec, problem: problems.Problem):
+def _method(spec: MethodSpec, problem: problems.Problem, checks, refs: dict):
     """Validate one method section and return a function that runs it from x0.
 
     Only the settings the section gives are passed on, so the defaults are
     those of the solver and of BaselineMethod; config's key table decides
     which settings a kind takes. An invalid setting raises ValueError here,
-    before any method runs.
+    before any method runs; so do ``eta = auto`` at L <= 0 and, for aagd,
+    what its certificate ``checks`` at ``refs`` would refuse (``check_inputs``).
     """
     stop = _stop_rule(spec.options, problem)
     given = {key: value for key, value in spec.options.items() if key not in _STOP_KEYS}
     if spec.kind == "aagd":
         params = make_params(eta0=given.pop("eta0"),
                              **{key: given.pop(key) for key in _PARAM_KEYS if key in given})
+        diagnostics.check_inputs(checks, problem.L, refs, given.get("store_iterates", False))
         return lambda x0: solver.run(problem.oracle, x0, params, stop, **given)
     if given.get("eta") == "auto":
+        if not problem.L > 0.0:
+            raise ConfigError(f"L = {problem.L:g} for this problem, but "
+                              f"method {spec.name} (eta = auto) need L > 0")
         given["eta"] = 1.0 / problem.L
     if spec.kind == "polyak":
         given["f_star"] = problem.f_star
@@ -142,19 +130,12 @@ def cmd_run(config_path: str) -> int:
         if cfg.outdir is None:
             raise ConfigError("experiment: outdir is required for run")
         problem = build_problem(cfg.problem, cfg.seed)
-        _check_smoothness(cfg, problem)
-        runs = [_method(spec, problem) for spec in cfg.methods]
         notes: list[str] = []
         x0 = _start_point(cfg.problem, problem, cfg.seed)
         evaluate(problem.oracle, x0)  # an oracle that fails here fails every method
         refs = (_reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
                 if any(m.kind == "aagd" for m in cfg.methods) else {})
-        # the reference checks replay stored iterates: the condition under
-        # which run_certificates would raise, tested before any method runs
-        if refs and {"psi", "corollary"} & set(cfg.checks) and any(
-                m.kind == "aagd" and not m.options.get("store_iterates", False)
-                for m in cfg.methods):
-            raise diagnostics.MissingIteratesError()
+        runs = [_method(spec, problem, cfg.checks, refs) for spec in cfg.methods]
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError, OracleError) as exc:
@@ -181,7 +162,7 @@ def cmd_run(config_path: str) -> int:
 
         if spec.kind == "aagd" and not trace.diverged and cfg.checks:
             report = diagnostics.run_certificates(
-                trace, problem.oracle, trace.params, L=problem.L, x_refs=refs, checks=cfg.checks)
+                trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)
             summary.extend("  " + ln for ln in report.lines())
             if not report.passed:
                 certs_passed = False
@@ -229,7 +210,6 @@ def cmd_check(trace_path: str, config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
         problem = build_problem(cfg.problem, cfg.seed)
-        _check_smoothness(cfg, problem)
         trace = traceio.read_csv(trace_path)
         if trace.has_iterates:
             _check_stored_iterates(trace, problem.dim, trace_path)

@@ -243,16 +243,29 @@ def check_corollary_bound(trace: Trace, x_ref, oracle: Oracle,
     return _corollary(trace, params, ref[0], series, evaluate(oracle, trace.x[0]).grad_sq, name)
 
 
-def _check_L(L: float | None) -> None:
-    """Raise unless 0 < L < inf; at any other L h_envelope and lambda_floor say nothing."""
+def _check_L(L: float | None, checks) -> None:
+    """Raise unless 0 < L < inf, naming the ``checks`` that read L; elsewhere they say nothing."""
     if L is None or not 0.0 < L < math.inf:
-        raise ValueError("a positive smoothness constant L is required")
+        raise ValueError("a positive smoothness constant L is required by "
+                         f"{', '.join('check ' + c for c in checks)}; got L = {L}")
+
+
+def check_inputs(checks, L: float | None, x_refs, has_iterates: bool) -> None:
+    """Raise what :func:`run_certificates` raises, before any oracle call, for an
+    input the ``checks`` lack: h_envelope and lemmas (lambda_floor) read ``L``,
+    which must be None or in (0, inf), and psi and corollary replay stored
+    iterates at ``x_refs``."""
+    readers = [c for c in ("h_envelope", "lemmas") if c in checks]
+    if readers and L is not None:
+        _check_L(L, readers)
+    if x_refs and not has_iterates and {"psi", "corollary"} & set(checks):
+        raise MissingIteratesError()
 
 
 def check_h_envelope(trace: Trace, params: SolverParams | None, L: float,
                      name: str = "h_envelope") -> CertificateEntry:
     """sqrt of the stepsize sum stays above the linear envelope (c/sqrt(L))(k-m)."""
-    _check_L(L)
+    _check_L(L, ("h_envelope",))
     rc = rate_constants(replace(_params(trace, params), eta0=float(trace.eta[0])), L)
     ks = np.arange(trace.n_iters + 1)
     # m as a float: a tiny gamma and eta0 give an m beyond int64 (exact below 2**53)
@@ -269,6 +282,7 @@ def lemma_suite(trace: Trace, params: SolverParams | None = None,
     stored iterates and an oracle and is skipped when either is absent.
     """
     params = _params(trace, params)
+    check_inputs(("lemmas",), L, None, trace.has_iterates)
     fresh = _replay(trace, oracle, params) if oracle is not None and trace.has_iterates else None
     return _lemmas(trace, params, L, fresh)
 
@@ -288,7 +302,6 @@ def _lemmas(trace: Trace, params: SolverParams, L: float | None,
             H[:-1] - H[1:], H[1:] - (2.0 + ga) * H[:-1] * (1.0 + REL_TOL))),
     ]
     if L is not None:
-        _check_L(L)
         floor = 1.0 / L - 1e-9
         entries.append(_sweep("lambda_floor", ks[1:],
                               np.where(np.isnan(trace.lam[1:]), 0.0, floor - trace.lam[1:]),
@@ -340,8 +353,10 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
     default to the trace's own; only the ``evals`` check runs without any.
     Without ``L`` the checks that read it, h_envelope and lambda_floor, are skipped.
     It raises no float warning: an overflow's inf or NaN fails its check.
+    A missing input raises (see :func:`check_inputs`) before any oracle call.
     """
     params = _params(trace, params) if set(checks) - {"evals"} else None
+    check_inputs(checks, L, x_refs, trace.has_iterates)
     report = CertificateReport()
     refs = ({r: _reference(trace, oracle, x) for r, x in (x_refs or {}).items()}
             if {"psi", "corollary"} & set(checks) else {})

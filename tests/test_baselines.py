@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from aagd import (BaselineMethod, Oracle, StopRule, identity_quadratic, make_quadratic,
-                  run_baseline)
+from aagd import (BaselineMethod, Oracle, StopRule, default_params, identity_quadratic,
+                  logsumexp_problem, make_quadratic, run, run_baseline)
+from aagd.diagnostics import ABS_TOL, REL_TOL
 
 
 def test_method_validation():
@@ -141,3 +142,75 @@ def test_baseline_divergence_flagged():
     tr = run_baseline(BaselineMethod(kind="gd", eta=1e155), p.oracle,
                       np.ones(2), StopRule(max_iters=50))
     assert tr.diverged
+
+
+def _nesterov_worst_case(N, L):
+    """Nesterov (2004), Thm 2.1.7, with n = 2N + 1: f(x) = (L/4)(x'Ax/2 - x_1) for the
+    tridiagonal A = tridiag(-1, 2, -1), minimized at x*_i = 1 - i/(n+1)."""
+    n = 2 * N + 1
+
+    def fn(x):
+        d = np.diff(x)
+        grad = 2.0 * x
+        grad[0] -= 1.0
+        grad[:-1] -= x[1:]
+        grad[1:] -= x[:-1]
+        return 0.25 * L * (0.5 * (x[0] ** 2 + d.dot(d) + x[-1] ** 2) - x[0]), 0.25 * L * grad
+
+    return Oracle(fn, n, label="nesterov"), 1.0 - np.arange(1, n + 1) / (n + 1)
+
+
+@pytest.mark.parametrize("N", [3, 10, 25, 101, 401, 801])
+def test_no_method_beats_the_lower_bound_on_nesterovs_worst_case(N):
+    # f(x) - f* >= 3 L ||x0 - x*||^2 / (32 (N+1)^2) at any point of x0 plus the span of N
+    # gradients, and evals_cum charges every call: a method below it used uncounted calls
+    L = 1.0
+    oracle, x_star = _nesterov_worst_case(N, L)
+    f_star, grad = oracle.fn(x_star)
+    assert f_star == pytest.approx(L / 8 * (1.0 / (2 * N + 2) - 1.0), rel=1e-12)
+    assert np.abs(grad).max() <= 1e-15
+    x0, stop = np.zeros(oracle.dim), StopRule(max_iters=N)
+    traces = {kind: run_baseline(BaselineMethod(kind=kind, **kw), oracle, x0, stop)
+              for kind, kw in [("gd", {"eta": 1 / L}), ("agd", {"eta": 1 / L}),
+                               ("adgd", {"eta0": 1 / L}), ("adagrad", {"eta": 1 / L}),
+                               ("bb", {"eta0": 1 / L}), ("polyak", {"f_star": f_star})]}
+    for eta0 in (1e-6 / L, 1 / L, 1e3 / L):
+        traces[f"aagd eta0={eta0:g}"] = run(oracle, x0, default_params(eta0=eta0), stop)
+    for name, tr in traces.items():
+        k = np.flatnonzero(tr.evals_cum <= N)[-1]
+        ratio = (tr.f_bar[k] - f_star) * (N + 1) ** 2 / (L * x_star.dot(x_star))
+        assert ratio >= 3 / 32, f"{name}: {ratio:.4f} at k={k}"
+
+
+def _lbfgs_minimum(problem, x0):
+    from scipy.optimize import minimize
+
+    return minimize(lambda x: problem.oracle.fn(x), x0, jac=True, method="L-BFGS-B",
+                    options={"gtol": 1e-12, "maxiter": 5000}).x
+
+
+@pytest.mark.parametrize("problem", [make_quadratic(7, 100, 1e4),
+                                     logsumexp_problem(3, 20, 50, 0.1)],
+                         ids=["quadratic", "logsumexp"])
+def test_gd_potential_is_nonincreasing(problem):
+    # for eta <= 1/L, k eta (f(x_k) - f*) + |x_k - x*|^2 / 2 does not grow
+    x0 = np.zeros(problem.dim)
+    x_star = problem.x_star if problem.x_star is not None else _lbfgs_minimum(problem, x0)
+    f_star = problem.oracle.fn(x_star)[0]
+    points, values = [], []
+
+    def recording(x):
+        value, grad = problem.oracle.fn(x)
+        points.append(x.copy())
+        values.append(value)
+        return value, grad
+
+    eta = 1.0 / problem.L
+    tr = run_baseline(BaselineMethod(kind="gd", eta=eta), Oracle(recording, problem.dim), x0,
+                      StopRule(max_iters=2000))
+    assert len(points) == tr.n_iters + 1 == 2001  # the calls are x_0, ..., x_K
+    dist = np.asarray(points) - x_star
+    phi = np.arange(len(values)) * eta * (np.asarray(values) - f_star) + 0.5 * np.vecdot(
+        dist, dist)
+    viol = phi[1:] - (phi[:-1] * (1.0 + REL_TOL) + ABS_TOL * (1.0 + abs(phi[0])))
+    assert viol.max() <= 0.0, f"grows at k={int(viol.argmax()) + 1}"

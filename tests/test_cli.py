@@ -326,6 +326,37 @@ max_iters = 20
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+def test_run_validates_every_aagd_method_before_the_first_runs(tmp_path, capsys):
+    # only the second aagd method lacks the iterates psi replays at x0
+    cfg = write_cfg(tmp_path, """
+[experiment]
+outdir = {out}
+checks = psi
+x_ref = x0
+
+[problem]
+kind = quadratic
+dim = 5
+cond = 10
+
+[method a]
+kind = aagd
+eta0 = 1e-3
+max_iters = 20
+store_iterates = true
+
+[method b]
+kind = aagd
+eta0 = 1e-3
+max_iters = 20
+""")
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: store_iterates required for this check\n"
+    assert not list(tmp_path.glob("out/*"))
+
+
 def test_check_schema_mismatch(tmp_path, capsys):
     cfg = write_cfg(tmp_path, GOLDEN_CFG)
     bad = tmp_path / "junk.csv"
@@ -509,29 +540,50 @@ def zero_logistic_trace(tmp_path):
     return next((tmp_path / "out").glob("*__aagd.csv"))
 
 
+ZERO_DATA = "1 1:0 2:0\n-1 2:0\n"
+ETA_AUTO_AT_ZERO_L = "L = 0 for this problem, but method gd (eta = auto) need L > 0"
+L_READERS_AT_ZERO_L = ("a positive smoothness constant L is required by "
+                       "check h_envelope, check lemmas; got L = 0.0")
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
-@pytest.mark.parametrize("data_text,method,eta,message", [
-    pytest.param("", "aagd", "1e-3", "empty dataset", id="empty_file"),
-    pytest.param("1 1:nan\n", "aagd", "1e-3", "line 1: non-finite value '1:nan'",
+@pytest.mark.parametrize("data_text,method,eta,checks,message", [
+    pytest.param("", "aagd", "1e-3", None, "empty dataset", id="empty_file"),
+    pytest.param("1 1:nan\n", "aagd", "1e-3", None, "line 1: non-finite value '1:nan'",
                  id="nan_value"),
-    pytest.param("1 1:0 2:0\n-1 2:0\n", "gd", "auto",
-                 "L = 0 for this problem, but method gd (eta = auto) need L > 0",
+    # run refuses the gd section it would run; check reads no method section
+    pytest.param(ZERO_DATA, "gd", "auto", None,
+                 {"run": ETA_AUTO_AT_ZERO_L, "check": L_READERS_AT_ZERO_L},
                  id="zero_data_eta_auto"),
-    pytest.param("1 1:0 2:0\n-1 2:0\n", "aagd", "1e-3",
-                 "but check h_envelope, check lemmas need L > 0",
+    pytest.param(ZERO_DATA, "aagd", "1e-3", None, L_READERS_AT_ZERO_L,
                  id="zero_data_default_checks"),
+    # None: nothing the command runs reads L, so it exits 0
+    pytest.param(ZERO_DATA, "gd", "auto", "evals", {"run": ETA_AUTO_AT_ZERO_L, "check": None},
+                 id="zero_data_eta_auto_evals_only"),
+    pytest.param(ZERO_DATA, "gd", "0.1", "h_envelope, lemmas",
+                 {"run": None, "check": L_READERS_AT_ZERO_L}, id="zero_data_checks_that_read_L"),
 ])
 def test_degenerate_logistic_input_is_config_error(tmp_path, capsys, zero_logistic_trace,
-                                                   command, data_text, method, eta, message):
-    cfg = _zero_logistic_cfg(tmp_path, "degenerate", data_text, method=method, eta=eta)
+                                                   command, data_text, method, eta, checks,
+                                                   message):
+    cfg = _zero_logistic_cfg(tmp_path, "degenerate", data_text, method=method, eta=eta,
+                             checks=checks)
     argv = (["run", str(cfg)] if command == "run"
             else ["check", str(zero_logistic_trace), "--config", str(cfg)])
+    message = message[command] if isinstance(message, dict) else message
     capsys.readouterr()
-    assert main(argv) == 2
-    err = capsys.readouterr().err
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if message is None:
+        assert (code, err) == (0, "")
+        if command == "check":  # the one check it was asked for
+            assert [ln.split()[:2] for ln in out.splitlines() if not ln.startswith("x_ref")] == [
+                ["eval_schedule", "pass"]]
+        return
+    assert code == 2
     assert err.startswith("config error: ")
     assert message in err
-    assert "Traceback" not in err
 
 
 def test_check_header_only_trace_is_config_error(tmp_path, capsys):

@@ -178,6 +178,11 @@ def test_checks_that_read_L_reject_it_outside_zero_to_inf(identity_run, L):
         lemma_suite(tr, params, L=L, oracle=p.oracle)
     with need:
         check_h_envelope(tr, params, L)
+    # every check at every reference point: refused before the first call
+    oracle, calls = _counting(p.oracle)
+    with need:
+        run_certificates(tr, oracle, params, L=L, x_refs={"xstar": p.x_star, "x0": tr.x[0]})
+    assert calls == [0]
     # the evaluation count reads no L, so any L leaves it running
     assert run_certificates(tr, p.oracle, params, L=L, checks=("evals",)).entries == [
         check_eval_schedule(tr)]
