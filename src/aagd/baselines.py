@@ -80,70 +80,60 @@ def _row(s: _State) -> tuple:
             s.bar_res.value, math.nan, s.bar_res)
 
 
-def _descend(oracle, s: _State):
-    """Evaluate at the gradient step from the state's estimate."""
-    return _evaluate(oracle, s.bar_res.x - s.eta * s.bar_res.grad)
+# gd, adgd, adagrad, bb and polyak are stepsize rules: rule(method, notes, k,
+# s, res) is the state at k from the state s at k-1 (None at k = 0, res at x0)
+# and the result res of the gradient step from s. The run loop ends at a zero
+# step (adagrad's and polyak's at an optimum); under its np.errstate, an
+# overflowing step ends in _evaluate's point check as a divergence, unwarned.
+
+def _descent(rule):
+    def start(method, oracle, notes, res):
+        def advance(s):
+            nxt = _evaluate(oracle, s.bar_res.x - s.eta * s.bar_res.grad)
+            return rule(method, notes, s.k + 1, s, nxt)
+
+        return rule(method, notes, 0, None, res), advance
+
+    return start
 
 
-# Each method below maps (method, oracle, notes, result at x0) to
-# its state at k=0 and the function that advances that state by one step;
-# the run loop ends at a zero stepsize (adagrad's and polyak's at an optimum).
-# All of it runs inside the run loop's np.errstate, so an overflowing step
-# ends in _evaluate's point check as a divergence, without a warning.
-
-def _gd(method, oracle, notes, res):
-    def advance(s):
-        return _State(s.k + 1, _descend(oracle, s), method.eta)
-
-    return _State(0, res, method.eta), advance
+def _gd(method, notes, k, s, res):
+    return _State(k, res, method.eta)
 
 
-def _adagrad(method, oracle, notes, res):
-    def start(k, res, sq_sum):
-        # eta / sqrt(sum of squared gradient norms); a zero sum means converged
-        eta = 0.0 if sq_sum == 0.0 else method.eta / math.sqrt(sq_sum)
-        return _State(k, res, eta, carry=sq_sum)
-
-    def advance(s):
-        nxt = _descend(oracle, s)
-        return start(s.k + 1, nxt, s.carry + nxt.grad_sq)
-
-    return start(0, res, res.grad_sq), advance
+def _adagrad(method, notes, k, s, res):
+    sq_sum = res.grad_sq if s is None else s.carry + res.grad_sq
+    # eta / sqrt(sum of squared gradient norms); a zero sum means converged
+    return _State(k, res, 0.0 if sq_sum == 0.0 else method.eta / math.sqrt(sq_sum),
+                  carry=sq_sum)
 
 
-def _polyak(method, oracle, notes, res):
-    def start(k, res):
-        gap = res.value - method.f_star
-        return _State(k, res, 0.0 if res.grad_sq == 0.0 or gap <= 0.0 else gap / res.grad_sq)
-
-    return start(0, res), lambda s: start(s.k + 1, _descend(oracle, s))
+def _polyak(method, notes, k, s, res):
+    gap = res.value - method.f_star
+    return _State(k, res, 0.0 if res.grad_sq == 0.0 or gap <= 0.0 else gap / res.grad_sq)
 
 
-def _bb(method, oracle, notes, res):
-    def advance(s):
-        nxt = _descend(oracle, s)
-        # secant ratio <dx, dg> / ||dg||^2, undefined for a vanishing dg
-        dg = nxt.grad - s.bar_res.grad
-        dg2 = float(dg.dot(dg))
-        cand = float((nxt.x - s.bar_res.x).dot(dg)) / dg2 if dg2 > 0.0 else -1.0
-        if cand > 0.0:
-            return _State(s.k + 1, nxt, cand)
-        notes.append((s.k + 1, "bb stepsize undefined or nonpositive, kept previous"))
-        return _State(s.k + 1, nxt, s.eta)
-
-    return _State(0, res, method.eta0), advance
+def _bb(method, notes, k, s, res):
+    if s is None:
+        return _State(k, res, method.eta0)
+    # secant ratio <dx, dg> / ||dg||^2, undefined for a vanishing dg
+    dg = res.grad - s.bar_res.grad
+    dg2 = float(dg.dot(dg))
+    cand = float((res.x - s.bar_res.x).dot(dg)) / dg2 if dg2 > 0.0 else -1.0
+    if cand > 0.0:
+        return _State(k, res, cand)
+    notes.append((k, "bb stepsize undefined or nonpositive, kept previous"))
+    return _State(k, res, s.eta)
 
 
-def _adgd(method, oracle, notes, res):
-    def advance(s):
-        nxt = _descend(oracle, s)
-        lam = lambda_option1(nxt, s.bar_res)
-        # the gated growth branch, capped by the curvature branch (which an
-        # infinite estimate leaves inactive)
-        eta = min(s.eta * math.sqrt(1.0 + s.eta / s.carry), 0.5 * lam)
-        return _State(s.k + 1, nxt, eta, lam, carry=s.eta)
-
-    return _State(0, res, method.eta0, carry=method.eta0), advance
+def _adgd(method, notes, k, s, res):
+    if s is None:
+        return _State(k, res, method.eta0, carry=method.eta0)
+    lam = lambda_option1(res, s.bar_res)
+    # the gated growth branch, capped by the curvature branch (which an
+    # infinite estimate leaves inactive)
+    eta = min(s.eta * math.sqrt(1.0 + s.eta / s.carry), 0.5 * lam)
+    return _State(k, res, eta, lam, carry=s.eta)
 
 
 def _agd(method, oracle, notes, res):
@@ -165,5 +155,5 @@ def _agd(method, oracle, notes, res):
     return _State(0, res, eta, carry=res.x), advance
 
 
-_METHODS = {"gd": _gd, "agd": _agd, "adgd": _adgd, "adagrad": _adagrad,
-            "bb": _bb, "polyak": _polyak}
+_METHODS = {"gd": _descent(_gd), "agd": _agd, "adgd": _descent(_adgd),
+            "adagrad": _descent(_adagrad), "bb": _descent(_bb), "polyak": _descent(_polyak)}

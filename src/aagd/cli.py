@@ -14,8 +14,8 @@ stored iterates for one that replays them) or the trace reader reject
 are config errors: all raise ``ValueError``. ``run`` refuses each of them,
 an oracle failure at the start point and an outdir it cannot create
 before the first method runs, so a config error leaves no file behind;
-``check`` refuses only what the checks it runs need, and an oracle
-failure at a stored iterate it replays.
+``check`` refuses iterates of another width than the problem's, and else
+only what its checks refuse: ``diagnostics._replay`` gates stored iterates.
 """
 from __future__ import annotations
 
@@ -107,7 +107,7 @@ def _method(spec: MethodSpec, problem: problems.Problem, checks, refs: dict):
     return lambda x0: baselines.run_baseline(method, problem.oracle, x0, stop)
 
 
-def _reference_points(names, problem: problems.Problem, x0: np.ndarray,
+def _reference_points(names, problem: problems.Problem, x0: np.ndarray | None,
                       seed: int, notes: list):
     rng = np.random.default_rng(seed + 1)
     refs = {}
@@ -191,30 +191,17 @@ def cmd_params(theta: float, gamma: float | None) -> int:
     return EXIT_OK
 
 
-def _check_stored_iterates(trace: solver.Trace, dim: int, trace_path: str) -> None:
-    """Reject stored iterates that no oracle call could take: a width other
-    than the problem's dim, or a non-finite entry, named by its block in
-    the iterate file beside ``trace_path`` and its k."""
-    if trace.x.shape[1] != dim:
-        raise ConfigError(f"the trace stores iterates of dimension {trace.x.shape[1]}, "
-                          f"the problem has dim = {dim}")
-    bad = np.array([~np.isfinite(v).all(axis=1) for v in (trace.x, trace.x_bar, trace.x_tilde)])
-    if bad.any():
-        k = int(bad.any(axis=0).argmax())
-        block = ("x", "x_bar", "x_tilde")[int(bad[:, k].argmax())]
-        raise ConfigError(f"{traceio.iterates_path(trace_path)}: {block} at k = {k} has a "
-                          "non-finite entry; the solver stores only finite iterates")
-
-
 def cmd_check(trace_path: str, config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
         problem = build_problem(cfg.problem, cfg.seed)
         trace = traceio.read_csv(trace_path)
-        if trace.has_iterates:
-            _check_stored_iterates(trace, problem.dim, trace_path)
+        # h_envelope replays nothing, but a trace of another problem has another L
+        if trace.has_iterates and trace.x.shape[1] != problem.dim:
+            raise ConfigError(f"the trace stores iterates of dimension {trace.x.shape[1]}, "
+                              f"the problem has dim = {problem.dim}")
         notes: list[str] = []
-        x0 = trace.x[0] if trace.has_iterates else _start_point(cfg.problem, problem, cfg.seed)
+        x0 = trace.x[0] if trace.has_iterates else None  # read only by a replay
         refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
         report = diagnostics.run_certificates(
             trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)

@@ -25,7 +25,8 @@ temporary plus O(K) scalars, never the trace's fresh gradients. It
 builds the per-k arrays that the decay series at every reference point,
 the endpoint bound and the lemma suite read. Each check sweeps an array
 of violations; a positive or NaN one fails it, and an empty one (too few
-rows to compare) passes it as not applicable.
+rows to compare) passes it as not applicable. What the sweep needs from
+the stored iterates is decided once, at its top, before any oracle call.
 """
 from __future__ import annotations
 
@@ -36,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import lambda_option2_rows
-from .oracle import Oracle, OracleResult, evaluate, evaluate_rows, sq_norm
+from .oracle import (DimensionMismatchError, NonFiniteError, Oracle, OracleResult,
+                     all_finite, evaluate, evaluate_rows, sq_norm)
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
@@ -125,14 +127,6 @@ def _params(trace: Trace, params: SolverParams | None) -> SolverParams:
     return params
 
 
-def _reference(trace: Trace, oracle: Oracle, x_ref) -> tuple[np.ndarray, float]:
-    """A reference point as floats with its fresh objective value."""
-    if not trace.has_iterates:
-        raise MissingIteratesError()
-    x_ref = np.asarray(x_ref, dtype=np.float64)
-    return x_ref, evaluate(oracle, x_ref).value
-
-
 class _Pass(NamedTuple):  # the per-k arrays of one forward sweep over a trace
     f_bar: np.ndarray  # fresh f(x_bar[k]), k = 0..K
     carry: np.ndarray  # B(x_bar[k-1]; x_tilde[k-1]), k = 1..K
@@ -146,10 +140,14 @@ def _rows(res: OracleResult, rows: slice) -> OracleResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pass:
-    """Evaluate x_bar[k] and x_tilde[k], k = 0..K in order, once per
-    distinct point, in blocks of B = max(1, ROW_BLOCK // d) values of k;
-    ``refs`` holds (x_ref, f_ref) pairs.
+def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _Pass:
+    """Evaluate the reference points ``x_refs``, then x_bar[k] and
+    x_tilde[k], k = 0..K in order, once per distinct point, in blocks of
+    B = max(1, ROW_BLOCK // d) values of k.
+
+    First, before any call, it raises MissingIteratesError without stored
+    iterates, DimensionMismatchError for a width other than ``oracle.dim``,
+    and NonFiniteError naming the block and first k of a non-finite entry.
 
     A block over k0 <= k < k1 evaluates, in call order, the look-back
     point x_tilde[k0-1] (x_bar[0] for the first block), which repeats the
@@ -162,6 +160,17 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pas
     terms are then formed from O(K) scalars.
     """
     tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
+    if not tr.has_iterates:
+        raise MissingIteratesError()
+    if tr.x.shape[1] != oracle.dim:
+        raise DimensionMismatchError(f"the trace stores iterates of dimension {tr.x.shape[1]}, "
+                                     f"the oracle has dim = {oracle.dim}")
+    if not all(all_finite(v, sq_norm(v)) for v in (tr.x, tr.x_bar, tr.x_tilde)):
+        bad = ~np.isfinite([tr.x, tr.x_bar, tr.x_tilde]).all(axis=2)  # (block, k)
+        k = int(bad.any(axis=0).argmax())
+        raise NonFiniteError(f"{('x', 'x_bar', 'x_tilde')[bad[:, k].argmax()]} at k = {k} has "
+                             "a non-finite entry; the solver stores only finite iterates")
+    refs = [evaluate(oracle, x) for x in x_refs]  # each point as floats, with its value
     B = max(1, ROW_BLOCK // oracle.dim)
     f_bar, f_til, lam_same, lam_ahead, carry, ahead, mom = np.empty((7, K + 1))
     dist = np.empty((len(refs), K + 1))
@@ -179,8 +188,8 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pas
         if refs:  # the decay terms serve only the series
             dk = np.diff(tr.x[max(k0 - 1, 0):k1], axis=0)  # x[k] - x[k-1] for k >= max(k0, 1)
             mom[k1 - len(dk):k1] = 0.5 * ga * th * np.vecdot(dk, dk)
-            for j, (x_ref, _) in enumerate(refs):
-                dx = tr.x[k0:k1] - x_ref
+            for j, ref in enumerate(refs):
+                dx = tr.x[k0:k1] - ref.x
                 dist[j, k0:k1] = 0.5 * np.vecdot(dx, dx)
     carry, ahead, mom, dist = carry[:-1], ahead[1:], mom[1:], dist[:, 1:]
     if not refs:
@@ -191,7 +200,7 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, refs=()) -> _Pas
     breg = np.where(np.abs(carry) <= 1e-9 * scale, 0.0, math.nan)
     f = ~np.isinf(lam)
     breg[f] = th * tr.eta[1:][f] * tr.eta[:-1][f] / lam[f] * carry[f]
-    gaps = [tr.H[:-1] * (f_bar[1:] - f_ref) for _, f_ref in refs]
+    gaps = [tr.H[:-1] * (f_bar[1:] - ref.value) for ref in refs]
     series = [LyapunovSeries(np.arange(1, K + 1), d + g + breg + mom, d, g, breg, mom)
               for d, g in zip(dist, gaps)]
     return _Pass(f_bar, carry, ahead, series)
@@ -218,8 +227,7 @@ def lyapunov_series(trace: Trace, x_ref, oracle: Oracle,
     convention; if the Bregman carry-over does not vanish there, the
     term is NaN and the decay check fails at that k.
     """
-    ref = _reference(trace, oracle, x_ref)
-    return _replay(trace, oracle, _params(trace, params), [ref]).series[0]
+    return _replay(trace, oracle, _params(trace, params), [x_ref]).series[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -237,10 +245,9 @@ def check_corollary_bound(trace: Trace, x_ref, oracle: Oracle,
                           params: SolverParams | None = None,
                           name: str = "corollary_bound") -> CertificateEntry:
     """Endpoint bound at every k = 1..K for any reference point, from a full replay."""
-    ref = _reference(trace, oracle, x_ref)
     params = _params(trace, params)
-    series = _replay(trace, oracle, params, [ref]).series[0]
-    return _corollary(trace, params, ref[0], series, evaluate(oracle, trace.x[0]).grad_sq, name)
+    series = _replay(trace, oracle, params, [x_ref]).series[0]
+    return _corollary(trace, params, x_ref, series, evaluate(oracle, trace.x[0]).grad_sq, name)
 
 
 def _check_L(L: float | None, checks) -> None:
@@ -358,8 +365,7 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
     params = _params(trace, params) if set(checks) - {"evals"} else None
     check_inputs(checks, L, x_refs, trace.has_iterates)
     report = CertificateReport()
-    refs = ({r: _reference(trace, oracle, x) for r, x in (x_refs or {}).items()}
-            if {"psi", "corollary"} & set(checks) else {})
+    refs = (x_refs or {}) if {"psi", "corollary"} & set(checks) else {}
     fresh = (_replay(trace, oracle, params, list(refs.values()))
              if refs or ("lemmas" in checks and trace.has_iterates) else None)
     series = dict(zip(refs, fresh.series)) if refs else {}
@@ -368,7 +374,7 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
                            for r, s in series.items()]
     if "corollary" in checks and series:
         grad0_sq = evaluate(oracle, trace.x[0]).grad_sq
-        report.entries += [_corollary(trace, params, refs[r][0], s, grad0_sq,
+        report.entries += [_corollary(trace, params, refs[r], s, grad0_sq,
                                       f"corollary_bound[{r}]") for r, s in series.items()]
     if "h_envelope" in checks and L is not None:
         report.entries.append(check_h_envelope(trace, params, L))

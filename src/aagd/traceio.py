@@ -16,8 +16,9 @@ without them deletes that file, so none is left from an earlier write.
 The reader parses the CSV with csv.reader and float(); the row numbers
 of its messages skip blank lines, k must read 0, 1, ..., K, and no row
 may follow the parameter line. It then checks the .npy file's header and
-size against the CSV's rows before it reads the data. A CSV with iterate
-columns, the layout before the .npy file, is refused.
+size against the CSV's rows before it reads the data; a header numpy cannot
+parse is a schema error. A CSV with iterate columns, the layout before
+the .npy file, is refused.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import csv
 import math
 import os
 import re
+import tokenize
 from operator import itemgetter
 from pathlib import Path
 
@@ -81,7 +83,7 @@ def _read_iterates(path, rows: int):
         try:  # np.save writes format 1.0 for a float64 array
             np.lib.format.read_magic(fh)
             shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        except ValueError as exc:  # empty, not an .npy file, or a damaged header
+        except (ValueError, tokenize.TokenError) as exc:  # a damaged header (TokenError: unbalanced)
             raise TraceSchemaError(f"{path}: not an .npy array: {exc}")
         if dtype != _ITERATES:
             raise TraceSchemaError(f"{path}: dtype {dtype.str}, want {_ITERATES.str}")

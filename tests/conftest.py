@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-ITERATE_DAMAGE = ("empty", "truncated", "not an npy", "object dtype", "float32",
-                  "fortran order", "two axes", "wrong first axis", "K off by one")
+ITERATE_DAMAGE = ("empty", "truncated", "not an npy", "unbalanced header", "object dtype",
+                  "float32", "fortran order", "two axes", "wrong first axis", "K off by one")
 
 
 def damage_iterates(path, case):
@@ -21,6 +21,12 @@ def damage_iterates(path, case):
         path.write_bytes(b"k,eta\r\n0,1\r\n")
         tail = ("not an .npy array: the magic string is not correct; "
                 "expected b'\\x93NUMPY', got b'k,eta\\r'")
+    elif case == "unbalanced header":
+        # an extra "(" before the shape, one pad byte dropped to keep the length
+        data = path.read_bytes()
+        i, end = data.index(b"(3"), data.index(b"\n")
+        path.write_bytes(data[:i] + b"(" + data[i:end - 1] + data[end:])
+        tail = "not an .npy array: ('EOF in multi-line statement', (2, 0))"
     elif case == "object dtype":
         np.save(path, a.astype(object), allow_pickle=True)
         tail = "dtype |O, want <f8"

@@ -670,13 +670,16 @@ def test_check_iterate_width_differs_from_problem_dim_is_config_error(tmp_path, 
     run_cfg = write_cfg(tmp_path, LOGSUMEXP_CFG.replace("DIM", "5"), name="run.ini")
     assert main(["run", str(run_cfg)]) == 0
     trace = next((tmp_path / "out").glob("*__aagd.csv"))
-    check_cfg = write_cfg(tmp_path, LOGSUMEXP_CFG.replace("DIM", "6"), name="check.ini")
-    capsys.readouterr()
-    assert main(["check", str(trace), "--config", str(check_cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("config error: the trace stores iterates of dimension 5, "
-                            "the problem has dim = 6\n")
+    # h_envelope and evals replay no iterate, but a trace of another problem has another L
+    for checks in ("", "checks = h_envelope, evals\n"):
+        check_cfg = write_cfg(tmp_path, LOGSUMEXP_CFG.replace("DIM", "6").replace(
+            "seed = 3\n", "seed = 3\n" + checks), name="check.ini")
+        capsys.readouterr()
+        assert main(["check", str(trace), "--config", str(check_cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: the trace stores iterates of dimension 5, "
+                                "the problem has dim = 6\n")
 
 
 @pytest.mark.parametrize("column", ["x_0", "xbar_0", "xtilde_0"])
@@ -695,8 +698,27 @@ def test_check_empty_iterate_cell_is_config_error(tmp_path, capsys, column):
     captured = capsys.readouterr()
     assert captured.out == ""
     block = ("x", "x_bar", "x_tilde")[index]
-    assert captured.err == (f"config error: {npy}: {block} at k = 3 has a non-finite entry; "
+    assert captured.err == (f"config error: {block} at k = 3 has a non-finite entry; "
                             "the solver stores only finite iterates\n")
+
+
+def test_check_non_finite_iterate_passes_the_checks_that_replay_none(tmp_path, capsys):
+    # only the checks that run decide what the trace must hold
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    npy = aagd.traceio.iterates_path(trace)
+    blocks = np.load(npy)
+    blocks[2, 3, 0] = np.nan
+    np.save(npy, blocks)
+    check_cfg = write_cfg(tmp_path, GOLDEN_CFG.replace(
+        "seed = 0\n", "seed = 0\nchecks = h_envelope, evals\n"), name="check.ini")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(check_cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["h_envelope", "pass"], ["eval_schedule", "pass"]]
 
 
 def test_check_damaged_iterate_file_is_config_error(tmp_path, capsys, iterate_damage):

@@ -15,8 +15,7 @@ from aagd import (BaselineMethod, ConvergedWindowError, DimensionMismatchError,
                   lyapunov_series, make_classification_dataset, make_params, make_quadratic,
                   read_csv, run, run_baseline, run_certificates, write_csv)
 from aagd import diagnostics
-from aagd.diagnostics import (ROW_BLOCK, CertificateEntry, LyapunovSeries, _Pass, _reference,
-                              _replay)
+from aagd.diagnostics import ROW_BLOCK, CertificateEntry, LyapunovSeries, _Pass, _replay
 from aagd.params import GOLDEN_RATIO, SolverParams
 from aagd.solver import run as solver_run
 
@@ -293,6 +292,40 @@ def test_missing_iterates_raises(identity_run):
         lyapunov_series(tr, np.zeros(10), p.oracle)
     with pytest.raises(MissingIteratesError):
         check_corollary_bound(tr, np.zeros(10), p.oracle)
+
+
+# the library paths into the replay, each given one reference point where it takes one
+REPLAYS = {
+    "lemma_suite": lambda tr, oracle, x_ref: lemma_suite(tr, oracle=oracle),
+    "lyapunov_series": lambda tr, oracle, x_ref: lyapunov_series(tr, x_ref, oracle),
+    "check_corollary_bound": lambda tr, oracle, x_ref: check_corollary_bound(tr, x_ref, oracle),
+    "run_certificates": lambda tr, oracle, x_ref: run_certificates(tr, oracle, None,
+                                                                   x_refs={"xstar": x_ref}),
+}
+
+
+@pytest.mark.parametrize("entry", REPLAYS)
+@pytest.mark.parametrize("dim, bad, raised, message", [
+    (6, None, DimensionMismatchError,
+     "the trace stores iterates of dimension 5, the oracle has dim = 6"),
+    (5, math.nan, NonFiniteError,
+     "x at k = 3 has a non-finite entry; the solver stores only finite iterates"),
+], ids=["width", "non_finite"])
+def test_replay_refuses_stored_iterates_before_any_oracle_call(entry, dim, bad, raised, message):
+    p = make_quadratic(3, 5, 1e2)
+    tr = run(p.oracle, np.ones(5), default_params(eta0=1e-2), StopRule(max_iters=10),
+             store_iterates=True)
+    if bad is not None:
+        x = tr.x.copy()
+        x[3, 0] = bad
+        tr = dataclasses.replace(tr, x=x)
+    q = make_quadratic(3, dim, 1e2)
+    calls = []
+    oracle = Oracle(lambda x: calls.append(x) or q.oracle.fn(x), dim)
+    with pytest.raises(raised) as caught:
+        REPLAYS[entry](tr, oracle, q.x_star)
+    assert str(caught.value) == message
+    assert calls == []
 
 
 NOT_APPLICABLE = "not applicable: no rows to compare"
@@ -661,6 +694,13 @@ def test_certificate_memory_does_not_hold_the_trace_results():
     assert peak < K * 100 * 8
 
 
+def _reference(oracle, x_ref):
+    """A reference point as floats with its fresh objective value, the
+    form in which _replay_reference takes its reference points."""
+    x_ref = np.asarray(x_ref, dtype=np.float64)
+    return x_ref, evaluate(oracle, x_ref).value
+
+
 def _replay_reference(trace, oracle, params, refs=()):
     """The per-k sweep that the block sweep replaced, kept verbatim as its
     reference: evaluate x_bar[k] and x_tilde[k] once each, k = 0..K in
@@ -738,10 +778,10 @@ REPLAY_CASES = [
 
 
 def _assert_replays_match(tr, oracle, params, points):
-    refs = [_reference(tr, oracle, x) for x in points]
-    for r in ([], refs[:1], refs):
-        assert _pass_bytes(_replay(tr, oracle, params, r)) == _pass_bytes(
-            _replay_reference(tr, oracle, params, r))
+    refs = [_reference(oracle, x) for x in points]
+    for n in (0, 1, len(points)):
+        assert _pass_bytes(_replay(tr, oracle, params, points[:n])) == _pass_bytes(
+            _replay_reference(tr, oracle, params, refs[:n]))
 
 
 @pytest.mark.parametrize("make, eta0, theta, K", REPLAY_CASES)
@@ -768,7 +808,8 @@ def test_sweep_calls_and_bits_do_not_depend_on_the_block_size(monkeypatch, rows)
     x_bar = tr.x_bar.copy()
     x_bar[0] = 0.5
     traces = [tr, dataclasses.replace(tr, x_bar=x_bar)]
-    refs = [_reference(tr, p.oracle, x) for x in (p.x_star, np.zeros(100))]
+    points = [p.x_star, np.zeros(100)]
+    refs = [_reference(p.oracle, x) for x in points]
     wants = [_pass_bytes(_replay_reference(t, p.oracle, params, refs)) for t in traces]
     if rows is not None:
         monkeypatch.setattr(diagnostics, "ROW_BLOCK", rows * 100)
@@ -782,10 +823,11 @@ def test_sweep_calls_and_bits_do_not_depend_on_the_block_size(monkeypatch, rows)
         seen.append(x.copy())
         return p.oracle.fn(x)
 
-    for t, want, calls in zip(traces, wants, (175, 176)):
+    for t, want, calls in zip(traces, wants, (177, 178)):
         seen.clear()
-        assert _pass_bytes(_replay(t, Oracle(recording, 100), params, refs)) == want
-        assert np.array_equal(np.array(seen), _swept_points(t))
+        assert _pass_bytes(_replay(t, Oracle(recording, 100), params, points)) == want
+        # the two reference points come first, then the sweep
+        assert np.array_equal(np.array(seen), np.concatenate([points, _swept_points(t)]))
         assert len(seen) == calls
 
 
@@ -803,7 +845,7 @@ def test_block_replay_matches_the_reference_on_a_tampered_trace():
     x_tilde[B100] = 1e154 * e0 + np.eye(100)[1]
     tampered = dataclasses.replace(tr, x_bar=x_bar, x_tilde=x_tilde)
     _assert_replays_match(tampered, p.oracle, params, [np.ones(100), p.x_star])
-    fresh = _replay(tampered, p.oracle, params, [_reference(tampered, p.oracle, p.x_star)])
+    fresh = _replay(tampered, p.oracle, params, [p.x_star])
     assert math.isnan(fresh.series[0].bregman_term[B100 - 1])
 
 
@@ -839,16 +881,22 @@ def test_replay_failure_in_the_second_block_raises_as_evaluate(output, raised, m
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_stored_point_raises_from_run_certificates(identity_run, bad):
-    # the library path: no cmd_check pre-check screens the trace
+    # the library path: the replay screens the stored iterates, not cmd_check
     p, params, tr = identity_run
     x_tilde = tr.x_tilde.copy()
     x_tilde[7, 3] = bad
     broken = dataclasses.replace(tr, x_tilde=x_tilde)
-    message = "query point contains non-finite entries"
-    with pytest.raises(NonFiniteError, match=message):
+    with pytest.raises(NonFiniteError, match="^x_tilde at k = 7 has a non-finite entry"):
         run_certificates(broken, p.oracle, params, L=p.L, x_refs={"xstar": p.x_star})
-    with pytest.raises(NonFiniteError, match=message):
+    with pytest.raises(NonFiniteError, match="query point contains non-finite entries"):
         _replay_reference(broken, p.oracle, params)
+    # x[3], which the sweep never evaluates but the decay terms read
+    x = tr.x.copy()
+    x[3, 0] = bad
+    with pytest.raises(NonFiniteError, match="^x at k = 3 has a non-finite entry; "
+                                             "the solver stores only finite iterates$"):
+        run_certificates(dataclasses.replace(tr, x=x), p.oracle, params, L=p.L,
+                         x_refs={"xstar": p.x_star})
 
 
 def test_replay_accepts_a_stored_point_whose_square_overflows():
