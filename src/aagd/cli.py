@@ -13,9 +13,11 @@ rule (``diagnostics.check_inputs``: L > 0 for a check that reads it,
 stored iterates for one that replays them) or the trace reader reject
 are config errors: all raise ``ValueError``. ``run`` refuses each of them,
 an oracle failure at the start point and an outdir it cannot create
-before the first method runs, so a config error leaves no file behind;
-``check`` refuses iterates of another width than the problem's, and else
-only what its checks refuse: ``diagnostics._replay`` gates stored iterates.
+before the first method runs, so such a config error leaves no file
+behind; an output file it cannot write (a CSV, its .npy or the summary)
+is a config error too, and the CSVs written before it stay. ``check``
+refuses iterates of another width than the problem's, and else only
+what its checks refuse: ``diagnostics._replay`` gates stored iterates.
 """
 from __future__ import annotations
 
@@ -146,30 +148,34 @@ def cmd_run(config_path: str) -> int:
     any_diverged = False
     certs_passed = True
 
-    for spec, run in zip(cfg.methods, runs):
-        trace = run(x0)
-        csv_path = outdir / f"{problem.label}__{spec.name}.csv"
-        traceio.write_csv(trace, csv_path)
-        final_f = trace.f_bar[-1]
-        line = (f"{spec.name:<16} iters={trace.n_iters:<6} evals={trace.evals_cum[-1]:<8} "
-                f"f_final={final_f:.12e}")
-        if problem.f_star is not None:
-            line += f" gap={final_f - problem.f_star:.6e}"
-        if trace.diverged:
-            line += "  DIVERGED"
-            any_diverged = True
-        summary.append(line)
+    try:  # an output that cannot be written ends the run; the files before it stay
+        for spec, run in zip(cfg.methods, runs):
+            trace = run(x0)
+            csv_path = outdir / f"{problem.label}__{spec.name}.csv"
+            traceio.write_csv(trace, csv_path)
+            final_f = trace.f_bar[-1]
+            line = (f"{spec.name:<16} iters={trace.n_iters:<6} evals={trace.evals_cum[-1]:<8} "
+                    f"f_final={final_f:.12e}")
+            if problem.f_star is not None:
+                line += f" gap={final_f - problem.f_star:.6e}"
+            if trace.diverged:
+                line += "  DIVERGED"
+                any_diverged = True
+            summary.append(line)
 
-        if spec.kind == "aagd" and not trace.diverged and cfg.checks:
-            report = diagnostics.run_certificates(
-                trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)
-            summary.extend("  " + ln for ln in report.lines())
-            if not report.passed:
-                certs_passed = False
+            if spec.kind == "aagd" and not trace.diverged and cfg.checks:
+                report = diagnostics.run_certificates(
+                    trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)
+                summary.extend("  " + ln for ln in report.lines())
+                if not report.passed:
+                    certs_passed = False
 
-    summary.extend(notes)
-    text = "\n".join(summary) + "\n"
-    (outdir / "summary.txt").write_text(text, encoding="utf-8")
+        summary.extend(notes)
+        text = "\n".join(summary) + "\n"
+        (outdir / "summary.txt").write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(text, end="")
     if any_diverged:
         return EXIT_DIVERGED

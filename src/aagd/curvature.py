@@ -102,15 +102,14 @@ def lambda_option2_rows(a: OracleResult, b: OracleResult) -> tuple[np.ndarray, n
     """:func:`lambda_option2` and :func:`bregman` of n pairs at once.
 
     ``a`` and ``b`` are results whose fields stack n results along axis
-    0: (n,) values and squared norms, (n, d) gradients and points.
-    Returns ``(lam, breg)``; row r holds ``lambda_option2(a_r, b_r)`` and
-    ``bregman(a_r, b_r)`` bit for bit. Every branch is computed on every
-    row and the guards pick among them. The arithmetic that the scalar
+    0: (n,) values and squared norms, (n, d) gradients and points, of one
+    n and d, which is not checked: the replay pairs rows of one stacked
+    result. Returns ``(lam, breg)``; row r holds ``lambda_option2(a_r,
+    b_r)`` and ``bregman(a_r, b_r)`` bit for bit. Every branch is computed
+    on every row and the guards pick among them. The arithmetic that the scalar
     estimator does on Python floats, and the squared norms, which
     :func:`~aagd.oracle.sq_norm` forms silently, raise no warnings here.
     """
-    if a.x.shape != b.x.shape:
-        raise DimensionMismatchError(f"curvature pairs have shapes {a.x.shape} and {b.x.shape}")
     g, dx = a.grad - b.grad, a.x - b.x
     breg = a.value - b.value - np.vecdot(b.grad, dx)
     with np.errstate(all="ignore"):

@@ -16,8 +16,8 @@ B = max(1, ROW_BLOCK // d) values of k. On a growth step x_bar[k] is
 often bit-equal to x_tilde[k-1], and the oracle is a function of x, so
 that point's result is the one already made. A block lays its points out
 in call order behind a look-back row, and one call of
-:func:`~aagd.oracle.evaluate_rows` checks and squares them and their
-outputs row-wise, under one ``np.errstate``, into one stacked result whose
+:func:`_evaluate_rows` squares them and checks and squares their outputs
+row-wise, under the sweep's ``np.errstate``, into one stacked result whose
 adjacent rows are the curvature pairs; their Bregman values, curvature
 estimates, momentum terms and distances are then formed row-wise, with
 the bits of the per-k formulas. So the sweep holds O(B d) floats per
@@ -26,7 +26,8 @@ builds the per-k arrays that the decay series at every reference point,
 the endpoint bound and the lemma suite read. Each check sweeps an array
 of violations; a positive or NaN one fails it, and an empty one (too few
 rows to compare) passes it as not applicable. What the sweep needs from
-the stored iterates is decided once, at its top, before any oracle call.
+the stored iterates is decided once, at its top, before any oracle call:
+that gate is the only check of the points that the sweep evaluates.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import lambda_option2_rows
-from .oracle import (DimensionMismatchError, NonFiniteError, Oracle, OracleResult,
-                     all_finite, evaluate, evaluate_rows, sq_norm)
+from .oracle import (DimensionMismatchError, NonFiniteError, Oracle, OracleResult, _call,
+                     all_finite, evaluate, sq_norm)
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
@@ -139,6 +140,44 @@ def _rows(res: OracleResult, rows: slice) -> OracleResult:
     return OracleResult(*(f[rows] for f in res))
 
 
+def _evaluate_rows(oracle: Oracle, points: np.ndarray,
+                   before: OracleResult | None = None) -> OracleResult:
+    """:func:`~aagd.oracle.evaluate` at each row of the (n, d) ``points``,
+    taken in call order, as one stacked result: (n,) values and squared
+    norms, (n, d) gradients and points.
+
+    The rows are float64, finite and ``oracle.dim`` wide, and the caller
+    holds the ``np.errstate``: :func:`_replay` has checked its stored
+    iterates before its first call, and nothing else calls this. So only
+    the outputs are checked, with the bits of :func:`evaluate`. ``oracle.fn``
+    is called only at a row that is not bit-equal to the point before it,
+    which for the first row is the last row of the stacked result
+    ``before``, if given; a repeated row gets the value and gradient of
+    that point. This assumes what every kernel promises: ``fn`` is a
+    function of x, so equal bits in give equal bits out. An output of the
+    wrong shape raises at its call, a non-finite one after the last call.
+    """
+    values, grads = np.empty(len(points)), np.empty_like(points)
+    # each row against the point of the call before it, as int64 bits: -0.0 differs from +0.0
+    bits = points.view(np.int64)
+    repeat = np.zeros(len(points), dtype=bool)
+    repeat[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    out = None  # the output of the call before row i
+    if before is not None:
+        repeat[0] = np.array_equal(bits[0], before.x[-1].view(np.int64))
+        out = before.value[-1], before.grad[-1]
+    for i in range(len(points)):
+        if not repeat[i]:
+            out = _call(oracle, points[i])
+        values[i], grads[i] = out
+    grad_sq = np.vecdot(grads, grads)
+    # a finite square settles a row (all_finite); a finite row may still square to inf
+    if not (np.isfinite(values).all() and np.isfinite(grads[~np.isfinite(grad_sq)]).all()):
+        raise NonFiniteError(f"oracle {oracle.label!r} returned non-finite output")
+    return tuple.__new__(OracleResult, (values, grads, points, grad_sq,
+                                        np.vecdot(points, points)))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _Pass:
     """Evaluate the reference points ``x_refs``, then x_bar[k] and
@@ -180,7 +219,7 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _P
         rows = np.empty((2 * (k1 - k0) + 1, oracle.dim))
         rows[0] = tr.x_tilde[k0 - 1] if k0 else tr.x_bar[0]
         rows[1::2], rows[2::2] = tr.x_bar[k0:k1], tr.x_tilde[k0:k1]
-        res = evaluate_rows(oracle, rows, before=res)
+        res = _evaluate_rows(oracle, rows, before=res)
         bar = _rows(res, slice(1, None, 2))
         f_bar[k0:k1], f_til[k0:k1] = bar.value, res.value[2::2]
         lam_same[k0:k1], carry[k0:k1] = lambda_option2_rows(bar, _rows(res, slice(2, None, 2)))

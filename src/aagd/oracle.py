@@ -7,9 +7,7 @@ instead of forming the same inner products again. :func:`_evaluate`
 checks every point a run queries, and a run's start point reaches it
 through :func:`evaluate`. Inside a run the float error state is the run
 loop's: the step and the baselines call :func:`_evaluate`, which enters
-no ``np.errstate``. :func:`evaluate_rows` is :func:`evaluate` over the
-rows of a call-ordered array, for the certificate replay: it checks and
-squares row-wise and calls ``fn`` once per run of bit-equal rows.
+no ``np.errstate``.
 """
 from __future__ import annotations
 
@@ -104,15 +102,10 @@ def evaluate(oracle: Oracle, x) -> OracleResult:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.asarray(x, dtype=np.float64)
-        _check_point_shape(oracle, x.shape)
+        if x.shape != (oracle.dim,):
+            raise DimensionMismatchError(
+                f"query point has shape {x.shape}, oracle expects ({oracle.dim},)")
         return _evaluate(oracle, x)
-
-
-def _check_point_shape(oracle: Oracle, shape: tuple) -> None:
-    if shape != (oracle.dim,):
-        raise DimensionMismatchError(
-            f"query point has shape {shape}, oracle expects ({oracle.dim},)"
-        )
 
 
 def _evaluate(oracle: Oracle, x: np.ndarray) -> OracleResult:
@@ -146,66 +139,6 @@ def _call(oracle: Oracle, x: np.ndarray) -> tuple[float, np.ndarray]:
             f"oracle returned gradient of shape {grad.shape} for point of shape {x.shape}"
         )
     return value, grad
-
-
-def _rows_finite(m: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """:func:`all_finite` of each row of ``m``, given ``sq``, its rows' squared norms."""
-    finite = np.isfinite(sq)
-    if not finite.all():
-        finite[~finite] = np.isfinite(m[~finite]).all(axis=1)
-    return finite
-
-
-def evaluate_rows(oracle: Oracle, points,
-                  before: OracleResult | None = None) -> OracleResult:
-    """:func:`evaluate` at each row of the (n, d) ``points``, taken in
-    call order, as one stacked result: (n,) values and squared norms,
-    (n, d) gradients and points.
-
-    ``oracle.fn`` is called only at a row that is not bit-equal to the
-    point before it, which for the first row is the last row of the
-    stacked result ``before``, if given; a repeated row gets the value
-    and gradient of that point. This assumes what every kernel promises:
-    ``fn`` is a function of x, so equal bits in give equal bits out. The
-    point shape is checked once, and the points and the outputs are
-    squared and checked for finiteness row-wise, with the bits of
-    :func:`evaluate`, all inside one ``np.errstate``. The first call
-    that fails, in call order, raises what :func:`evaluate` raises
-    there; calls after a non-finite output may already have run.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    _check_point_shape(oracle, points.shape[1:])
-    values, grads = np.empty(len(points)), np.empty_like(points)
-    # each row against the point of the call before it, as int64 bits: -0.0
-    # differs from +0.0, and a NaN row fails the finiteness check below
-    bits = points.view(np.int64)
-    repeat = np.zeros(len(points), dtype=bool)
-    repeat[1:] = (bits[1:] == bits[:-1]).all(axis=1)
-    out = None  # the output of the call before row i
-    if before is not None:
-        repeat[0] = np.array_equal(bits[0], before.x[-1].view(np.int64))
-        out = before.value[-1], before.grad[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_sq = np.vecdot(points, points)
-        bad = np.flatnonzero(~_rows_finite(points, x_sq))
-        n, error = len(points), None
-        if len(bad):
-            n, error = bad[0], NonFiniteError("query point contains non-finite entries")
-        for i in range(n):
-            if not repeat[i]:
-                try:
-                    out = _call(oracle, points[i])
-                except DimensionMismatchError as e:  # raised once the outputs before it pass
-                    n, error = i, e
-                    break
-            values[i], grads[i] = out
-        values, grads = values[:n], grads[:n]
-        grad_sq = np.vecdot(grads, grads)
-        if not (np.isfinite(values).all() and _rows_finite(grads, grad_sq).all()):
-            raise NonFiniteError(f"oracle {oracle.label!r} returned non-finite output")
-    if error is not None:
-        raise error
-    return tuple.__new__(OracleResult, (values, grads, points, grad_sq, x_sq))
 
 
 def finite_diff_check(oracle: Oracle, x, h: float | None = None) -> float:

@@ -205,6 +205,26 @@ def test_run_outdir_naming_a_file_is_config_error(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("name, blocked, kept", [
+    ("g" * 300, None, False),
+    ("gd", "identity_d3__gd.csv", False),
+    ("gd", "identity_d3__gd.csv.npy", True),
+    ("gd", "summary.txt", True),
+], ids=["name_too_long", "csv_is_a_directory", "npy_is_a_directory", "summary_is_a_directory"])
+def test_run_output_that_cannot_be_written_is_config_error(tmp_path, capsys, name, blocked, kept):
+    # the .npy is unlinked for a trace without iterates; kept: the CSV written before the failure
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\n\n"
+                              "[problem]\nkind = identity\ndim = 3\nx0 = ones\n\n"
+                              f"[method {name}]\nkind = gd\neta = 0.5\nmax_iters = 5\n")
+    out = tmp_path / "out"
+    (out / (blocked or "")).mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: [Errno ") and captured.out == ""
+    assert (out / "identity_d3__gd.csv").is_file() == kept
+
+
 def test_check_trace_with_rows_deleted_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\n\n"
                               "[problem]\nkind = quadratic\nseed = 1\ndim = 5\ncond = 10\n\n"

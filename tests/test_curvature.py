@@ -339,10 +339,3 @@ def test_row_estimator_matches_the_scalar_bits_on_hand_built_results():
         assert [v.hex() for v in lam] == [lambda_option2(a, b).hex() for a, b in pairs]
         assert [v.hex() for v in breg] == [bregman(a, b).hex() for a, b in pairs]
     assert np.isnan(lam).any() and np.isinf(breg).any() and np.isfinite(lam).any()
-
-
-def test_row_estimator_rejects_points_of_different_shapes():
-    a = stacked([OracleResult(1.0, np.ones(1), np.ones(1))])
-    b = stacked([OracleResult(2.0, np.full(3, 2.0), np.full(3, 3.0))])
-    with pytest.raises(DimensionMismatchError):
-        lambda_option2_rows(a, b)

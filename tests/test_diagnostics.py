@@ -305,20 +305,27 @@ REPLAYS = {
 
 
 @pytest.mark.parametrize("entry", REPLAYS)
-@pytest.mark.parametrize("dim, bad, raised, message", [
-    (6, None, DimensionMismatchError,
+@pytest.mark.parametrize("dim, field, k, bad, raised, message", [
+    (6, "x", 3, None, DimensionMismatchError,
      "the trace stores iterates of dimension 5, the oracle has dim = 6"),
-    (5, math.nan, NonFiniteError,
+    (5, "x", 3, math.nan, NonFiniteError,
      "x at k = 3 has a non-finite entry; the solver stores only finite iterates"),
-], ids=["width", "non_finite"])
-def test_replay_refuses_stored_iterates_before_any_oracle_call(entry, dim, bad, raised, message):
+    *[(5, field, 7, bad, NonFiniteError,
+       f"{field} at k = 7 has a non-finite entry; the solver stores only finite iterates")
+      for field in ("x_bar", "x_tilde") for bad in (math.nan, math.inf)],
+], ids=["width", "non_finite", "x_bar_nan", "x_bar_inf", "x_tilde_nan", "x_tilde_inf"])
+def test_replay_refuses_stored_iterates_before_any_oracle_call(monkeypatch, entry, dim, field, k,
+                                                               bad, raised, message):
+    # the gate is the only check of the points that the replay evaluates;
+    # at d = 5, blocks of 2 put k = 7 in the fourth block, not the first
+    monkeypatch.setattr(diagnostics, "ROW_BLOCK", 10)
     p = make_quadratic(3, 5, 1e2)
     tr = run(p.oracle, np.ones(5), default_params(eta0=1e-2), StopRule(max_iters=10),
              store_iterates=True)
     if bad is not None:
-        x = tr.x.copy()
-        x[3, 0] = bad
-        tr = dataclasses.replace(tr, x=x)
+        stored = getattr(tr, field).copy()
+        stored[k, 0] = bad
+        tr = dataclasses.replace(tr, **{field: stored})
     q = make_quadratic(3, dim, 1e2)
     calls = []
     oracle = Oracle(lambda x: calls.append(x) or q.oracle.fn(x), dim)

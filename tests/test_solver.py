@@ -198,6 +198,27 @@ def test_growth_cap_first_step_uses_geometric_branch():
     assert st2.eta == pytest.approx(2.0 * st.eta, rel=1e-14)  # (k+1)/k at k=1
 
 
+@pytest.mark.parametrize("problem, x0", [
+    (identity_quadratic(10), np.ones(10)),
+    (make_quadratic(7, 100, 1e4), np.zeros(100)),
+    (logistic_problem(make_classification_dataset(11, 200, 20), reg=1e-3), np.zeros(20)),
+    (logsumexp_problem(3, 20, 50, 0.1), np.zeros(20)),
+], ids=["identity", "quadratic", "logistic", "logsumexp"])
+def test_growth_phase_lasts_log_of_the_initial_stepsize(problem, x0):
+    # the log(1/eta0) term on the acceptance matrix's problems: eta grows by
+    # (1 + gamma) per step until the curvature cap binds, so each factor of
+    # 100 in eta0 moves the first capped step by ln(100)/ln(1 + gamma) = 103.6
+    firsts = []
+    for scale in (1e-12, 1e-10, 1e-8, 1e-6):
+        params = default_params(eta0=scale / problem.L)
+        eta = run(problem.oracle, x0, params, StopRule(max_iters=800)).eta
+        capped = np.flatnonzero(eta[1:] < (1.0 + params.gamma) * eta[:-1])
+        assert len(capped), f"eta0 = {scale:g}/L: no capped step in 800 iterations"
+        firsts.append(int(capped[0]))
+    shift = math.log(100.0) / math.log(1.0 + params.gamma)
+    assert np.all(np.abs(-np.diff(firsts) - shift) <= 2.0), (firsts, shift)
+
+
 def test_trace_invariants_via_lemma_suite():
     from aagd import logsumexp_problem
 
