@@ -11,11 +11,12 @@ divergence. Inputs that the config parser, the dataset reader, the
 problem constructors, the method parameters, the certificates' input
 rule (``diagnostics.check_inputs``: L > 0 for a check that reads it,
 stored iterates for one that replays them) or the trace reader reject
-are config errors: all raise ``ValueError``. ``run`` refuses each of them,
-an oracle failure at the start point and an outdir it cannot create
-before the first method runs, so such a config error leaves no file
-behind; an output file it cannot write (a CSV, its .npy or the summary)
-is a config error too, and the CSVs written before it stay. ``check``
+are config errors: all raise ``ValueError``. So is a problem too large to
+allocate (``MemoryError``). ``run`` refuses each of them, an oracle
+failure at the start point and an outdir it cannot create before the
+first method runs, so such a config error leaves no file behind; an
+output file it cannot write (a CSV, its .npy or the summary) is a
+config error too, and the CSVs written before it stay. ``check``
 refuses iterates of another width than the problem's, and else only
 what its checks refuse: ``diagnostics._replay`` gates stored iterates.
 """
@@ -140,7 +141,7 @@ def cmd_run(config_path: str) -> int:
         runs = [_method(spec, problem, cfg.checks, refs) for spec in cfg.methods]
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError, OracleError) as exc:
+    except (ValueError, OSError, OracleError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -211,7 +212,7 @@ def cmd_check(trace_path: str, config_path: str) -> int:
         refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
         report = diagnostics.run_certificates(
             trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)
-    except (ValueError, OSError, OracleError) as exc:
+    except (ValueError, OSError, OracleError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for line in report.lines():

@@ -156,6 +156,8 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError(f"{section}: method name {name!r} is already used")
             if "/" in name or "\\" in name:  # the name is part of a file name
                 raise ConfigError(f"{section}: method name {name!r} contains a path separator")
+            if "\0" in name:
+                raise ConfigError(f"method name {name!r} contains a NUL byte")
             kind, options = _section(section, items, _METHOD)
             methods.append(MethodSpec(name=name, kind=kind, options=options))
         else:

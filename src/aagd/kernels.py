@@ -8,9 +8,10 @@ kernel is deterministic: the same inputs give the same bits.
 Dense products are ``ndarray.dot`` calls: the same BLAS routines and
 bits as ``@``, without the per-call dispatch of the matmul gufunc.
 
-Sparse products ``A x`` and ``A' u`` go through a :class:`CsrLayout`
-of scipy CSR matrices, built once per dataset. scipy is imported there,
-so quadratic and logsumexp runs never load it.
+Sparse products ``A x`` and ``A' u`` take a layout: the pair ``(A, AT)``
+of scipy CSR matrices that ``SparseDataset.layout`` builds once per
+dataset. scipy is imported there, so quadratic and logsumexp runs never
+load it.
 """
 from __future__ import annotations
 
@@ -30,31 +31,6 @@ def quad_value_grad(A, b, x):
 
 
 # ---------------------------------------------------------------------------
-# sparse products A x and A' u
-# ---------------------------------------------------------------------------
-
-class CsrLayout:
-    """A CSR matrix ``A`` and its transpose ``AT``, also in CSR, for ``A x`` and ``A' u``.
-
-    scipy's CSR product adds each row's terms from 0.0 in stored order, and
-    the transpose keeps each column's entries in row order, so both
-    products are bit-identical to ``np.bincount`` over the entries.
-    """
-
-    def __init__(self, indptr, indices, data, n_cols):
-        from scipy.sparse import csr_matrix  # deferred: import costs 0.2 s and 20 MB
-
-        self.A = csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_cols))
-        self.AT = self.A.T.tocsr()
-
-    def matvec(self, x):
-        return self.A @ x
-
-    def rmatvec(self, u):
-        return self.AT @ u
-
-
-# ---------------------------------------------------------------------------
 # regularized logistic loss over CSR data
 #   f(w) = (1/n) sum_i log(1 + exp(-y_i a_i'w)) + (reg/2) ||w||^2
 # ---------------------------------------------------------------------------
@@ -62,18 +38,20 @@ class CsrLayout:
 def logistic_value_grad(layout, y, reg, w):
     """Mean logistic loss over ``layout``'s rows plus ``reg/2 ||w||^2``, and its gradient.
 
-    The margins ``A w`` and the gradient ``A' coef`` are the layout's two
-    CSR products. One ``e = exp(-|t|)`` serves the loss ``log1p(e) +
-    max(-t, 0)``, within 2 ulps of ``logaddexp(0, -t)``, and the sigmoid
-    ``where(t >= 0, e, 1) / (1 + e)``, so neither can overflow.
+    The margins ``A w`` and the gradient ``A' coef`` are the products of
+    the layout's CSR pair ``(A, AT)``. One ``e = exp(-|t|)`` serves the
+    loss ``log1p(e) + max(-t, 0)``, within 2 ulps of ``logaddexp(0, -t)``,
+    and the sigmoid ``where(t >= 0, e, 1) / (1 + e)``, so neither can
+    overflow.
     """
+    A, AT = layout
     n = y.shape[0]
-    t = y * layout.matvec(w)
+    t = y * (A @ w)
     e = np.exp(-np.abs(t))
     loss = float(np.mean(np.log1p(e) + np.maximum(-t, 0.0)))
     # coef_i = -y_i * sigmoid(-t_i) / n
     sig = np.where(t >= 0.0, e, 1.0) / (1.0 + e)
-    g = layout.rmatvec(-y * sig / n)
+    g = AT @ (-y * sig / n)
     if reg != 0.0:
         loss += 0.5 * reg * float(w.dot(w))
         g = g + reg * w

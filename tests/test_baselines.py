@@ -214,3 +214,33 @@ def test_gd_potential_is_nonincreasing(problem):
         dist, dist)
     viol = phi[1:] - (phi[:-1] * (1.0 + REL_TOL) + ABS_TOL * (1.0 + abs(phi[0])))
     assert viol.max() <= 0.0, f"grows at k={int(viol.argmax()) + 1}"
+
+
+@pytest.mark.parametrize("problem", [make_quadratic(7, 100, 1e4),
+                                     logsumexp_problem(3, 20, 50, 0.1)],
+                         ids=["quadratic", "logsumexp"])
+def test_agd_potential_is_nonincreasing(problem):
+    # for eta <= 1/L and tau_k = 2/(k+2), eta (k+1)^2 / 4 (f(x_k) - f*) + |z_k - x*|^2 / 2
+    # does not grow from |x_0 - x*|^2 / 2 (Bansal & Gupta, Theory of Computing, 2019)
+    x0 = np.zeros(problem.dim)
+    x_star = problem.x_star if problem.x_star is not None else _lbfgs_minimum(problem, x0)
+    f_star = problem.oracle.fn(x_star)[0]
+    calls = []
+
+    def recording(x):
+        value, grad = problem.oracle.fn(x)
+        calls.append((value, grad.copy()))
+        return value, grad
+
+    eta = 1.0 / problem.L
+    tr = run_baseline(BaselineMethod(kind="agd", eta=eta), Oracle(recording, problem.dim), x0,
+                      StopRule(max_iters=2000))
+    assert len(calls) == 2 * tr.n_iters + 1 == 4001  # the calls are x_0, then y_k and x_{k+1}
+    z, phi = x0, [0.5 * float((x0 - x_star).dot(x0 - x_star))]
+    for k in range(tr.n_iters):
+        z = z - (eta / (2.0 / (k + 2.0))) * calls[1 + 2 * k][1]  # agd's own z recursion
+        phi.append(eta * (k + 2) ** 2 / 4 * (calls[2 + 2 * k][0] - f_star)
+                   + 0.5 * float((z - x_star).dot(z - x_star)))
+    phi = np.asarray(phi)
+    viol = phi[1:] - (phi[:-1] * (1.0 + REL_TOL) + ABS_TOL * (1.0 + abs(phi[0])))
+    assert viol.max() <= 0.0, f"grows at k={int(viol.argmax()) + 1}"

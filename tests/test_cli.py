@@ -855,6 +855,24 @@ def test_run_numerically_singular_cond_is_config_error(tmp_path, capsys):
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+@pytest.mark.parametrize("problem", ["kind = identity\ndim = 1000000000000000",
+                                     "kind = quadratic\ndim = 100000000\ncond = 10"],
+                         ids=["identity_7PiB", "quadratic_80PB"])
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_problem_too_large_to_allocate_is_config_error(tmp_path, capsys, problem, command):
+    # each fails at its first allocation, beyond a 47-bit address space under any overcommit
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nchecks = evals\n\n"
+                              f"[problem]\n{problem}\n\n"
+                              "[method a]\nkind = gd\neta = 0.5\nmax_iters = 5\n")
+    capsys.readouterr()
+    argv = (["run", str(cfg)] if command == "run"
+            else ["check", str(tmp_path / "trace.csv"), "--config", str(cfg)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_overflowing_trace_fails_certificates_without_warnings(tmp_path, capsys):
     # from eta0 = 1e200 the replay overflows: its FAILs stand, with no float warning
     cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\nx_ref = x0\n\n"

@@ -164,6 +164,20 @@ def test_method_name_with_a_path_separator_rejected(tmp_path, capsys, name):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_method_name_with_a_nul_byte_rejected(tmp_path, capsys):
+    # open() refuses a NUL in a file name: run would end in a traceback at the CSV
+    text = ("[experiment]\noutdir = {out}\n\n[problem]\nkind = identity\ndim = 2\n\n"
+            "[method g\0d]\nkind = gd\neta = 0.5\nmax_iters = 5\n")
+    path = write(tmp_path, text.format(out=tmp_path / "out"))
+    message = "method name 'g\\x00d' contains a NUL byte"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(path)
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_example_config_parses(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)

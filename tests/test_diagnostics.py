@@ -1,12 +1,17 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aagd
 from aagd import (BaselineMethod, ConvergedWindowError, DimensionMismatchError,
                   MissingIteratesError, NonFiniteError, Oracle, StopRule, Trace, bregman,
                   check_corollary_bound, check_eval_schedule, check_h_envelope,
@@ -673,12 +678,30 @@ def test_pass_calls_the_oracle_once_per_point_in_order(identity_run):
 def test_quad_certified_call_count_pinned():
     # the benchmark's dense quadratic: 2 * 2001 stored points, of which x_bar[k]
     # repeats x_tilde[k-1] at 1905 of the 2000 k >= 1 and x_bar[0] = x_tilde[0]
-    # (4005 calls when every stored point was evaluated)
-    p, params = make_quadratic(1, 100, 1e4), default_params(eta0=1e-6)
-    tr = run(p.oracle, np.zeros(100), params, StopRule(max_iters=2000), store_iterates=True)
-    oracle, calls = _counting(p.oracle)
-    run_certificates(tr, oracle, params, L=p.L, x_refs={"xstar": p.x_star, "x0": np.zeros(100)})
-    assert calls[0] == 2099
+    # (4005 calls when every stored point was evaluated). make_quadratic builds
+    # other bits under one BLAS thread (ROADMAP item 17), and there 1901 repeat,
+    # so each thread count runs in its own process with its own pin
+    script = """
+import numpy as np
+import aagd
+p, params = aagd.make_quadratic(1, 100, 1e4), aagd.default_params(eta0=1e-6)
+tr = aagd.run(p.oracle, np.zeros(100), params, aagd.StopRule(max_iters=2000),
+              store_iterates=True)
+calls = [0]
+def fn(x):
+    calls[0] += 1
+    return p.oracle.fn(x)
+aagd.run_certificates(tr, aagd.Oracle(fn, 100), params, L=p.L,
+                      x_refs={"xstar": p.x_star, "x0": np.zeros(100)})
+print(calls[0])
+"""
+    src = str(Path(aagd.__file__).resolve().parents[1])
+    for threads, pinned in {"1": 2103, "2": 2099}.items():
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) == pinned, threads
 
 
 def test_certificate_memory_does_not_hold_the_trace_results():
