@@ -130,6 +130,8 @@ def _reference_points(names, problem: problems.Problem, x0: np.ndarray | None,
 def cmd_run(config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
+        if not cfg.methods:
+            raise ConfigError("no [method ...] sections")
         if cfg.outdir is None:
             raise ConfigError("experiment: outdir is required for run")
         problem = build_problem(cfg.problem, cfg.seed)

@@ -16,7 +16,7 @@ Sections::
     # logistic:   reg, plus either path=<libsvm file> or n, dim (synthetic)
     # logsumexp:  dim, terms, smoothing
 
-    [method NAME]             # one section per method, NAME labels outputs (no / or \\)
+    [method NAME]             # one per method (run needs one), NAME labels outputs (no / or \\)
     kind = aagd               # aagd | gd | agd | adgd | adagrad | bb | polyak
     max_iters = 2000          # required
     grad_tol = 0              # optional
@@ -165,8 +165,6 @@ def parse_config(path) -> ExperimentConfig:
 
     if problem is None:
         raise ConfigError("missing [problem] section")
-    if not methods:
-        raise ConfigError("no [method ...] sections")
     return ExperimentConfig(
         seed=experiment.get("seed", 0), outdir=experiment.get("outdir"),
         checks=experiment.get("checks", CHECKS), x_ref=experiment.get("x_ref", ("xstar", "x0")),

@@ -2,32 +2,32 @@
 
 A trace from a run with valid parameters must satisfy, in exact
 arithmetic: a nonincreasing Lyapunov sequence, an endpoint bound tying
-every iterate to the starting point, a lower envelope on
-the stepsize sum, and a family of per-iteration identities and
-inequalities. All of these are checked here numerically, with relative
-1e-10 and absolute 1e-12 floors unless a check states its own slack.
-Everything is recomputed from stored iterates and fresh oracle calls,
-never from solver-internal caches, so the checks validate the solver
-independently.
+every iterate to the starting point, a lower envelope on the stepsize
+sum, and a family of per-iteration identities and inequalities. All of
+these are checked here numerically, with relative 1e-10 and absolute
+1e-12 floors unless a check states its own slack. The decay, endpoint and
+Bregman checks use stored iterates and fresh oracle calls, never
+solver-internal caches, so they validate the solver independently; the
+envelope and the other lemmas read the stored scalar columns.
 
-The fresh calls of one trace form one forward sweep over k: x_bar[k] and
-x_tilde[k] are evaluated in order, once per distinct point, in blocks of
-B = max(1, ROW_BLOCK // d) values of k. On a growth step x_bar[k] is
+The fresh calls of one trace are its reference points, then one forward
+sweep over k that evaluates x_bar[k] and x_tilde[k] in order, in blocks
+of B = max(1, ROW_BLOCK // d) values of k. On a growth step x_bar[k] is
 often bit-equal to x_tilde[k-1], and the oracle is a function of x, so
-that point's result is the one already made. A block lays its points out
-in call order behind a look-back row, and one call of
-:func:`_evaluate_rows` squares them and checks and squares their outputs
-row-wise, under the sweep's ``np.errstate``, into one stacked result whose
-adjacent rows are the curvature pairs; their Bregman values, curvature
-estimates, momentum terms and distances are then formed row-wise, with
-the bits of the per-k formulas. So the sweep holds O(B d) floats per
-temporary plus O(K) scalars, never the trace's fresh gradients. It
-builds the per-k arrays that the decay series at every reference point,
-the endpoint bound and the lemma suite read. Each check sweeps an array
-of violations; a positive or NaN one fails it, and an empty one (too few
-rows to compare) passes it as not applicable. What the sweep needs from
-the stored iterates is decided once, at its top, before any oracle call:
-that gate is the only check of the points that the sweep evaluates.
+that point's result is reused. A block lays its points out in call order
+behind a look-back row (x[0] for the first block, which x_bar[0] repeats
+in a solver trace), and one call of :func:`_evaluate_rows` squares them
+and their checked outputs row-wise, under the sweep's ``np.errstate``,
+into one stacked result whose adjacent rows are the curvature pairs;
+their Bregman values, curvature estimates, momentum terms and distances
+are formed row-wise, with the bits of the per-k formulas. So the sweep
+holds O(B d) floats per temporary plus O(K) scalars, never the trace's
+fresh gradients. It builds the per-k arrays that the decay series, the
+endpoint bound (whose right side reads the gradient at x[0]) and the
+lemma suite read. Each check sweeps an array of violations; a positive or
+NaN one fails it, and an empty one (too few rows to compare) passes it as
+not applicable. The sweep's gate, at its top before any oracle call, is
+the only check of the stored points that it evaluates.
 """
 from __future__ import annotations
 
@@ -133,6 +133,7 @@ class _Pass(NamedTuple):  # the per-k arrays of one forward sweep over a trace
     carry: np.ndarray  # B(x_bar[k-1]; x_tilde[k-1]), k = 1..K
     ahead: np.ndarray  # B(x_bar[k]; x_tilde[k-1]), k = 1..K
     series: list       # one LyapunovSeries per reference point
+    rhs: np.ndarray    # the endpoint bound's right side, one per reference point
 
 
 def _rows(res: OracleResult, rows: slice) -> OracleResult:
@@ -178,9 +179,9 @@ def _evaluate_rows(oracle: Oracle, points: np.ndarray,
                                         np.vecdot(points, points)))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _Pass:
-    """Evaluate the reference points ``x_refs``, then x_bar[k] and
+    """Evaluate the reference points ``x_refs``, then x[0], x_bar[k] and
     x_tilde[k], k = 0..K in order, once per distinct point, in blocks of
     B = max(1, ROW_BLOCK // d) values of k.
 
@@ -189,14 +190,15 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _P
     and NonFiniteError naming the block and first k of a non-finite entry.
 
     A block over k0 <= k < k1 evaluates, in call order, the look-back
-    point x_tilde[k0-1] (x_bar[0] for the first block), which repeats the
-    last point evaluated and costs no call, then x_bar[k] and x_tilde[k].
-    So the calls do not depend on B, and both pair families are adjacent
-    rows: (x_bar[k], x_tilde[k]) gives the carry-over and the second
-    curvature estimate, (x_bar[k], x_tilde[k-1]) the look-ahead Bregman
-    value and the first. The per-k arrays span k = 0..K and are sliced
-    after the sweep (the k = 0 look-back pair goes unread); the decay
-    terms are then formed from O(K) scalars.
+    point x_tilde[k0-1], which repeats the last point evaluated and costs
+    no call (x[0] for the first block, whose gradient gives the endpoint
+    bound's right sides ``rhs``), then x_bar[k] and x_tilde[k]. So the
+    calls do not depend on B, and both pair families are adjacent rows:
+    (x_bar[k], x_tilde[k]) gives the carry-over and the second curvature
+    estimate, (x_bar[k], x_tilde[k-1]) the look-ahead Bregman value and
+    the first. The per-k arrays span k = 0..K and are sliced after the
+    sweep (the k = 0 look-back pair goes unread); the decay terms are then
+    formed from O(K) scalars.
     """
     tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
     if not tr.has_iterates:
@@ -217,7 +219,7 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _P
     for k0 in range(0, K + 1, B):
         k1 = min(k0 + B, K + 1)
         rows = np.empty((2 * (k1 - k0) + 1, oracle.dim))
-        rows[0] = tr.x_tilde[k0 - 1] if k0 else tr.x_bar[0]
+        rows[0] = tr.x_tilde[k0 - 1] if k0 else tr.x[0]
         rows[1::2], rows[2::2] = tr.x_bar[k0:k1], tr.x_tilde[k0:k1]
         res = _evaluate_rows(oracle, rows, before=res)
         bar = _rows(res, slice(1, None, 2))
@@ -230,9 +232,11 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _P
             for j, ref in enumerate(refs):
                 dx = tr.x[k0:k1] - ref.x
                 dist[j, k0:k1] = 0.5 * np.vecdot(dx, dx)
+        if not k0:  # the endpoint bound's right side, from |grad f(x[0])|^2
+            rhs = dist[:, 0] + 0.5 * (1.0 + ga * th) * tr.eta[0]**2 * res.grad_sq[0]
     carry, ahead, mom, dist = carry[:-1], ahead[1:], mom[1:], dist[:, 1:]
     if not refs:
-        return _Pass(f_bar, carry, ahead, [])
+        return _Pass(f_bar, carry, ahead, [], rhs)
     lam = np.where(lam_same < lam_ahead, lam_same, lam_ahead)[1:]  # Python's min, NaN included
     scale = 1.0 + np.abs(f_bar[:-1]) + np.abs(f_til[:-1])
     # an infinite estimate zeroes the term; a carry-over that does not vanish makes it NaN
@@ -242,15 +246,12 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _P
     gaps = [tr.H[:-1] * (f_bar[1:] - ref.value) for ref in refs]
     series = [LyapunovSeries(np.arange(1, K + 1), d + g + breg + mom, d, g, breg, mom)
               for d, g in zip(dist, gaps)]
-    return _Pass(f_bar, carry, ahead, series)
+    return _Pass(f_bar, carry, ahead, series, rhs)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _corollary(trace: Trace, p: SolverParams, x_ref: np.ndarray, series: LyapunovSeries,
-               grad0_sq: float, name: str) -> CertificateEntry:
-    """Endpoint bound at k = 1..K from the series' distance and gap terms."""
-    d0 = trace.x[0] - x_ref
-    rhs = 0.5 * sq_norm(d0) + 0.5 * (1.0 + p.gamma * p.theta) * trace.eta[0]**2 * grad0_sq
+@np.errstate(all="ignore")
+def _corollary(trace: Trace, series: LyapunovSeries, rhs: float, name: str) -> CertificateEntry:
+    """Endpoint bound at k = 1..K: the series' distance and gap terms against ``rhs``."""
     lhs = series.dist_term + series.gap_term
     e = _sweep(name, series.k, lhs - (rhs * (1.0 + REL_TOL) + ABS_TOL), pass_k=trace.n_iters)
     return replace(e, detail=f"lhs={lhs[e.worst_k - 1]:.6e} rhs={rhs:.6e}") if len(lhs) else e
@@ -269,7 +270,7 @@ def lyapunov_series(trace: Trace, x_ref, oracle: Oracle,
     return _replay(trace, oracle, _params(trace, params), [x_ref]).series[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def check_monotone_psi(series: LyapunovSeries, name: str = "psi_monotone") -> CertificateEntry:
     """Pass iff each value is below its predecessor up to the slacks:
     relative 1e-10 and absolute 1e-12 * (1 + |first value|).
@@ -284,9 +285,8 @@ def check_corollary_bound(trace: Trace, x_ref, oracle: Oracle,
                           params: SolverParams | None = None,
                           name: str = "corollary_bound") -> CertificateEntry:
     """Endpoint bound at every k = 1..K for any reference point, from a full replay."""
-    params = _params(trace, params)
-    series = _replay(trace, oracle, params, [x_ref]).series[0]
-    return _corollary(trace, params, x_ref, series, evaluate(oracle, trace.x[0]).grad_sq, name)
+    fresh = _replay(trace, oracle, _params(trace, params), [x_ref])
+    return _corollary(trace, fresh.series[0], fresh.rhs[0], name)
 
 
 def _check_L(L: float | None, checks) -> None:
@@ -308,6 +308,7 @@ def check_inputs(checks, L: float | None, x_refs, has_iterates: bool) -> None:
         raise MissingIteratesError()
 
 
+@np.errstate(all="ignore")
 def check_h_envelope(trace: Trace, params: SolverParams | None, L: float,
                      name: str = "h_envelope") -> CertificateEntry:
     """sqrt of the stepsize sum stays above the linear envelope (c/sqrt(L))(k-m)."""
@@ -333,7 +334,7 @@ def lemma_suite(trace: Trace, params: SolverParams | None = None,
     return _lemmas(trace, params, L, fresh)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def _lemmas(trace: Trace, params: SolverParams, L: float | None,
             fresh: _Pass | None) -> list[CertificateEntry]:
     ga = params.gamma
@@ -407,14 +408,12 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
     refs = (x_refs or {}) if {"psi", "corollary"} & set(checks) else {}
     fresh = (_replay(trace, oracle, params, list(refs.values()))
              if refs or ("lemmas" in checks and trace.has_iterates) else None)
-    series = dict(zip(refs, fresh.series)) if refs else {}
-    if "psi" in checks:
+    if "psi" in checks and refs:
         report.entries += [check_monotone_psi(s, name=f"psi_monotone[{r}]")
-                           for r, s in series.items()]
-    if "corollary" in checks and series:
-        grad0_sq = evaluate(oracle, trace.x[0]).grad_sq
-        report.entries += [_corollary(trace, params, refs[r], s, grad0_sq,
-                                      f"corollary_bound[{r}]") for r, s in series.items()]
+                           for r, s in zip(refs, fresh.series)]
+    if "corollary" in checks and refs:
+        report.entries += [_corollary(trace, s, rhs, f"corollary_bound[{r}]")
+                           for r, s, rhs in zip(refs, fresh.series, fresh.rhs)]
     if "h_envelope" in checks and L is not None:
         report.entries.append(check_h_envelope(trace, params, L))
     if "lemmas" in checks:

@@ -269,6 +269,20 @@ def test_check_golden_trace_passes(tmp_path, capsys):
     assert "psi_monotone" in out
 
 
+def test_check_needs_no_method_section(tmp_path, capsys):
+    # check reads the problem, the checks and the reference points from its config
+    cfg = write_cfg(tmp_path, GOLDEN_CFG)
+    assert main(["run", str(cfg)]) == 0
+    trace = next((tmp_path / "out").glob("*agraal.csv"))
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(cfg)]) == 0
+    want = capsys.readouterr().out
+    problem_only = write_cfg(tmp_path, GOLDEN_CFG.split("[method agraal]")[0], name="check.ini")
+    assert main(["check", str(trace), "--config", str(problem_only)]) == 0
+    assert capsys.readouterr().out == want
+    assert "corollary_bound[xstar]" in want
+
+
 def test_check_detects_corrupted_eta(tmp_path, capsys):
     cfg = write_cfg(tmp_path, GOLDEN_CFG)
     assert main(["run", str(cfg)]) == 0

@@ -83,10 +83,13 @@ def test_missing_problem_section(tmp_path):
         parse_config(write(tmp_path, text))
 
 
-def test_missing_methods(tmp_path):
+def test_missing_methods(tmp_path, monkeypatch, capsys):
+    # run refuses a config without methods; check reads none (tests/test_cli.py)
+    monkeypatch.chdir(tmp_path)  # the config's outdir is relative
     head = FULL.split("[method agraal]")[0]
-    with pytest.raises(ConfigError, match="method"):
-        parse_config(write(tmp_path, head))
+    assert main(["run", str(write(tmp_path, head))]) == 2
+    assert capsys.readouterr().err == "config error: no [method ...] sections\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_required_method_options(tmp_path):

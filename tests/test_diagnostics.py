@@ -21,6 +21,7 @@ from aagd import (BaselineMethod, ConvergedWindowError, DimensionMismatchError,
                   read_csv, run, run_baseline, run_certificates, write_csv)
 from aagd import diagnostics
 from aagd.diagnostics import ROW_BLOCK, CertificateEntry, LyapunovSeries, _Pass, _replay
+from aagd.oracle import sq_norm
 from aagd.params import GOLDEN_RATIO, SolverParams
 from aagd.solver import run as solver_run
 
@@ -434,15 +435,16 @@ def _counting(oracle):
 
 def _swept_points(trace):
     """The distinct points of the sweep in call order: each point of
-    (x_bar[0], x_tilde[0], ..., x_bar[K], x_tilde[K]) that is not
+    (x[0], x_bar[0], x_tilde[0], ..., x_bar[K], x_tilde[K]) that is not
     bit-equal to the point before it."""
-    points = np.stack([trace.x_bar, trace.x_tilde], axis=1).reshape(-1, trace.x_bar.shape[1])
+    pairs = np.stack([trace.x_bar, trace.x_tilde], axis=1).reshape(-1, trace.x_bar.shape[1])
+    points = np.concatenate([trace.x[:1], pairs])
     bits = points.view(np.int64)
     return points[np.concatenate([[True], (bits[1:] != bits[:-1]).any(axis=1)])]
 
 
 def test_run_certificates_makes_one_pass(identity_run):
-    # every distinct stored point once, each reference once, and the start gradient
+    # every distinct stored point once and each reference once
     p, params, tr = identity_run
     refs = {"xstar": p.x_star, "x0": np.ones(10),
             "random": np.random.default_rng(1).standard_normal(10)}
@@ -450,7 +452,7 @@ def test_run_certificates_makes_one_pass(identity_run):
     report = run_certificates(tr, oracle, params, L=p.L, x_refs=refs)
     swept = len(_swept_points(tr))
     assert swept < 2 * (tr.n_iters + 1)  # x_bar[k] repeats x_tilde[k-1] on growth steps
-    assert calls[0] == swept + len(refs) + 1
+    assert calls[0] == swept + len(refs)
     one_by_one = [check_monotone_psi(lyapunov_series(tr, ref, p.oracle, params),
                                      name=f"psi_monotone[{r}]") for r, ref in refs.items()]
     one_by_one += [check_corollary_bound(tr, ref, p.oracle, params, name=f"corollary_bound[{r}]")
@@ -466,7 +468,7 @@ def test_corollary_only_checks_share_the_sweep(identity_run):
     refs = {"xstar": p.x_star, "x0": np.ones(10)}
     oracle, calls = _counting(p.oracle)
     report = run_certificates(tr, oracle, params, L=p.L, x_refs=refs, checks=("corollary",))
-    assert calls[0] == len(_swept_points(tr)) + len(refs) + 1
+    assert calls[0] == len(_swept_points(tr)) + len(refs)
     full = run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs)
     assert report.entries == [e for e in full.entries if e.name.startswith("corollary_bound[")]
     assert [(e.passed, e.worst_k) for e in report.entries] == [(True, tr.n_iters)] * len(refs)
@@ -638,8 +640,8 @@ def test_nan_stepsize_sum_fails_at_its_iteration(identity_run):
 
 
 def test_fresh_call_counts_pinned(identity_run):
-    # one forward sweep evaluates each distinct point of x_bar[0], x_tilde[0],
-    # ..., x_bar[K], x_tilde[K]; the endpoint bound adds x[0] for its start gradient
+    # one forward sweep evaluates each distinct point of x[0], x_bar[0], x_tilde[0],
+    # ..., x_bar[K], x_tilde[K]; the endpoint bound reads the start gradient from it
     p, params, tr = identity_run
     swept = len(_swept_points(tr))
     oracle, calls = _counting(p.oracle)
@@ -647,13 +649,13 @@ def test_fresh_call_counts_pinned(identity_run):
     assert calls[0] == swept + 1
     calls[0] = 0
     check_corollary_bound(tr, p.x_star, oracle, params)
-    assert calls[0] == swept + 2
+    assert calls[0] == swept + 1
     calls[0] = 0
     lemma_suite(tr, params, L=p.L, oracle=oracle)
     assert calls[0] == swept
     calls[0] = 0
     run_certificates(tr, oracle, params, L=p.L, x_refs={"xstar": p.x_star, "x0": np.ones(10)})
-    assert calls[0] == swept + 2 + 1
+    assert calls[0] == swept + 2
 
 
 def test_pass_calls_the_oracle_once_per_point_in_order(identity_run):
@@ -667,17 +669,16 @@ def test_pass_calls_the_oracle_once_per_point_in_order(identity_run):
     refs = {"xstar": p.x_star, "x0": np.ones(10)}
     run_certificates(tr, Oracle(recording, 10), params, L=p.L, x_refs=refs)
     swept = _swept_points(tr)
-    assert len(seen) == len(swept) + len(refs) + 1
-    # the references first, then the distinct points of x_bar[0], x_tilde[0],
-    # x_bar[1], ... in order
+    assert len(seen) == len(swept) + len(refs)
+    # the references first, then the distinct points of x[0], x_bar[0],
+    # x_tilde[0], x_bar[1], ... in order
     assert np.array_equal(np.array(seen[:len(refs)]), np.array(list(refs.values())))
-    assert np.array_equal(np.array(seen[len(refs):len(refs) + len(swept)]), swept)
-    assert np.array_equal(seen[-1], tr.x[0])  # the endpoint bound's start gradient
+    assert np.array_equal(np.array(seen[len(refs):]), swept)
 
 
 def test_quad_certified_call_count_pinned():
     # the benchmark's dense quadratic: 2 * 2001 stored points, of which x_bar[k]
-    # repeats x_tilde[k-1] at 1905 of the 2000 k >= 1 and x_bar[0] = x_tilde[0]
+    # repeats x_tilde[k-1] at 1905 of the 2000 k >= 1 and x[0] = x_bar[0] = x_tilde[0]
     # (4005 calls when every stored point was evaluated). make_quadratic builds
     # other bits under one BLAS thread (ROADMAP item 17), and there 1901 repeat,
     # so each thread count runs in its own process with its own pin
@@ -696,7 +697,7 @@ aagd.run_certificates(tr, aagd.Oracle(fn, 100), params, L=p.L,
 print(calls[0])
 """
     src = str(Path(aagd.__file__).resolve().parents[1])
-    for threads, pinned in {"1": 2103, "2": 2099}.items():
+    for threads, pinned in {"1": 2102, "2": 2098}.items():
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
         out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
                              capture_output=True, text=True)
@@ -734,7 +735,8 @@ def _reference(oracle, x_ref):
 def _replay_reference(trace, oracle, params, refs=()):
     """The per-k sweep that the block sweep replaced, kept verbatim as its
     reference: evaluate x_bar[k] and x_tilde[k] once each, k = 0..K in
-    order, holding only the results at k-1 and k."""
+    order, holding only the results at k-1 and k; then the endpoint
+    bound's right side per reference point, from a separate call at x[0]."""
     tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
     f_bar = np.empty(K + 1)
     carry, ahead, breg, mom = np.empty((4, K))
@@ -761,11 +763,15 @@ def _replay_reference(trace, oracle, params, refs=()):
     gaps = [tr.H[:-1] * (f_bar[1:] - f_ref) for _, f_ref in refs]
     series = [LyapunovSeries(np.arange(1, K + 1), d + g + breg + mom, d, g, breg, mom)
               for d, g in zip(dist, gaps)]
-    return _Pass(f_bar, carry, ahead, series)
+    grad0_sq = evaluate(oracle, tr.x[0]).grad_sq
+    rhs = np.array([0.5 * sq_norm(tr.x[0] - x_ref)
+                    + 0.5 * (1.0 + ga * th) * tr.eta[0]**2 * grad0_sq for x_ref, _ in refs])
+    return _Pass(f_bar, carry, ahead, series, rhs)
 
 
 def _pass_bytes(fresh):
-    arrays = {"f_bar": fresh.f_bar, "carry": fresh.carry, "ahead": fresh.ahead}
+    arrays = {"f_bar": fresh.f_bar, "carry": fresh.carry, "ahead": fresh.ahead,
+              "rhs": fresh.rhs}
     for j, s in enumerate(fresh.series):
         arrays |= {f"series[{j}].{f.name}": getattr(s, f.name) for f in dataclasses.fields(s)}
     return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}
@@ -831,8 +837,8 @@ def test_block_replay_matches_the_per_k_reference_bits(make, eta0, theta, K):
 def test_sweep_calls_and_bits_do_not_depend_on_the_block_size(monkeypatch, rows):
     # x_bar[k] repeats x_tilde[k-1] at all k = 1..170 but 8, 25, 26 and 152,
     # so at every block size some block starts with a repeat of the block before;
-    # a copy with x_bar[0] = 0.5 sets the first block's look-back stand-in,
-    # x_bar[0], apart from x_tilde[0]
+    # a copy with x_bar[0] = 0.5 sets x_bar[0] apart from the first block's
+    # look-back point x[0] and from x_tilde[0], which costs one call more
     p, params = make_quadratic(1, 100, 1e4), default_params(eta0=1e-6)
     tr = run(p.oracle, np.zeros(100), params, StopRule(max_iters=170), store_iterates=True)
     x_bar = tr.x_bar.copy()
@@ -853,7 +859,7 @@ def test_sweep_calls_and_bits_do_not_depend_on_the_block_size(monkeypatch, rows)
         seen.append(x.copy())
         return p.oracle.fn(x)
 
-    for t, want, calls in zip(traces, wants, (177, 178)):
+    for t, want, calls in zip(traces, wants, (177, 179)):
         seen.clear()
         assert _pass_bytes(_replay(t, Oracle(recording, 100), params, points)) == want
         # the two reference points come first, then the sweep

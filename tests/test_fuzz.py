@@ -7,8 +7,16 @@ byte, an inserted token, or a deleted range of 1 to 8 bytes. It then
 calls ``aagd check`` on the trace, or ``aagd run`` on the config. No case
 may raise out of ``cli.main`` or print a traceback: every damaged input
 ends in a defined exit code.
+
+A second, unseeded sweep sets single cells of a K = 20, d = 5 quadratic
+trace CSV, at rows k in {0, 1, 5, K} of every column, to each of ten
+edge values, with every warning an error: ``aagd check`` must end each
+case in exit code 0, 1 or 2, without a float warning.
 """
 import dataclasses
+import itertools
+import shutil
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -45,6 +53,30 @@ CASES = 600
 # than the one written: no certificate ties the stored rows to the
 # solver's update yet, so they pass uncaught, not as a success
 EXPECTED_UNCAUGHT = 29
+
+CELL_CFG = b"""
+[experiment]
+seed = 1
+outdir = out
+
+[problem]
+kind = quadratic
+dim = 5
+cond = 10
+
+[method aagd]
+kind = aagd
+eta0 = 1e-3
+max_iters = 20
+store_iterates = true
+"""
+CELL_ROWS = (0, 1, 5, 20)
+CELL_VALUES = (b"-1", b"0", b"inf", b"-inf", b"", b"1e308", b"-1e308", b"5e-324", b"1e300",
+               b"-0")
+# single-cell mutants that exit 0 although they decode to another trace
+# (by bits, as for EXPECTED_UNCAUGHT: a -0 over a stored 0 counts): lambda 21,
+# f_bar 18, f_tilde 31 and grad_norm_tilde 40
+EXPECTED_UNCAUGHT_CELLS = 110
 
 
 def _mutate(rng, data: bytes) -> bytes:
@@ -104,3 +136,32 @@ def test_damaged_inputs_end_in_an_exit_code(tmp_path, monkeypatch, capsys):
     assert escapes == []
     assert set(codes) <= {0, 1, 2, 3}
     assert uncaught == EXPECTED_UNCAUGHT, codes
+
+
+def test_damaged_cells_end_in_an_exit_code_without_a_warning(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the config's outdir is relative
+    Path("run.ini").write_bytes(CELL_CFG)
+    assert main(["run", "run.ini"]) == 0
+    written = next(Path("out").glob("*__aagd.csv"))
+    shutil.copyfile(iterates_path(written), iterates_path("case.csv"))
+    lines = written.read_bytes().split(b"\r\n")
+    header, want = lines[0].split(b","), _bits(read_csv(written))
+    escapes, codes, uncaught = [], Counter(), Counter()
+    for k, column, value in itertools.product(CELL_ROWS, range(len(header)), CELL_VALUES):
+        cells = lines[1 + k].split(b",")
+        cells[column] = value
+        Path("case.csv").write_bytes(b"\r\n".join([*lines[:1 + k], b",".join(cells),
+                                                    *lines[2 + k:]]))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["check", "case.csv", "--config", "run.ini"])
+        except Exception as exc:
+            escapes.append((k, header[column], value, repr(exc)))
+            continue
+        codes[code] += 1
+        if code == 0 and _bits(read_csv("case.csv")) != want:
+            uncaught[header[column]] += 1
+    assert escapes == []
+    assert set(codes) <= {0, 1, 2}
+    assert sum(uncaught.values()) == EXPECTED_UNCAUGHT_CELLS, (codes, uncaught)
