@@ -39,7 +39,7 @@ import numpy as np
 
 from .curvature import lambda_option2_rows
 from .oracle import (DimensionMismatchError, NonFiniteError, Oracle, OracleResult, _call,
-                     all_finite, evaluate, sq_norm)
+                     evaluate)
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
@@ -206,7 +206,9 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _P
     if tr.x.shape[1] != oracle.dim:
         raise DimensionMismatchError(f"the trace stores iterates of dimension {tr.x.shape[1]}, "
                                      f"the oracle has dim = {oracle.dim}")
-    if not all(all_finite(v, sq_norm(v)) for v in (tr.x, tr.x_bar, tr.x_tilde)):
+    # row squares, as all_finite: np.vdot would copy a strided block whole
+    if not all(np.isfinite(np.vecdot(v, v)).all() or np.isfinite(v).all()
+               for v in (tr.x, tr.x_bar, tr.x_tilde)):
         bad = ~np.isfinite([tr.x, tr.x_bar, tr.x_tilde]).all(axis=2)  # (block, k)
         k = int(bad.any(axis=0).argmax())
         raise NonFiniteError(f"{('x', 'x_bar', 'x_tilde')[bad[:, k].argmax()]} at k = {k} has "

@@ -84,7 +84,8 @@ class Trace:
 
     The lam column holds each curvature estimate as the estimator
     returned it: nan at k=0 and in baselines that form none, +inf where
-    its guard fired.
+    its guard fired. A run's x, x_bar and x_tilde are the strided views
+    ``buf[:, 0]``, ``buf[:, 1]`` and ``buf[:, 2]`` of one (K+1, 3, d) buffer.
     """
 
     k: np.ndarray
@@ -238,7 +239,10 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
     a note instead of raising, before a row could count the rejected call.
 
     The loop enters the one ``np.errstate`` of the run, so an overflowing
-    step of any method ends as ``diverged`` without a warning.
+    step of any method ends as ``diverged`` without a warning. With
+    ``store_iterates`` it copies each row's x, x_bar and x_tilde into a
+    (capacity, 3, d) buffer of min(max_iters + 1, 64) rows that doubles in
+    place up to max_iters + 1 and is cut to K+1 rows at the end.
     """
     fn, calls = oracle.fn, 0
 
@@ -247,8 +251,8 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
         calls += 1
         return fn(x)
 
-    rows, iterates = [], []
-    diverged = False
+    rows, diverged = [], False
+    buf = np.empty((min(stop.max_iters + 1, 64), 3, oracle.dim)) if store_iterates else None
     with np.errstate(over="ignore", invalid="ignore"):
         state, advance = start(Oracle(counted, oracle.dim, oracle.label))
         while True:
@@ -257,7 +261,9 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
             norm = _grad_norm(res)
             rows.append((*scalars, norm if recorded is res else _grad_norm(recorded), calls))
             if store_iterates:
-                iterates.append((state.x, state.x_bar, state.x_tilde))
+                if len(rows) > len(buf):  # in place: a live view of buf would raise
+                    buf.resize((min(2 * len(buf), stop.max_iters + 1), 3, oracle.dim))
+                buf[len(rows) - 1] = state.x, state.x_bar, state.x_tilde
             if (state.k >= stop.max_iters or norm <= stop.grad_tol
                     or (stop.gap_tol is not None and res.value - stop.f_star <= stop.gap_tol)
                     or state.eta == 0.0):
@@ -272,5 +278,6 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
     cols = {name: np.asarray(vals, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
             for name, vals in zip(_COLUMNS, zip(*rows))}
     if store_iterates:
-        cols["x"], cols["x_bar"], cols["x_tilde"] = (np.asarray(v) for v in zip(*iterates))
+        buf.resize((len(rows), 3, oracle.dim))
+        cols["x"], cols["x_bar"], cols["x_tilde"] = buf.transpose(1, 0, 2)
     return Trace(**cols, params=params, diverged=diverged, notes=notes)

@@ -9,14 +9,16 @@ round the matrix-vector products differently and change them.
 """
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from aagd import (BaselineMethod, Oracle, SparseDataset, StopRule, default_params,
-                  logistic_problem, logsumexp_problem, make_classification_dataset,
-                  make_quadratic, run, run_baseline)
+from aagd import (BaselineMethod, NonFiniteError, Oracle, SparseDataset, StopRule,
+                  default_params, identity_quadratic, init, logistic_problem,
+                  logsumexp_problem, make_classification_dataset, make_quadratic, run,
+                  run_baseline, step)
 
 COLUMNS = ("k", "eta", "H", "alpha", "beta", "lam", "f_bar", "f_tilde",
            "grad_norm_tilde", "evals_cum")
@@ -176,3 +178,88 @@ def test_grad_tol_sees_overflowing_norm():
     tr = run(STEEP, np.ones(2), default_params(eta0=1e-170),
              StopRule(max_iters=5, grad_tol=1e161))
     assert tr.n_iters == 0
+
+
+# Stored iterates, which the run loop copies into one buffer that doubles.
+
+LINEAR = Oracle(lambda x: (float(np.sum(x)), np.ones_like(x)), 3, label="linear")
+
+# (oracle, x0, eta0, stop rule, growth_cap, K): runs that end at the start
+# point, on a non-finite point, and at max_iters past the first doubling
+BUFFER_RUNS = {
+    "zero_gradient_at_x0": (identity_quadratic(2).oracle, np.zeros(2), 1e-3,
+                            StopRule(max_iters=50), False, 0),
+    "max_iters_0": (identity_quadratic(2).oracle, np.ones(2), 1e-3,
+                    StopRule(max_iters=0), False, 0),
+    "diverged": (LINEAR, np.zeros(3), 1e300, StopRule(max_iters=1000), False, 346),
+    "growth_cap": (make_quadratic(3, 20, 100.0).oracle, np.ones(20), 1e-3,
+                   StopRule(max_iters=100), True, 100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUFFER_RUNS))
+def test_stored_iterates_are_the_states_of_a_run_by_hand(name):
+    oracle, x0, eta0, stop, cap, K = BUFFER_RUNS[name]
+    params = default_params(eta0=eta0)
+    tr = run(oracle, x0, params, stop, growth_cap=cap, store_iterates=True)
+    assert tr.n_iters == K and tr.diverged == (name == "diverged")
+    states = [init(x0, params, oracle)]
+    for _ in range(K):
+        states.append(step(states[-1], oracle, params, growth_cap=cap))
+    if tr.diverged:
+        with pytest.raises(NonFiniteError):
+            step(states[-1], oracle, params, growth_cap=cap)
+    for block in ("x", "x_bar", "x_tilde"):
+        got, want = getattr(tr, block), np.array([getattr(st, block) for st in states])
+        assert got.shape == (K + 1, len(x0)) and got.tobytes() == want.tobytes(), block
+
+
+# (problem, eta0, stop rule, K, bound): the tracemalloc peak of the run over
+# its iterate bytes stays within the bound. The list of scalar rows is the
+# excess at d = 100. The grad_tol stops lie far below max_iters; at K = 2166
+# the 2167 rows have just passed a doubling, the worst case, so the buffer's
+# 4096 rows approach twice the iterates.
+MEMORY_CASES = {
+    "logsumexp d=2000 K=500": (lambda: logsumexp_problem(1, 2000, 100, 0.1), 1e-6,
+                               StopRule(max_iters=500), 500, 1.1),
+    "logsumexp d=100 K=2000": (lambda: logsumexp_problem(1, 100, 100, 0.1), 1e-6,
+                               StopRule(max_iters=2000), 2000, 1.3),
+    "identity d=1000 grad_tol": (lambda: identity_quadratic(1000), 1e-3,
+                                 StopRule(max_iters=10**9, grad_tol=1e-8), 2040, 1.1),
+    "identity d=1000 past a doubling": (lambda: identity_quadratic(1000), 1.0,
+                                        StopRule(max_iters=10**9, grad_tol=1e-8), 2166, 2.0),
+}
+
+
+def _run_peak(problem, eta0, stop):
+    """The trace of a run from ones with stored iterates, and its tracemalloc peak."""
+    x0 = np.ones(problem.dim)
+    tracemalloc.start()
+    try:
+        tr = run(problem.oracle, x0, default_params(eta0=eta0), stop, store_iterates=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return tr, peak
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_CASES))
+def test_stored_iterates_peak_memory(name):
+    problem, eta0, stop, K, bound = MEMORY_CASES[name]
+    tr, peak = _run_peak(problem(), eta0, stop)
+    assert tr.n_iters == K
+    assert peak <= bound * 3 * tr.x.nbytes
+
+
+def peak_memory():
+    """Print the tracemalloc peak of each memory case's run and its ratio to
+    the iterate bytes.
+
+        PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
+            import test_driver as t; t.peak_memory()"
+    """
+    for name, (problem, eta0, stop, _, bound) in MEMORY_CASES.items():
+        tr, peak = _run_peak(problem(), eta0, stop)
+        iterates = 3 * tr.x.nbytes
+        print(f"{name}: K = {tr.n_iters}, peak {peak / 1e6:.2f} MB for {iterates / 1e6:.2f} MB "
+              f"of iterates ({peak / iterates:.3f}x, bound {bound}x)")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -252,6 +253,28 @@ def test_write_csv_streams_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * K * d * 8
+
+
+def test_write_csv_of_strided_iterates(tmp_path):
+    # a run's iterates are strided views of one (K+1, 3, d) buffer: the
+    # writer gives the bytes of contiguous copies and copies one block at a time
+    K, d = 2000, 40
+    tr = run(logsumexp_problem(1, d, 100, 0.1).oracle, np.ones(d), default_params(eta0=1e-6),
+             StopRule(max_iters=K), store_iterates=True)
+    assert tr.n_iters == K and not tr.x.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        write_csv(tr, tmp_path / "views.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * K * d * 8
+    copies = dataclasses.replace(tr, **{name: np.ascontiguousarray(getattr(tr, name))
+                                        for name in ("x", "x_bar", "x_tilde")})
+    write_csv(copies, tmp_path / "copies.csv")
+    for suffix in ("csv", "csv.npy"):
+        assert ((tmp_path / f"views.{suffix}").read_bytes()
+                == (tmp_path / f"copies.{suffix}").read_bytes()), suffix
 
 
 def test_header_only_file_has_no_rows(tmp_path):
