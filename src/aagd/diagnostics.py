@@ -24,10 +24,10 @@ are formed row-wise, with the bits of the per-k formulas. So the sweep
 holds O(B d) floats per temporary plus O(K) scalars, never the trace's
 fresh gradients. It builds the per-k arrays that the decay series, the
 endpoint bound (whose right side reads the gradient at x[0]) and the
-lemma suite read. Each check sweeps an array of violations; a positive or
-NaN one fails it, and an empty one (too few rows to compare) passes it as
-not applicable. The sweep's gate, at its top before any oracle call, is
-the only check of the stored points that it evaluates.
+lemma suite read. Each check reports its largest violation at the first k
+that attains it; a positive or NaN one fails it, so a pass shows its
+margin, and a check with no rows to compare passes as not applicable. The
+sweep's gate, before any oracle call, is its only check of stored points.
 """
 from __future__ import annotations
 
@@ -106,19 +106,17 @@ class LyapunovSeries:
     momentum_term: np.ndarray
 
 
-def _sweep(name: str, ks, viol, detail: str = "", pass_k: int = 0) -> CertificateEntry:
-    """Entry for the violations ``viol`` at iterations ``ks``: fails on a
-    positive or NaN one and reports the worst (NaN first) at the first k
-    attaining it; a pass reports 0 at ``pass_k``, and no violations at all
-    (no rows to compare) a pass at k = 0 as not applicable.
+def _sweep(name: str, ks, viol, detail: str = "") -> CertificateEntry:
+    """Entry for the violations ``viol`` at iterations ``ks``: the worst one
+    (NaN first) at the first k attaining it, which fails the entry if it is
+    positive or NaN, so a pass reports its margin (zero or negative); no
+    violations at all (no rows to compare) pass at k = 0 as not applicable.
     """
     viol = np.asarray(viol, dtype=np.float64)
     if not len(viol):
         return CertificateEntry(name, True, 0.0, 0, "not applicable: no rows to compare")
     i = int(np.argmax(viol))  # the first NaN if any, else the first maximum
-    if not viol[i] <= 0.0:
-        return CertificateEntry(name, False, float(viol[i]), int(ks[i]), detail)
-    return CertificateEntry(name, True, 0.0, pass_k, detail)
+    return CertificateEntry(name, bool(viol[i] <= 0.0), float(viol[i]), int(ks[i]), detail)
 
 
 def _params(trace: Trace, params: SolverParams | None) -> SolverParams:
@@ -252,10 +250,10 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _P
 
 
 @np.errstate(all="ignore")
-def _corollary(trace: Trace, series: LyapunovSeries, rhs: float, name: str) -> CertificateEntry:
+def _corollary(series: LyapunovSeries, rhs: float, name: str) -> CertificateEntry:
     """Endpoint bound at k = 1..K: the series' distance and gap terms against ``rhs``."""
     lhs = series.dist_term + series.gap_term
-    e = _sweep(name, series.k, lhs - (rhs * (1.0 + REL_TOL) + ABS_TOL), pass_k=trace.n_iters)
+    e = _sweep(name, series.k, lhs - (rhs * (1.0 + REL_TOL) + ABS_TOL))
     return replace(e, detail=f"lhs={lhs[e.worst_k - 1]:.6e} rhs={rhs:.6e}") if len(lhs) else e
 
 
@@ -279,8 +277,7 @@ def check_monotone_psi(series: LyapunovSeries, name: str = "psi_monotone") -> Ce
     """
     psi = series.total
     abs_floor = ABS_TOL * (1.0 + abs(float(psi[0]))) if len(psi) else ABS_TOL
-    return _sweep(name, series.k[1:], psi[1:] - (psi[:-1] * (1.0 + REL_TOL) + abs_floor),
-                  pass_k=int(series.k[0]) if len(psi) else 0)
+    return _sweep(name, series.k[1:], psi[1:] - (psi[:-1] * (1.0 + REL_TOL) + abs_floor))
 
 
 def check_corollary_bound(trace: Trace, x_ref, oracle: Oracle,
@@ -288,7 +285,7 @@ def check_corollary_bound(trace: Trace, x_ref, oracle: Oracle,
                           name: str = "corollary_bound") -> CertificateEntry:
     """Endpoint bound at every k = 1..K for any reference point, from a full replay."""
     fresh = _replay(trace, oracle, _params(trace, params), [x_ref])
-    return _corollary(trace, fresh.series[0], fresh.rhs[0], name)
+    return _corollary(fresh.series[0], fresh.rhs[0], name)
 
 
 def _check_L(L: float | None, checks) -> None:
@@ -414,7 +411,7 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
         report.entries += [check_monotone_psi(s, name=f"psi_monotone[{r}]")
                            for r, s in zip(refs, fresh.series)]
     if "corollary" in checks and refs:
-        report.entries += [_corollary(trace, s, rhs, f"corollary_bound[{r}]")
+        report.entries += [_corollary(s, rhs, f"corollary_bound[{r}]")
                            for r, s, rhs in zip(refs, fresh.series, fresh.rhs)]
     if "h_envelope" in checks and L is not None:
         report.entries.append(check_h_envelope(trace, params, L))

@@ -261,8 +261,9 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
             norm = _grad_norm(res)
             rows.append((*scalars, norm if recorded is res else _grad_norm(recorded), calls))
             if store_iterates:
-                if len(rows) > len(buf):  # in place: a live view of buf would raise
-                    buf.resize((min(2 * len(buf), stop.max_iters + 1), 3, oracle.dim))
+                if len(rows) > len(buf):  # no view of buf exists before the final resize
+                    buf.resize((min(2 * len(buf), stop.max_iters + 1), 3, oracle.dim),
+                               refcheck=False)
                 buf[len(rows) - 1] = state.x, state.x_bar, state.x_tilde
             if (state.k >= stop.max_iters or norm <= stop.grad_tol
                     or (stop.gap_tol is not None and res.value - stop.f_star <= stop.gap_tol)
@@ -278,6 +279,6 @@ def _drive(oracle: Oracle, start, row, stop: StopRule, notes: list,
     cols = {name: np.asarray(vals, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
             for name, vals in zip(_COLUMNS, zip(*rows))}
     if store_iterates:
-        buf.resize((len(rows), 3, oracle.dim))
+        buf.resize((len(rows), 3, oracle.dim), refcheck=False)  # the columns are its first views
         cols["x"], cols["x_bar"], cols["x_tilde"] = buf.transpose(1, 0, 2)
     return Trace(**cols, params=params, diverged=diverged, notes=notes)

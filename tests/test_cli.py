@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -75,6 +77,14 @@ def test_params_theta_two(capsys):
 def test_params_theta_two_is_the_library_default(capsys):
     assert main(["params", "--theta", "2"]) == 0
     assert "gamma      = 0.045454545454545456\n" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_main():
+    # python -m aagd.cli, in a child that inherits this environment
+    out = subprocess.run([sys.executable, "-m", "aagd.cli", "params", "--theta", "2"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "gamma      = 0.045454545454545456\n" in out.stdout
 
 
 def test_params_just_above_the_golden_ratio(capsys):
@@ -1153,7 +1163,12 @@ def test_run_corollary_without_psi_sweeps_every_iterate(tmp_path, capsys):
     lines = [ln.strip() for ln in out.splitlines() if ln.startswith("  ")]
     assert [ln.split()[:2] for ln in lines] == [["corollary_bound[xstar]", "pass"],
                                                 ["corollary_bound[x0]", "pass"]]
-    assert all(" at k=200  [lhs=" in ln for ln in lines)
+    stored = aagd.traceio.read_csv(next((tmp_path / "out").glob("*__agraal.csv")))
+    problem = aagd.make_quadratic(7, 20, 100.0)
+    lib = aagd.run_certificates(stored, problem.oracle, None, L=problem.L,
+                                x_refs={"xstar": problem.x_star, "x0": np.ones(20)},
+                                checks=("corollary",))
+    assert lines == lib.lines()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -165,8 +165,13 @@ def test_h_envelope_vacuous_below_m():
     params = default_params(eta0=1e-12)  # m is large here
     tr = run(p.oracle, np.ones(4), params, StopRule(max_iters=2))
     entry = check_h_envelope(tr, params, p.L)
+    # the envelope (c/sqrt(L))(k - m) lies below zero for every k <= K < m
+    rc = aagd.rate_constants(dataclasses.replace(params, eta0=float(tr.eta[0])), p.L)
+    ks = np.arange(tr.n_iters + 1)
+    viol = rc.c / math.sqrt(p.L) * (ks - float(rc.m)) - np.sqrt(tr.H) - 1e-12
+    assert rc.m > tr.n_iters and viol.max() < 0.0
     assert entry.passed
-    assert entry.worst_violation == 0.0
+    assert (entry.worst_violation, entry.worst_k) == (viol.max(), int(np.argmax(viol)))
 
 
 @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
@@ -289,6 +294,64 @@ def test_eval_schedule(identity_run):
                   grad_norm_tilde=tr.grad_norm_tilde,
                   evals_cum=tr.evals_cum + np.arange(len(tr.k)))
     assert not check_eval_schedule(wrong).passed
+
+
+def _lemma_trace(eta, H, beta=None, **iterates):
+    """A trace whose lemmas hold while eta grows by at most 1 + gamma and H is
+    nondecreasing by at most 2 + gamma: beta = 1 (unless given), alpha = eta / H,
+    constant values, the curvature at the floor 1/L for L = 1 and two evaluations
+    per step."""
+    k = np.arange(len(eta))
+    z = np.zeros(len(eta))
+    beta = z + 1.0 if beta is None else beta
+    return Trace(k=k, eta=eta, H=H, alpha=eta / H, beta=beta, lam=np.where(k, 1.0, np.nan),
+                 f_bar=z, f_tilde=z, grad_norm_tilde=z, evals_cum=1 + 2 * k,
+                 params=default_params(eta0=float(eta[0])), **iterates)
+
+
+def _geometric(K, ratio, eta0=1.0):
+    """Stepsizes eta0 * ratio**k, k = 0..K, and their running sums H."""
+    eta = eta0 * ratio ** np.arange(K + 1.0)
+    return eta, np.cumsum(eta)
+
+
+@pytest.mark.parametrize("planted", [True, False], ids=["planted", "twin"])
+@pytest.mark.parametrize("case", ["h_growth", "alpha_beta_range", "h_envelope", "bregman_carry"])
+def test_a_boundary_row_fails_only_outside_its_slack(case, planted):
+    # one row just outside a bound fails its check alone (at L = 1); its twin,
+    # on the bound, passes every check
+    ga = default_params().gamma
+    if case == "bregman_carry":
+        # f(x) = x with a bump at x_bar[0] = 1: the gradient is constant, so both
+        # curvature estimates are infinite and the carry's term is 0 while the
+        # carry B(x_bar[0]; x_tilde[0]) stays within 1e-9 (1 + |f(1)| + |f(-1)|)
+        bump = (2.0 if planted else 0.5) * 1e-9 * 3.0
+        oracle = Oracle(lambda x: (x[0] + (bump if x[0] == 1.0 else 0.0), np.ones(1)), 1)
+        x_bar = np.arange(1.0, 5.0)[:, None]
+        tr = _lemma_trace(*_geometric(3, 1.0 + ga), x=x_bar, x_bar=x_bar, x_tilde=-x_bar)
+        breg = lyapunov_series(tr, np.zeros(1), oracle).bregman_term
+        assert np.array_equal(breg, [math.nan if planted else 0.0, 0.0, 0.0], equal_nan=True)
+        return
+    beta = None
+    if case == "h_growth":  # H[5] = (2.5 + gamma) H[4], its twin (2 + gamma) H[4]
+        eta, H = _geometric(8, 1.0 + ga)
+        H[5:] *= ((2.5 if planted else 2.0) + ga) * H[4] / H[5]
+        k = 5
+    elif case == "alpha_beta_range":  # beta[4] one ulp above 1, its twin at 1
+        eta, H = _geometric(8, 1.0 + ga)
+        beta = np.ones(9)
+        beta[4] = np.nextafter(1.0, 2.0) if planted else 1.0
+        k = 4
+    else:  # sqrt(H[17]) at 0.95 times the envelope c (k - m), its twin on it
+        c = aagd.rate_constants(default_params(), 1.0).c
+        eta, H = _geometric(17, 0.5, eta0=100.0 * c * c)  # m = 2: H[16] = (14.14 c)^2
+        H[17] = ((0.95 if planted else 1.0) * c * (17 - 2)) ** 2
+        k = 17
+    tr = _lemma_trace(eta, H, beta)
+    assert aagd.rate_constants(tr.params, 1.0).m == 2
+    entries = [check_h_envelope(tr, None, 1.0), *lemma_suite(tr, None, L=1.0)]
+    assert [(e.name, e.worst_k) for e in entries if not e.passed] == ([(case, k)] if planted
+                                                                      else [])
 
 
 def test_missing_iterates_raises(identity_run):
@@ -471,7 +534,11 @@ def test_corollary_only_checks_share_the_sweep(identity_run):
     assert calls[0] == len(_swept_points(tr)) + len(refs)
     full = run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs)
     assert report.entries == [e for e in full.entries if e.name.startswith("corollary_bound[")]
-    assert [(e.passed, e.worst_k) for e in report.entries] == [(True, tr.n_iters)] * len(refs)
+    # each reports its margin at the first k = 1..K of the largest swept violation
+    fresh = _replay(tr, p.oracle, params, list(refs.values()))
+    worst = [1 + int(np.argmax(s.dist_term + s.gap_term - (rhs * (1.0 + 1e-10) + 1e-12)))
+             for s, rhs in zip(fresh.series, fresh.rhs)]
+    assert [(e.passed, e.worst_k) for e in report.entries] == [(True, k) for k in worst]
 
 
 GRID_PROBLEMS = {
@@ -502,10 +569,11 @@ def test_reference_certificates_hold_across_a_seeded_grid(name):
             assert report.passed, (seed, eta0, [e.line() for e in report.entries])
 
 
-# sha256 of the report lines, recorded before the checks shared one pass
+# sha256 of the report lines, recorded before the checks shared one pass and
+# re-recorded when a passing entry came to report its margin
 REPORT_SHA256 = {
-    "identity": "97b82ab25b9cb64b6d27d1ca505c67c21e207e37e63b1df9f71727449e791d2f",
-    "quadratic": "a557e767b9a7f42f546717ef4d56f6e6349277e2ea113ccdc5ae9a36c298d7cb",
+    "identity": "372c243268c966cb8cba2c2e7791c1cdddfa3163527089e4fb2a7e240a50046a",
+    "quadratic": "715d273bd289401b1a299ba657c537f588fbac0698e7aae3d586cf768dea11a8",
 }
 
 
@@ -536,20 +604,22 @@ OVERFLOW_PROBLEMS = {
 # beta_f_value FAILs at k=1 at eta0 = 1e150, as before, and now at 1e20 too (two terms
 # of 5.8e18 differ by one ulp against a slack scaled by |f_bar[1]| = 0.69); from
 # eta0 = 1e200 the quadratic run stops at x0, and the entries that compare no rows
-# were re-recorded when they came to read "not applicable: no rows to compare"
+# were re-recorded when they came to read "not applicable: no rows to compare";
+# all were re-recorded when a passing entry came to report its margin (the FAIL
+# lines stayed byte-identical)
 OVERFLOW_SHA256 = {
-    ("logsumexp", 1e20): "50c7ae7d08ea3f7e71e9161a299ff00e1904d485b736429d317fbba8de6331d5",
-    ("logsumexp", 1e150): "10050dd92565b715d313ff15b27dc16ba878fa4bf1bc3c4428b29cc10f3d9b6e",
-    ("logsumexp", 1e200): "892ada9b082e07f9ecf717d01abe48cc49359a3050d1f7f955f51ad913c3d3af",
-    ("logsumexp", 1e300): "892ada9b082e07f9ecf717d01abe48cc49359a3050d1f7f955f51ad913c3d3af",
-    ("logistic", 1e20): "0af7d6cb1fe1a68e8af9c0fc5143b58a852cca7edebed4a130a4a26c1cd4bde6",
-    ("logistic", 1e150): "560944b83b1e7eb19821d2fd0ccf3f4d8d19c99f9fa2a22da562d468542d7ac9",
-    ("logistic", 1e200): "8466a58bf4fb5b1ba1100b0e56cf48612967bfbb1125f8e45dbefce940da6c2d",
-    ("logistic", 1e300): "8466a58bf4fb5b1ba1100b0e56cf48612967bfbb1125f8e45dbefce940da6c2d",
-    ("quadratic", 1e20): "be03e39a9e9cb5f89d21f9d8718f41c795b79f57c404e954fc45da7b24830092",
-    ("quadratic", 1e150): "479cf660d66e661cfcf33e7d0d757fa77a23851f47637fb5cbcc8759795a580d",
-    ("quadratic", 1e200): "6a1f4547cc6dc4d5cafac2409da48e93b138ed5125caa2235703bc84ecca5675",
-    ("quadratic", 1e300): "6a1f4547cc6dc4d5cafac2409da48e93b138ed5125caa2235703bc84ecca5675",
+    ("logsumexp", 1e20): "989f858f6b19fa1339242271247eddf92335d24cf0dd7ab02e9dfb909c7a3a2f",
+    ("logsumexp", 1e150): "c5490a8ee595b06d80f5f3b6412a78d711e996620ab780e8d8e0a7a4f75ec8a5",
+    ("logsumexp", 1e200): "beeb910e21e0ca506bd22a7d12bf2bb243580d3a08243abfff9729a02a730275",
+    ("logsumexp", 1e300): "8101a5a076f6a160ada26c9d791f6bb8689aac413940cd7660db4a4842ecf187",
+    ("logistic", 1e20): "67ad16236adf1a395c493f866b849d225a7d7d4212a07e92c0141d9ce30cc9ed",
+    ("logistic", 1e150): "9e1dab7e766f5d7300533084098a998ab17d990a5caec7396cc9e2bfdd2aecff",
+    ("logistic", 1e200): "17c4abddcf4fa198acdbff15104ce33f3f982f19a8173befeac3bc207432d27c",
+    ("logistic", 1e300): "3a855d8d0c67fcb4960bc376c94a58da8f25a04bfb7e639b6d52f7d5894606f8",
+    ("quadratic", 1e20): "9ed95d69357189f533d690733eb1acf91bb14376a187871dbc067e6c2c4f3840",
+    ("quadratic", 1e150): "e63e9bb392fccbec69cf62d780411a2447e767ed1f15e676f1b98a29f494bf2c",
+    ("quadratic", 1e200): "156fa2e97987b11412f48da101485b04f52678f97d4584a42729a91dc025ebe7",
+    ("quadratic", 1e300): "eecb0face3d64fe38825cfa69a769c9983c605d59b558b2ce05f1fdd1bf0fe01",
 }
 
 

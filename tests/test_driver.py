@@ -9,6 +9,7 @@ round the matrix-vector products differently and change them.
 """
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -249,6 +250,37 @@ def test_stored_iterates_peak_memory(name):
     tr, peak = _run_peak(problem(), eta0, stop)
     assert tr.n_iters == K
     assert peak <= bound * 3 * tr.x.nbytes
+
+
+def test_stored_iterates_under_a_python_tracer():
+    # a tracer holds references to the run loop's locals, the buffer among
+    # them; the resizes, the doublings and the cut of a stop short of the
+    # capacity, must still go through and give the untraced run's bits
+    problem = make_quadratic(1, 5, 10.0)
+
+    def go():
+        return run(problem.oracle, np.zeros(5), default_params(eta0=1e-3),
+                   StopRule(max_iters=1000, grad_tol=1e-3), store_iterates=True)
+
+    events = []
+
+    def recorder(frame, event, arg):
+        if frame.f_code.co_filename.endswith("solver.py"):
+            events.append(event)
+            return recorder
+        return None
+
+    untraced = go()
+    assert 256 < untraced.n_iters + 1 < 512  # 64 rows doubled three times, then cut
+    previous = sys.gettrace()
+    sys.settrace(recorder)
+    try:
+        traced = go()
+    finally:
+        sys.settrace(previous)
+    assert "line" in events
+    for name in (*COLUMNS, "x", "x_bar", "x_tilde"):
+        assert getattr(traced, name).tobytes() == getattr(untraced, name).tobytes(), name
 
 
 def peak_memory():

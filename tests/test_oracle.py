@@ -69,6 +69,10 @@ def test_oracle_rejects_nonpositive_dimension(dim):
         Oracle(lambda x: (0.0, x), dim)
 
 
+def test_oracle_repr_names_label_and_dim():
+    assert repr(Oracle(lambda x: (0.0, x), 3, "f")) == "Oracle('f', dim=3)"
+
+
 def test_non_finite_query_rejected():
     p = identity_quadratic(2)
     with pytest.raises(NonFiniteError):
