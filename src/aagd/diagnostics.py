@@ -16,11 +16,13 @@ of B = max(1, ROW_BLOCK // d) values of k. On a growth step x_bar[k] is
 often bit-equal to x_tilde[k-1], and the oracle is a function of x, so
 that point's result is reused. A block lays its points out in call order
 behind a look-back row (x[0] for the first block, which x_bar[0] repeats
-in a solver trace), and one call of :func:`_evaluate_rows` squares them
-and their checked outputs row-wise, under the sweep's ``np.errstate``,
-into one stacked result whose adjacent rows are the curvature pairs;
-their Bregman values, curvature estimates, momentum terms and distances
-are formed row-wise, with the bits of the per-k formulas. So the sweep
+in a solver trace), and one call of :func:`_evaluate_rows` evaluates its
+distinct points, in one stacked call of an oracle that declares ``rows``,
+and squares them and their checked outputs row-wise, under the sweep's
+``np.errstate``, into one stacked result whose adjacent rows are the
+curvature pairs; their Bregman values, curvature estimates, momentum
+terms and distances are formed row-wise, with the bits of the per-k
+formulas. So the sweep
 holds O(B d) floats per temporary plus O(K) scalars, never the trace's
 fresh gradients. It builds the per-k arrays that the decay series, the
 endpoint bound (whose right side reads the gradient at x[0]) and the
@@ -39,7 +41,7 @@ import numpy as np
 
 from .curvature import lambda_option2_rows
 from .oracle import (DimensionMismatchError, NonFiniteError, Oracle, OracleResult, _call,
-                     evaluate)
+                     _call_rows, evaluate)
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
@@ -153,22 +155,28 @@ def _evaluate_rows(oracle: Oracle, points: np.ndarray,
     which for the first row is the last row of the stacked result
     ``before``, if given; a repeated row gets the value and gradient of
     that point. This assumes what every kernel promises: ``fn`` is a
-    function of x, so equal bits in give equal bits out. An output of the
-    wrong shape raises at its call, a non-finite one after the last call.
+    function of x, so equal bits in give equal bits out. An oracle that
+    declares ``rows`` is called once, at the stack of the distinct rows;
+    any other once per distinct row, in order. An output of the wrong
+    shape raises at its call, a non-finite one after the last call.
     """
     values, grads = np.empty(len(points)), np.empty_like(points)
     # each row against the point of the call before it, as int64 bits: -0.0 differs from +0.0
     bits = points.view(np.int64)
     repeat = np.zeros(len(points), dtype=bool)
     repeat[1:] = (bits[1:] == bits[:-1]).all(axis=1)
-    out = None  # the output of the call before row i
-    if before is not None:
-        repeat[0] = np.array_equal(bits[0], before.x[-1].view(np.int64))
-        out = before.value[-1], before.grad[-1]
-    for i in range(len(points)):
-        if not repeat[i]:
-            out = _call(oracle, points[i])
-        values[i], grads[i] = out
+    if before is not None and np.array_equal(bits[0], before.x[-1].view(np.int64)):
+        repeat[0] = True
+        values[0], grads[0] = before.value[-1], before.grad[-1]
+    new = ~repeat
+    if not oracle.rows:
+        for i in np.flatnonzero(new):
+            values[i], grads[i] = _call(oracle, points[i])
+    elif new.any():
+        values[new], grads[new] = _call_rows(oracle, points[new])
+    # a repeat takes the output of the last row called before it, or of row 0
+    src = np.maximum.accumulate(np.where(new, np.arange(len(points)), 0))[repeat]
+    values[repeat], grads[repeat] = values[src], grads[src]
     grad_sq = np.vecdot(grads, grads)
     # a finite square settles a row (all_finite); a finite row may still square to inf
     if not (np.isfinite(values).all() and np.isfinite(grads[~np.isfinite(grad_sq)]).all()):

@@ -8,6 +8,14 @@ kernel is deterministic: the same inputs give the same bits.
 Dense products are ``ndarray.dot`` calls: the same BLAS routines and
 bits as ``@``, without the per-call dispatch of the matmul gufunc.
 
+The dense kernels also take a C-contiguous stack ``X`` of n points as an
+(n, d) array and return (n,) values and (n, d) gradients; row r is the
+point call at ``X[r]``, bit for bit. The stack path forms ``A x`` per row
+as the broadcast ``np.matmul(A, X[..., None])``, which runs the point
+call's gemv once per row, never as ``X @ A.T``, whose gemm gives other
+bits. Its inner products are ``np.vecdot`` and its sums and maxima run
+along the last axis of C-contiguous arrays, as the point call's do.
+
 Sparse products ``A x`` and ``A' u`` take a layout: the pair ``(A, AT)``
 of scipy CSR matrices that ``SparseDataset.layout`` builds once per
 dataset. scipy is imported there, so quadratic and logsumexp runs never
@@ -25,6 +33,9 @@ BACKEND = "numpy"
 # ---------------------------------------------------------------------------
 
 def quad_value_grad(A, b, x):
+    if x.ndim == 2:
+        AX = np.matmul(A, x[..., None])[..., 0]
+        return 0.5 * np.vecdot(x, AX) - np.vecdot(x, b), AX - b
     Ax = A.dot(x)
     value = 0.5 * float(x.dot(Ax)) - float(b.dot(x))
     return value, Ax - b
@@ -62,7 +73,13 @@ def logistic_value_grad(layout, y, reg, w):
 # smoothed max of affine terms: f(x) = mu * log sum_i exp((a_i'x - b_i)/mu)
 # ---------------------------------------------------------------------------
 
+# floats of the (rows, terms) exponent block that one stacked step holds
+TERM_BLOCK = 65536
+
+
 def logsumexp_value_grad(A, b, mu, x):
+    if x.ndim == 2:
+        return _logsumexp_rows(A, b, mu, x)
     z = A.dot(x)
     z -= b
     z /= mu
@@ -73,6 +90,26 @@ def logsumexp_value_grad(A, b, mu, x):
     value = mu * (m + np.log(s))
     z /= s
     return value, z.dot(A)
+
+
+def _logsumexp_rows(A, b, mu, X):
+    """:func:`logsumexp_value_grad` at each row of ``X``, taken
+    max(1, TERM_BLOCK // terms) rows at a time."""
+    values, grads = np.empty(len(X)), np.empty_like(X)
+    step = max(1, TERM_BLOCK // len(A))
+    for r in range(0, len(X), step):
+        Z = np.matmul(A, X[r:r + step, :, None])[..., 0]
+        Z -= b
+        Z /= mu
+        m = Z.max(axis=-1)
+        Z -= m[:, None]
+        np.exp(Z, out=Z)
+        s = Z.sum(axis=-1)
+        values[r:r + step] = mu * (m + np.log(s))
+        Z /= s[:, None]
+        grads[r:r + step] = np.matmul(Z[:, None, :], A)[:, 0, :]
+        del Z  # before the next chunk's product, so that one block is held at a time
+    return values, grads
 
 
 # ---------------------------------------------------------------------------

@@ -70,19 +70,26 @@ class OracleResult(namedtuple("OracleResult", "value grad x grad_sq x_sq")):
 class Oracle:
     """Wraps a function ``fn(x) -> (value, grad)`` with a fixed dimension.
 
+    ``rows=True`` declares that ``fn`` also takes a C-contiguous (n, d)
+    stack of points and returns (n,) values and (n, d) gradients, row r
+    bit-equal to the call at row r; the certificate replay then evaluates
+    a block's distinct points in one call. The built-in dense problems
+    declare it; any other ``fn`` is called one point at a time.
+
     Oracles are immutable after construction and safe to share across
     runs; a run counts its calls of ``fn`` through a copy of the oracle
     that the run loop makes.
     """
 
-    __slots__ = ("fn", "dim", "label")
+    __slots__ = ("fn", "dim", "label", "rows")
 
-    def __init__(self, fn, dim: int, label: str = "f") -> None:
+    def __init__(self, fn, dim: int, label: str = "f", rows: bool = False) -> None:
         if dim < 1:
             raise ValueError("oracle dimension must be >= 1")
         self.fn = fn
         self.dim = int(dim)
         self.label = label
+        self.rows = bool(rows)
 
     def __repr__(self) -> str:
         return f"Oracle({self.label!r}, dim={self.dim})"
@@ -139,6 +146,21 @@ def _call(oracle: Oracle, x: np.ndarray) -> tuple[float, np.ndarray]:
             f"oracle returned gradient of shape {grad.shape} for point of shape {x.shape}"
         )
     return value, grad
+
+
+def _call_rows(oracle: Oracle, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``oracle.fn`` at the (m, d) stack ``X`` of an oracle that declares
+    ``rows``: its (m,) values and (m, d) gradients as float64, or
+    :class:`DimensionMismatchError` if either has another shape."""
+    values, grads = oracle.fn(X)
+    values, grads = np.asarray(values, dtype=np.float64), np.asarray(grads, dtype=np.float64)
+    if values.shape != X.shape[:1]:
+        raise DimensionMismatchError(
+            f"oracle returned values of shape {values.shape} for points of shape {X.shape}")
+    if grads.shape != X.shape:
+        raise DimensionMismatchError(
+            f"oracle returned gradients of shape {grads.shape} for points of shape {X.shape}")
+    return values, grads
 
 
 def finite_diff_check(oracle: Oracle, x, h: float | None = None) -> float:

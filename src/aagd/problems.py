@@ -137,7 +137,7 @@ def make_quadratic(seed: int, dim: int, cond: float) -> Problem:
     x_star = np.linalg.solve(A, b)
     return Problem(
         oracle=Oracle(partial(kernels.quad_value_grad, A, b), dim,
-                      label=f"quadratic(seed={seed},dim={dim},cond={cond:g})"),
+                      label=f"quadratic(seed={seed},dim={dim},cond={cond:g})", rows=True),
         L=float(cond),
         f_star=kernels.quad_value_grad(A, b, x_star)[0],
         x_star=x_star,
@@ -155,10 +155,12 @@ def identity_quadratic(dim: int) -> Problem:
         raise ValueError("dim must be >= 1")
 
     def fn(x):
+        if x.ndim == 2:
+            return 0.5 * np.vecdot(x, x), x
         return 0.5 * float(x.dot(x)), x
 
     return Problem(
-        oracle=Oracle(fn, dim, label=f"identity_quadratic(dim={dim})"),
+        oracle=Oracle(fn, dim, label=f"identity_quadratic(dim={dim})", rows=True),
         L=1.0,
         f_star=0.0,
         x_star=np.zeros(dim),
@@ -376,7 +378,8 @@ def logsumexp_problem(seed: int, dim: int, n_terms: int, smoothing: float) -> Pr
                          f"max_i ||a_i||^2 / mu overflows (mu = {mu:g})")
     return Problem(
         oracle=Oracle(partial(kernels.logsumexp_value_grad, A, b, mu), dim,
-                      label=f"logsumexp(seed={seed},dim={dim},terms={n_terms},mu={mu:g})"),
+                      label=f"logsumexp(seed={seed},dim={dim},terms={n_terms},mu={mu:g})",
+                      rows=True),
         L=L,
         label=f"logsumexp_d{dim}_t{n_terms}_mu{mu:g}_s{seed}",
     )

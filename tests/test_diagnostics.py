@@ -794,6 +794,42 @@ def test_certificate_memory_does_not_hold_the_trace_results():
     assert report.passed
     assert peak < K * 100 * 8
 
+def test_quad_certified_stacked_replay_calls_once_per_block():
+    # the benchmark's dense quadratic: the references one point at a time,
+    # then one stacked call per block, whose rows are the distinct swept points
+    p, params = make_quadratic(1, 100, 1e4), default_params(eta0=1e-6)
+    tr = run(p.oracle, np.zeros(100), params, StopRule(max_iters=2000), store_iterates=True)
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return p.oracle.fn(x)
+
+    refs = {"xstar": p.x_star, "x0": np.zeros(100)}
+    report = run_certificates(tr, Oracle(recording, 100, rows=True), params, L=p.L, x_refs=refs)
+    assert report.lines() == run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs).lines()
+    assert [x.ndim for x in seen] == [1, 1] + [2] * -(-(tr.n_iters + 1) // B100)
+    assert np.array_equal(np.concatenate(seen[2:]), _swept_points(tr))
+
+
+def test_stacked_replay_memory_does_not_grow_with_the_terms():
+    # logsumexp's stacked exponents are (rows, terms): at 5000 terms and d = 2
+    # a block of 4096 k stacks up to 8193 rows, 330 MB of exponents at once;
+    # the kernel takes max(1, TERM_BLOCK // terms) rows at a time
+    p, params = logsumexp_problem(1, 2, 5000, 0.1), default_params(eta0=1e-3)
+    tr = run(p.oracle, np.zeros(2), params, StopRule(max_iters=2000), store_iterates=True)
+    assert tr.n_iters == 2000
+    refs = {"x0": np.zeros(2), "random": np.random.default_rng(1).standard_normal(2)}
+    tracemalloc.start()
+    try:
+        report = run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2e6
+
+
 
 def _reference(oracle, x_ref):
     """A reference point as floats with its fresh objective value, the
@@ -903,6 +939,25 @@ def test_block_replay_matches_the_per_k_reference_bits(make, eta0, theta, K):
     _assert_replays_match(tr, p.oracle, params, points)
 
 
+@pytest.mark.parametrize("make, eta0, theta, K",
+                         [c for c in REPLAY_CASES if not c.id.startswith("logistic")])
+def test_stacked_replay_is_the_per_point_replay(make, eta0, theta, K):
+    # the oracle's one call per block against a copy without rows, which the
+    # sweep calls once per distinct point
+    p = make()
+    assert p.oracle.rows
+    x0 = np.ones(p.dim) if p.x_star is not None and not p.x_star.any() else np.zeros(p.dim)
+    params = make_params(theta=theta, eta0=eta0)
+    tr = run(p.oracle, x0, params, StopRule(max_iters=K), store_iterates=True)
+    points = [x0, np.random.default_rng(K).standard_normal(p.dim)]
+    per_point = Oracle(p.oracle.fn, p.dim)
+    assert _pass_bytes(_replay(tr, p.oracle, params, points)) == _pass_bytes(
+        _replay(tr, per_point, params, points))
+    refs = dict(zip(("x0", "random"), points))
+    assert run_certificates(tr, p.oracle, params, L=p.L, x_refs=refs).lines() == \
+        run_certificates(tr, per_point, params, L=p.L, x_refs=refs).lines()
+
+
 @pytest.mark.parametrize("rows", [1, 2, 7, None], ids=["B1", "B2", "B7", "default"])
 def test_sweep_calls_and_bits_do_not_depend_on_the_block_size(monkeypatch, rows):
     # x_bar[k] repeats x_tilde[k-1] at all k = 1..170 but 8, 25, 26 and 152,
@@ -983,6 +1038,44 @@ def test_replay_failure_in_the_second_block_raises_as_evaluate(output, raised, m
         with pytest.raises(raised) as caught:
             replay(tr, Oracle(fn, 100), params)
         assert str(caught.value) == message
+
+
+# the failures of FAILED_OUTPUTS for an oracle that declares rows, at the rows
+# of a stacked call that are bit-equal to ``hit``
+STACKED_FAILURES = [
+    pytest.param(lambda v, g, hit: (np.where(hit, math.nan, v), g), NonFiniteError,
+                 "oracle 'f' returned non-finite output", id="value"),
+    pytest.param(lambda v, g, hit: (v, np.where(hit[:, None] & (np.arange(g.shape[1]) == 3),
+                                                math.inf, g)), NonFiniteError,
+                 "oracle 'f' returned non-finite output", id="grad"),
+    pytest.param(lambda v, g, hit: (v, g[:, :-1]), DimensionMismatchError,
+                 "oracle returned gradients of shape ({m}, 99) for points of shape ({m}, 100)",
+                 id="grad_shape"),
+    pytest.param(lambda v, g, hit: (v[:, None], g), DimensionMismatchError,
+                 "oracle returned values of shape ({m}, 1) for points of shape ({m}, 100)",
+                 id="value_shape"),
+]
+
+
+@pytest.mark.parametrize("output, raised, message", STACKED_FAILURES)
+def test_stacked_replay_failure_raises_as_evaluate(output, raised, message):
+    # one call per block: the second block's call is the last, and raises
+    # its shape error at the call, its non-finite output after it
+    p, params = identity_quadratic(100), default_params(eta0=0.1)
+    tr = run(p.oracle, np.ones(100), params, StopRule(max_iters=2 * B100), store_iterates=True)
+    target = tr.x_tilde[B100 + 3].view(np.int64)
+    shapes = []
+
+    def fn(X):
+        shapes.append(X.shape)
+        v, g = p.oracle.fn(X)
+        hit = (X.view(np.int64) == target).all(axis=1)
+        return output(v, g, hit) if hit.any() else (v, g)
+
+    with pytest.raises(raised) as caught:
+        _replay(tr, Oracle(fn, 100, rows=True), params)
+    assert len(shapes) == 2 and shapes[-1][1] == 100
+    assert str(caught.value) == message.format(m=shapes[-1][0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -298,3 +298,47 @@ def test_logistic_regularizer_matches_the_matmul_formula_bit_for_bit():
         bare, bare_grad = kernels.logistic_value_grad(layout, y, 0.0, w)
         assert _bits(loss) == _bits(bare + 0.5 * 1e-3 * float(w @ w))
         assert _bits(grad) == _bits(bare_grad + 1e-3 * w)
+
+
+def test_stacked_rows_equal_point_calls_bit_for_bit():
+    # each dense oracle that declares rows, at stacks of 1, 2, 7 and 163 rows
+    # holding +-0.0 rows, a row with -0.0 entries and rows scaled by 1e-300 and
+    # 1e150; at 5000 terms a 163-row stack crosses logsumexp's row chunks. The
+    # stack path runs gemv once per row, so each thread count runs in its own
+    # process, as BLAS may split a product differently
+    script = """
+import numpy as np
+import aagd
+from aagd import kernels
+problems = [aagd.make_quadratic(3, d, 1e3) for d in (1, 2, 3, 17, 100, 333)]
+problems += [aagd.logsumexp_problem(4, d, t, 0.1) for d in (1, 2, 40) for t in (2, 100, 5000)]
+problems += [aagd.identity_quadratic(d) for d in (1, 17, 100)]
+assert kernels.TERM_BLOCK // 5000 < 163
+checked = 0
+for p in problems:
+    assert p.oracle.rows, p.label
+    rng = np.random.default_rng(p.dim)
+    x = rng.standard_normal(p.dim)
+    signed = x.copy()
+    signed[::2] = -0.0
+    special = np.array([np.zeros(p.dim), np.full(p.dim, -0.0), signed, 1e-300 * x, 1e150 * x])
+    for n in (1, 2, 7, 163):
+        X = rng.standard_normal((n, p.dim))
+        at = np.linspace(0, n - 1, min(n, len(special))).astype(int)
+        X[at] = special[:len(at)]
+        values, grads = p.oracle.fn(X)
+        assert values.shape == (n,) and grads.shape == (n, p.dim), p.label
+        for r in range(n):
+            value, grad = p.oracle.fn(X[r].copy())
+            assert np.float64(value).tobytes() == values[r].tobytes(), (p.label, n, r)
+            assert grad.tobytes() == grads[r].tobytes(), (p.label, n, r)
+            checked += 1
+print(checked)
+"""
+    src = str(Path(aagd.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (threads, out.stderr)
+        assert int(out.stdout) == 18 * (1 + 2 + 7 + 163), threads
