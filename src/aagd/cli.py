@@ -62,18 +62,6 @@ def build_problem(spec: dict, default_seed: int) -> problems.Problem:
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
-def _stop_rule(opts: dict, problem: problems.Problem) -> solver.StopRule:
-    gap_tol = opts.get("gap_tol")
-    if gap_tol is not None and problem.f_star is None:
-        raise ConfigError("gap_tol requires a problem with a known optimal value")
-    return solver.StopRule(
-        max_iters=opts["max_iters"],
-        grad_tol=opts.get("grad_tol", 0.0),
-        gap_tol=gap_tol,
-        f_star=problem.f_star if gap_tol is not None else None,
-    )
-
-
 def _start_point(spec: dict, problem: problems.Problem, seed: int) -> np.ndarray:
     name = spec.get("x0", "zeros")
     if name == "ones":
@@ -92,8 +80,10 @@ def _method(spec: MethodSpec, problem: problems.Problem, checks, refs: dict):
     before any method runs; so do ``eta = auto`` at L <= 0 and, for aagd,
     what its certificate ``checks`` at ``refs`` would refuse (``check_inputs``).
     """
-    stop = _stop_rule(spec.options, problem)
-    given = {key: value for key, value in spec.options.items() if key not in _STOP_KEYS}
+    opts = spec.options
+    stop = solver.StopRule(max_iters=opts["max_iters"], grad_tol=opts.get("grad_tol", 0.0),
+                           gap_tol=opts.get("gap_tol"), f_star=problem.f_star)
+    given = {key: value for key, value in opts.items() if key not in _STOP_KEYS}
     if spec.kind == "aagd":
         params = make_params(eta0=given.pop("eta0"),
                              **{key: given.pop(key) for key in _PARAM_KEYS if key in given})

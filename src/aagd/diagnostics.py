@@ -40,8 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import lambda_option2_rows
-from .oracle import (DimensionMismatchError, NonFiniteError, Oracle, OracleResult, _call,
-                     _call_rows, evaluate)
+from .oracle import DimensionMismatchError, NonFiniteError, Oracle, OracleResult, _call, evaluate
 from .params import SolverParams, rate_constants
 from .solver import Trace
 
@@ -157,8 +156,9 @@ def _evaluate_rows(oracle: Oracle, points: np.ndarray,
     that point. This assumes what every kernel promises: ``fn`` is a
     function of x, so equal bits in give equal bits out. An oracle that
     declares ``rows`` is called once, at the stack of the distinct rows;
-    any other once per distinct row, in order. An output of the wrong
-    shape raises at its call, a non-finite one after the last call.
+    any other once per distinct row, in order; both go through ``_call``.
+    An output of the wrong shape raises at its call, a non-finite one
+    after the last call.
     """
     values, grads = np.empty(len(points)), np.empty_like(points)
     # each row against the point of the call before it, as int64 bits: -0.0 differs from +0.0
@@ -173,7 +173,7 @@ def _evaluate_rows(oracle: Oracle, points: np.ndarray,
         for i in np.flatnonzero(new):
             values[i], grads[i] = _call(oracle, points[i])
     elif new.any():
-        values[new], grads[new] = _call_rows(oracle, points[new])
+        values[new], grads[new] = _call(oracle, points[new])
     # a repeat takes the output of the last row called before it, or of row 0
     src = np.maximum.accumulate(np.where(new, np.arange(len(points)), 0))[repeat]
     values[repeat], grads[repeat] = values[src], grads[src]

@@ -5,9 +5,10 @@ point, computed once when the result is made. The curvature estimates,
 the finiteness checks and the recorded gradient norm all read them
 instead of forming the same inner products again. :func:`_evaluate`
 checks every point a run queries, and a run's start point reaches it
-through :func:`evaluate`. Inside a run the float error state is the run
-loop's: the step and the baselines call :func:`_evaluate`, which enters
-no ``np.errstate``.
+through :func:`evaluate`. :func:`_call` is the one check of ``fn``'s
+outputs, at a point and at the certificate replay's stacks. Inside a run
+the float error state is the run loop's: the step and the baselines call
+:func:`_evaluate`, which enters no ``np.errstate``.
 """
 from __future__ import annotations
 
@@ -73,8 +74,9 @@ class Oracle:
     ``rows=True`` declares that ``fn`` also takes a C-contiguous (n, d)
     stack of points and returns (n,) values and (n, d) gradients, row r
     bit-equal to the call at row r; the certificate replay then evaluates
-    a block's distinct points in one call. The built-in dense problems
-    declare it; any other ``fn`` is called one point at a time.
+    a block's distinct points in one call, checked by :func:`_call` as a
+    point's are. The built-in dense problems declare it; any other ``fn``
+    is called one point at a time.
 
     Oracles are immutable after construction and safe to share across
     runs; a run counts its calls of ``fn`` through a copy of the oracle
@@ -129,38 +131,23 @@ def _evaluate(oracle: Oracle, x: np.ndarray) -> OracleResult:
     return tuple.__new__(OracleResult, (value, grad, x, grad_sq, x_sq))
 
 
-def _call(oracle: Oracle, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """``oracle.fn`` at ``x``: its value as a float and its gradient as
-    float64, or :class:`DimensionMismatchError` if either has the wrong shape."""
+def _call(oracle: Oracle, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """``oracle.fn`` at the point ``x`` (d,), or at the (m, d) stack ``x``
+    of an oracle that declares ``rows``: its value as a float, or its (m,)
+    values, and its gradient(s) as float64. A value, then a gradient, of
+    another shape raises :class:`DimensionMismatchError`, with one text per
+    defect at a point and at a stack: the shapes of the output and of ``x``."""
     value, grad = oracle.fn(x)
-    try:
-        value = float(value)
-    except TypeError:
-        if np.ndim(value) == 0:
-            raise
+    # a float at a point (np.float64 is one) has the shape ()
+    if (x.ndim > 1 or not isinstance(value, float)) and np.shape(value) != x.shape[:-1]:
         raise DimensionMismatchError(
-            f"oracle returned a value of shape {np.shape(value)}, not a scalar") from None
+            f"oracle returned value of shape {np.shape(value)} for point of shape {x.shape}")
+    value = float(value) if x.ndim == 1 else np.asarray(value, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != x.shape:
         raise DimensionMismatchError(
-            f"oracle returned gradient of shape {grad.shape} for point of shape {x.shape}"
-        )
+            f"oracle returned gradient of shape {grad.shape} for point of shape {x.shape}")
     return value, grad
-
-
-def _call_rows(oracle: Oracle, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``oracle.fn`` at the (m, d) stack ``X`` of an oracle that declares
-    ``rows``: its (m,) values and (m, d) gradients as float64, or
-    :class:`DimensionMismatchError` if either has another shape."""
-    values, grads = oracle.fn(X)
-    values, grads = np.asarray(values, dtype=np.float64), np.asarray(grads, dtype=np.float64)
-    if values.shape != X.shape[:1]:
-        raise DimensionMismatchError(
-            f"oracle returned values of shape {values.shape} for points of shape {X.shape}")
-    if grads.shape != X.shape:
-        raise DimensionMismatchError(
-            f"oracle returned gradients of shape {grads.shape} for points of shape {X.shape}")
-    return values, grads
 
 
 def finite_diff_check(oracle: Oracle, x, h: float | None = None) -> float:

@@ -30,8 +30,8 @@ class StopRule:
     """Stopping rules; the iteration cap is always active.
 
     ``grad_tol`` stops when the gradient norm at the averaged iterate
-    falls to the tolerance; ``gap_tol`` stops on the objective gap and
-    requires ``f_star``.
+    falls to the tolerance; ``gap_tol`` stops on the objective gap, and is
+    the one rule that requires and reads the optimal value ``f_star``.
     """
 
     max_iters: int
@@ -48,7 +48,7 @@ class StopRule:
             if not self.gap_tol >= 0.0:
                 raise ValueError("gap_tol must be nonnegative")
             if self.f_star is None:
-                raise ValueError("gap_tol requires f_star")
+                raise ValueError("gap_tol requires f_star, a known optimal value")
         if self.f_star is not None and not math.isfinite(self.f_star):
             raise ValueError("f_star must be finite")
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import aagd
 
 ITERATE_DAMAGE = ("empty", "truncated", "not an npy", "unbalanced header", "object dtype",
                   "float32", "fortran order", "two axes", "wrong first axis", "K off by one")
@@ -53,3 +60,24 @@ def iterate_damage(request):
     """A function that damages an intact iterate file, one way per parameter,
     and returns read_csv's message for it."""
     return lambda path: damage_iterates(path, request.param)
+
+
+@pytest.fixture
+def per_blas_threads():
+    """A function that runs a script under ``python -W error`` with
+    OPENBLAS_NUM_THREADS = 1 and 2, each in its own process that imports
+    this checkout's aagd, and returns {threads: stdout}; a run that fails
+    fails the test. For bits that may depend on how BLAS splits a product."""
+    src = str(Path(aagd.__file__).resolve().parents[1])
+
+    def run(script):
+        outs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                                 capture_output=True, text=True)
+            assert out.returncode == 0, (threads, out.stderr)
+            outs[threads] = out.stdout
+        return outs
+
+    return run

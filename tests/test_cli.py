@@ -1045,8 +1045,7 @@ def test_run_gap_tol_without_known_optimum_is_config_error(tmp_path, capsys, met
     assert main(["run", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("config error: gap_tol requires a problem with a known "
-                            "optimal value\n")
+    assert captured.err == "config error: gap_tol requires f_star, a known optimal value\n"
     assert not list(tmp_path.glob("out/*.csv"))
 
 

@@ -1,12 +1,8 @@
 import dataclasses
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -746,7 +742,7 @@ def test_pass_calls_the_oracle_once_per_point_in_order(identity_run):
     assert np.array_equal(np.array(seen[len(refs):]), swept)
 
 
-def test_quad_certified_call_count_pinned():
+def test_quad_certified_call_count_pinned(per_blas_threads):
     # the benchmark's dense quadratic: 2 * 2001 stored points, of which x_bar[k]
     # repeats x_tilde[k-1] at 1905 of the 2000 k >= 1 and x[0] = x_bar[0] = x_tilde[0]
     # (4005 calls when every stored point was evaluated). make_quadratic builds
@@ -766,13 +762,9 @@ aagd.run_certificates(tr, aagd.Oracle(fn, 100), params, L=p.L,
                       x_refs={"xstar": p.x_star, "x0": np.zeros(100)})
 print(calls[0])
 """
-    src = str(Path(aagd.__file__).resolve().parents[1])
+    outs = per_blas_threads(script)
     for threads, pinned in {"1": 2102, "2": 2098}.items():
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert int(out.stdout) == pinned, threads
+        assert int(outs[threads]) == pinned, threads
 
 
 def test_certificate_memory_does_not_hold_the_trace_results():
@@ -1010,17 +1002,21 @@ def test_block_replay_matches_the_reference_on_a_tampered_trace():
     assert math.isnan(fresh.series[0].bregman_term[B100 - 1])
 
 
-# the failures that evaluate raises, at a point inside the second replay block
+# the failures that evaluate raises, at a point inside the second replay block.
+# Each output takes the value(s) and gradient(s) of a point or of a stack, and
+# each message the shape of the point or stack that the oracle was called at.
 FAILED_OUTPUTS = [
-    pytest.param(lambda v, g: (math.nan, g), NonFiniteError,
-                 "oracle 'f' returned non-finite output", id="value"),
-    pytest.param(lambda v, g: (v, np.append(g[:-1], math.inf)), NonFiniteError,
-                 "oracle 'f' returned non-finite output", id="grad"),
-    pytest.param(lambda v, g: (v, g[:-1]), DimensionMismatchError,
-                 "oracle returned gradient of shape (99,) for point of shape (100,)",
-                 id="grad_shape"),
-    pytest.param(lambda v, g: (np.array([v]), g), DimensionMismatchError,
-                 "oracle returned a value of shape (1,), not a scalar", id="value_shape"),
+    pytest.param(lambda v, g: (v * math.nan, g), NonFiniteError,
+                 lambda s: "oracle 'f' returned non-finite output", id="value"),
+    pytest.param(lambda v, g: (v, np.append(g[..., :-1], np.full_like(g[..., :1], math.inf),
+                                            axis=-1)), NonFiniteError,
+                 lambda s: "oracle 'f' returned non-finite output", id="grad"),
+    pytest.param(lambda v, g: (v, g[..., :-1]), DimensionMismatchError,
+                 lambda s: f"oracle returned gradient of shape {(*s[:-1], 99)} for point of "
+                           f"shape {s}", id="grad_shape"),
+    pytest.param(lambda v, g: (np.expand_dims(v, -1), g), DimensionMismatchError,
+                 lambda s: f"oracle returned value of shape {(*s[:-1], 1)} for point of "
+                           f"shape {s}", id="value_shape"),
 ]
 
 
@@ -1037,7 +1033,22 @@ def test_replay_failure_in_the_second_block_raises_as_evaluate(output, raised, m
     for replay in (_replay, _replay_reference):
         with pytest.raises(raised) as caught:
             replay(tr, Oracle(fn, 100), params)
-        assert str(caught.value) == message
+        assert str(caught.value) == message((100,))
+
+
+@pytest.mark.parametrize("output, raised, message", FAILED_OUTPUTS)
+def test_point_and_stacked_calls_raise_one_text_per_defect(output, raised, message):
+    # an oracle that declares rows, with the same defect at a point and at a
+    # stack of 5 distinct points: one text, naming the shapes of the call
+    p = identity_quadratic(100)
+    oracle = Oracle(lambda x: output(*p.oracle.fn(x)), 100, rows=True)
+    stack = np.arange(500.0).reshape(5, 100)
+    with pytest.raises(raised) as caught:
+        evaluate(oracle, stack[0])
+    assert str(caught.value) == message((100,))
+    with pytest.raises(raised) as caught:
+        diagnostics._evaluate_rows(oracle, stack)
+    assert str(caught.value) == message((5, 100))
 
 
 # the failures of FAILED_OUTPUTS for an oracle that declares rows, at the rows
@@ -1049,10 +1060,10 @@ STACKED_FAILURES = [
                                                 math.inf, g)), NonFiniteError,
                  "oracle 'f' returned non-finite output", id="grad"),
     pytest.param(lambda v, g, hit: (v, g[:, :-1]), DimensionMismatchError,
-                 "oracle returned gradients of shape ({m}, 99) for points of shape ({m}, 100)",
+                 "oracle returned gradient of shape ({m}, 99) for point of shape ({m}, 100)",
                  id="grad_shape"),
     pytest.param(lambda v, g, hit: (v[:, None], g), DimensionMismatchError,
-                 "oracle returned values of shape ({m}, 1) for points of shape ({m}, 100)",
+                 "oracle returned value of shape ({m}, 1) for point of shape ({m}, 100)",
                  id="value_shape"),
 ]
 

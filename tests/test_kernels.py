@@ -300,7 +300,7 @@ def test_logistic_regularizer_matches_the_matmul_formula_bit_for_bit():
         assert _bits(grad) == _bits(bare_grad + 1e-3 * w)
 
 
-def test_stacked_rows_equal_point_calls_bit_for_bit():
+def test_stacked_rows_equal_point_calls_bit_for_bit(per_blas_threads):
     # each dense oracle that declares rows, at stacks of 1, 2, 7 and 163 rows
     # holding +-0.0 rows, a row with -0.0 entries and rows scaled by 1e-300 and
     # 1e150; at 5000 terms a 163-row stack crosses logsumexp's row chunks. The
@@ -335,10 +335,5 @@ for p in problems:
             checked += 1
 print(checked)
 """
-    src = str(Path(aagd.__file__).resolve().parents[1])
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, (threads, out.stderr)
-        assert int(out.stdout) == 18 * (1 + 2 + 7 + 163), threads
+    for threads, out in per_blas_threads(script).items():
+        assert int(out) == 18 * (1 + 2 + 7 + 163), threads

@@ -192,9 +192,10 @@ def _value_of_shape_one(x):
 
 def test_non_scalar_value_is_a_dimension_mismatch():
     oracle = Oracle(_value_of_shape_one, 3, label="vector")
-    with pytest.raises(DimensionMismatchError, match=r"value of shape \(1,\), not a scalar"):
+    message = r"value of shape \(1,\) for point of shape \(3,\)$"
+    with pytest.raises(DimensionMismatchError, match=message):
         evaluate(oracle, np.ones(3))
-    with pytest.raises(DimensionMismatchError, match=r"value of shape \(1,\), not a scalar"):
+    with pytest.raises(DimensionMismatchError, match=message):
         _evaluate_rows(oracle, np.ones((2, 3)))
 
 

@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import aagd
 from aagd import (DatasetFormatError, evaluate, finite_diff_check,
                   identity_quadratic, load_libsvm, logistic_problem,
                   logsumexp_problem, make_classification_dataset, make_quadratic,
@@ -428,7 +423,7 @@ def test_classification_dataset_memory_stays_near_nnz():
     assert peak < 16e6
 
 
-def test_logistic_data_and_L_do_not_depend_on_blas_threads():
+def test_logistic_data_and_L_do_not_depend_on_blas_threads(per_blas_threads):
     script = """
 import hashlib
 import aagd
@@ -438,15 +433,8 @@ for a in (data.indptr, data.indices, data.data, data.labels):
     h.update(a.tobytes())
 print(h.hexdigest(), aagd.logistic_problem(data, reg=1e-3).L.hex())
 """
-    src = str(Path(aagd.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-        out = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        outs.append(out.stdout)
-    assert outs[0] == outs[1]
+    outs = per_blas_threads(script)
+    assert outs["1"] == outs["2"]
 
 
 @pytest.mark.parametrize("make", [lambda: make_quadratic(0, 0, 10.0),
