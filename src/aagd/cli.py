@@ -7,18 +7,17 @@ for a given extrapolation parameter; ``check`` replays the certificate
 suite on a stored trace with the solver parameters the trace carries.
 
 Exit codes: 0 success, 1 certificate failure, 2 config error, 3 run
-divergence. Inputs that the config parser, the dataset reader, the
-problem constructors, the method parameters, the certificates' input
-rule (``diagnostics.check_inputs``: L > 0 for a check that reads it,
-stored iterates for one that replays them) or the trace reader reject
-are config errors: all raise ``ValueError``. So is a problem too large to
-allocate (``MemoryError``). ``run`` refuses each of them, an oracle
-failure at the start point and an outdir it cannot create before the
-first method runs, so such a config error leaves no file behind; an
-output file it cannot write (a CSV, its .npy or the summary) is a
-config error too, and the CSVs written before it stay. ``check``
-refuses iterates of another width than the problem's, and else only
-what its checks refuse: ``diagnostics._replay`` gates stored iterates.
+divergence. ``main`` alone maps a refusal by ``run`` or ``check`` to exit
+2: a ``ValueError`` (the config parser, the dataset reader, the problem
+constructors, the method parameters, the trace reader and the
+certificates' input rule ``diagnostics.check_inputs`` raise one), an
+``OSError``, an ``OracleError`` or a ``MemoryError``. ``run`` checks the
+config, the problem, the start point, every method and its checks'
+inputs before it creates the outdir, so a refused config leaves no file
+behind; a failure inside its method loop (an output it cannot write, a
+stored run too large to allocate) ends the run, and the CSVs written
+before it stay. ``check`` refuses iterates of another width than the
+problem's, and else only what its checks refuse.
 """
 from __future__ import annotations
 
@@ -38,10 +37,10 @@ EXIT_CERT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
-# the method keys of the stop rule, and those that make aagd's SolverParams
-# with eta0; every other key of a method section goes to the method itself
+# the method keys of the stop rule, and those that make aagd's SolverParams;
+# every other key of a method section goes to the method itself
 _STOP_KEYS = ("max_iters", "grad_tol", "gap_tol")
-_PARAM_KEYS = ("theta", "gamma")
+_PARAM_KEYS = ("theta", "gamma", "eta0")
 
 
 def build_problem(spec: dict, default_seed: int) -> problems.Problem:
@@ -74,19 +73,17 @@ def _start_point(spec: dict, problem: problems.Problem, seed: int) -> np.ndarray
 def _method(spec: MethodSpec, problem: problems.Problem, checks, refs: dict):
     """Validate one method section and return a function that runs it from x0.
 
-    Only the settings the section gives are passed on, so the defaults are
-    those of the solver and of BaselineMethod; config's key table decides
-    which settings a kind takes. An invalid setting raises ValueError here,
-    before any method runs; so do ``eta = auto`` at L <= 0 and, for aagd,
-    what its certificate ``checks`` at ``refs`` would refuse (``check_inputs``).
+    Only the keys the section gives are passed on, so StopRule, make_params
+    and BaselineMethod own every default; config's key table decides which
+    keys a kind takes. An invalid setting raises ValueError here, before any
+    file is made; so do ``eta = auto`` at L <= 0 and, for aagd, what its
+    ``checks`` at ``refs`` would refuse (``check_inputs``).
     """
-    opts = spec.options
-    stop = solver.StopRule(max_iters=opts["max_iters"], grad_tol=opts.get("grad_tol", 0.0),
-                           gap_tol=opts.get("gap_tol"), f_star=problem.f_star)
-    given = {key: value for key, value in opts.items() if key not in _STOP_KEYS}
+    given = dict(spec.options)
+    stop = solver.StopRule(f_star=problem.f_star,
+                           **{key: given.pop(key) for key in _STOP_KEYS if key in given})
     if spec.kind == "aagd":
-        params = make_params(eta0=given.pop("eta0"),
-                             **{key: given.pop(key) for key in _PARAM_KEYS if key in given})
+        params = make_params(**{key: given.pop(key) for key in _PARAM_KEYS if key in given})
         diagnostics.check_inputs(checks, problem.L, refs, given.get("store_iterates", False))
         return lambda x0: solver.run(problem.oracle, x0, params, stop, **given)
     if given.get("eta") == "auto":
@@ -118,57 +115,48 @@ def _reference_points(names, problem: problems.Problem, x0: np.ndarray | None,
 
 
 def cmd_run(config_path: str) -> int:
-    try:
-        cfg = parse_config(config_path)
-        if not cfg.methods:
-            raise ConfigError("no [method ...] sections")
-        if cfg.outdir is None:
-            raise ConfigError("experiment: outdir is required for run")
-        problem = build_problem(cfg.problem, cfg.seed)
-        notes: list[str] = []
-        x0 = _start_point(cfg.problem, problem, cfg.seed)
-        evaluate(problem.oracle, x0)  # an oracle that fails here fails every method
-        refs = (_reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
-                if any(m.kind == "aagd" for m in cfg.methods) else {})
-        runs = [_method(spec, problem, cfg.checks, refs) for spec in cfg.methods]
-        outdir = Path(cfg.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError, OracleError, MemoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = parse_config(config_path)
+    if not cfg.methods:
+        raise ConfigError("no [method ...] sections")
+    if cfg.outdir is None:
+        raise ConfigError("experiment: outdir is required for run")
+    problem = build_problem(cfg.problem, cfg.seed)
+    notes: list[str] = []
+    x0 = _start_point(cfg.problem, problem, cfg.seed)
+    evaluate(problem.oracle, x0)  # an oracle that fails here fails every method
+    refs = (_reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
+            if any(m.kind == "aagd" for m in cfg.methods) else {})
+    runs = [_method(spec, problem, cfg.checks, refs) for spec in cfg.methods]
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     summary: list[str] = [f"problem: {problem.label} (dim={problem.dim}, L={problem.L})"]
     any_diverged = False
     certs_passed = True
+    for spec, run in zip(cfg.methods, runs):
+        trace = run(x0)
+        csv_path = outdir / f"{problem.label}__{spec.name}.csv"
+        traceio.write_csv(trace, csv_path)
+        final_f = trace.f_bar[-1]
+        line = (f"{spec.name:<16} iters={trace.n_iters:<6} evals={trace.evals_cum[-1]:<8} "
+                f"f_final={final_f:.12e}")
+        if problem.f_star is not None:
+            line += f" gap={final_f - problem.f_star:.6e}"
+        if trace.diverged:
+            line += "  DIVERGED"
+            any_diverged = True
+        summary.append(line)
 
-    try:  # an output that cannot be written ends the run; the files before it stay
-        for spec, run in zip(cfg.methods, runs):
-            trace = run(x0)
-            csv_path = outdir / f"{problem.label}__{spec.name}.csv"
-            traceio.write_csv(trace, csv_path)
-            final_f = trace.f_bar[-1]
-            line = (f"{spec.name:<16} iters={trace.n_iters:<6} evals={trace.evals_cum[-1]:<8} "
-                    f"f_final={final_f:.12e}")
-            if problem.f_star is not None:
-                line += f" gap={final_f - problem.f_star:.6e}"
-            if trace.diverged:
-                line += "  DIVERGED"
-                any_diverged = True
-            summary.append(line)
+        if spec.kind == "aagd" and not trace.diverged and cfg.checks:
+            report = diagnostics.run_certificates(
+                trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)
+            summary.extend("  " + ln for ln in report.lines())
+            if not report.passed:
+                certs_passed = False
 
-            if spec.kind == "aagd" and not trace.diverged and cfg.checks:
-                report = diagnostics.run_certificates(
-                    trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)
-                summary.extend("  " + ln for ln in report.lines())
-                if not report.passed:
-                    certs_passed = False
-
-        summary.extend(notes)
-        text = "\n".join(summary) + "\n"
-        (outdir / "summary.txt").write_text(text, encoding="utf-8")
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    summary.extend(notes)
+    text = "\n".join(summary) + "\n"
+    (outdir / "summary.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     if any_diverged:
         return EXIT_DIVERGED
@@ -191,22 +179,18 @@ def cmd_params(theta: float, gamma: float | None) -> int:
 
 
 def cmd_check(trace_path: str, config_path: str) -> int:
-    try:
-        cfg = parse_config(config_path)
-        problem = build_problem(cfg.problem, cfg.seed)
-        trace = traceio.read_csv(trace_path)
-        # h_envelope replays nothing, but a trace of another problem has another L
-        if trace.has_iterates and trace.x.shape[1] != problem.dim:
-            raise ConfigError(f"the trace stores iterates of dimension {trace.x.shape[1]}, "
-                              f"the problem has dim = {problem.dim}")
-        notes: list[str] = []
-        x0 = trace.x[0] if trace.has_iterates else None  # read only by a replay
-        refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
-        report = diagnostics.run_certificates(
-            trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)
-    except (ValueError, OSError, OracleError, MemoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = parse_config(config_path)
+    problem = build_problem(cfg.problem, cfg.seed)
+    trace = traceio.read_csv(trace_path)
+    # h_envelope replays nothing, but a trace of another problem has another L
+    if trace.has_iterates and trace.x.shape[1] != problem.dim:
+        raise ConfigError(f"the trace stores iterates of dimension {trace.x.shape[1]}, "
+                          f"the problem has dim = {problem.dim}")
+    notes: list[str] = []
+    x0 = trace.x[0] if trace.has_iterates else None  # read only by a replay
+    refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)
+    report = diagnostics.run_certificates(
+        trace, problem.oracle, None, L=problem.L, x_refs=refs, checks=cfg.checks)
     for line in report.lines():
         print(line)
     for note in notes:
@@ -230,11 +214,15 @@ def main(argv=None) -> int:
     p_check.add_argument("--config", required=True, help="config with the problem spec")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config)
     if args.command == "params":
         return cmd_params(args.theta, args.gamma)
-    return cmd_check(args.trace, args.config)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config)
+        return cmd_check(args.trace, args.config)
+    except (ValueError, OSError, OracleError, MemoryError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -381,6 +381,7 @@ def fit_rate(trace: Trace, k_lo: int, k_hi: int, gap_fn) -> float:
     """Least-squares slope of log(gap) against log(k) over [k_lo, k_hi].
 
     ``gap_fn(trace, k)`` supplies the gap at iteration k. Raises
+    ValueError at the first k whose gap is not finite, and
     :class:`ConvergedWindowError` when the window holds nonpositive
     gaps, meaning the run already converged there.
     """
@@ -388,6 +389,10 @@ def fit_rate(trace: Trace, k_lo: int, k_hi: int, gap_fn) -> float:
         raise ValueError(f"bad window [{k_lo}, {k_hi}] for a {trace.n_iters}-iteration trace")
     ks = np.arange(k_lo, k_hi + 1)
     gaps = np.array([gap_fn(trace, int(k)) for k in ks], dtype=np.float64)
+    finite = np.isfinite(gaps)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"gap at k = {ks[i]} is {gaps[i]}, not finite")
     if np.any(gaps <= 0.0):
         raise ConvergedWindowError(
             f"nonpositive gap inside [{k_lo}, {k_hi}]: run already converged"

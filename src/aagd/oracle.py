@@ -13,6 +13,7 @@ the float error state is the run loop's: the step and the baselines call
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -86,10 +87,10 @@ class Oracle:
     __slots__ = ("fn", "dim", "label", "rows")
 
     def __init__(self, fn, dim: int, label: str = "f", rows: bool = False) -> None:
-        if dim < 1:
+        self.dim = operator.index(dim)  # a float dimension raises TypeError
+        if self.dim < 1:
             raise ValueError("oracle dimension must be >= 1")
         self.fn = fn
-        self.dim = int(dim)
         self.label = label
         self.rows = bool(rows)
 

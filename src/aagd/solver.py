@@ -15,6 +15,7 @@ is reused from the previous iteration's cache.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ class StopRule:
     f_star: float | None = None
 
     def __post_init__(self):
-        if self.max_iters < 0:
+        if operator.index(self.max_iters) < 0:  # a float count raises TypeError
             raise ValueError("max_iters must be nonnegative")
         if not self.grad_tol >= 0.0:
             raise ValueError("grad_tol must be nonnegative")

@@ -235,6 +235,30 @@ def test_run_output_that_cannot_be_written_is_config_error(tmp_path, capsys, nam
     assert (out / "identity_d3__gd.csv").is_file() == kept
 
 
+def test_a_failure_inside_the_method_loop_is_config_error(tmp_path, capsys, monkeypatch):
+    # the second method cannot allocate its run: main maps that to exit 2,
+    # and the first method's CSV stays the only file in the outdir
+    cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\n\n"
+                              "[problem]\nkind = identity\ndim = 3\nx0 = ones\n\n"
+                              "[method gd1]\nkind = gd\neta = 0.5\nmax_iters = 5\n\n"
+                              "[method gd2]\nkind = gd\neta = 0.5\nmax_iters = 5\n")
+    runs = []
+    real = aagd.baselines.run_baseline
+
+    def second_fails(*args, **kwargs):
+        runs.append(args)
+        if len(runs) == 2:
+            raise MemoryError("Unable to allocate 1 TiB")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(aagd.baselines, "run_baseline", second_fails)
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "config error: Unable to allocate 1 TiB\n")
+    assert [f.name for f in (tmp_path / "out").iterdir()] == ["identity_d3__gd1.csv"]
+
+
 def test_check_trace_with_rows_deleted_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[experiment]\noutdir = {out}\n\n"
                               "[problem]\nkind = quadratic\nseed = 1\ndim = 5\ncond = 10\n\n"

@@ -228,6 +228,16 @@ def test_fit_rate_reports_convergence():
         fit_rate(tr, 10, 40, lambda t, k: t.f_bar[k])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_rate_refuses_a_non_finite_gap_at_its_first_k(bad):
+    gaps = np.ones(50)
+    gaps[[25, 30]] = bad
+    tr = _synthetic_trace(gaps)
+    with pytest.raises(ValueError, match=f"^gap at k = 25 is {bad}, not finite$") as info:
+        fit_rate(tr, 10, 40, lambda t, k: t.f_bar[k])
+    assert type(info.value) is ValueError
+
+
 def test_fit_rate_window_validation():
     tr = _synthetic_trace(np.ones(10))
     with pytest.raises(ValueError):
@@ -312,10 +322,11 @@ def _geometric(K, ratio, eta0=1.0):
 
 
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "twin"])
-@pytest.mark.parametrize("case", ["h_growth", "alpha_beta_range", "h_envelope", "bregman_carry"])
+@pytest.mark.parametrize("case", ["h_growth", "alpha_beta_range", "h_envelope", "bregman_carry",
+                                  "eta_coupling", "eta_growth", "beta_f_value", "lambda_floor"])
 def test_a_boundary_row_fails_only_outside_its_slack(case, planted):
     # one row just outside a bound fails its check alone (at L = 1); its twin,
-    # on the bound, passes every check
+    # on the bound or at half the slack inside it, passes every check
     ga = default_params().gamma
     if case == "bregman_carry":
         # f(x) = x with a bump at x_bar[0] = 1: the gradient is constant, so both
@@ -328,7 +339,7 @@ def test_a_boundary_row_fails_only_outside_its_slack(case, planted):
         breg = lyapunov_series(tr, np.zeros(1), oracle).bregman_term
         assert np.array_equal(breg, [math.nan if planted else 0.0, 0.0, 0.0], equal_nan=True)
         return
-    beta = None
+    beta, columns = None, {}
     if case == "h_growth":  # H[5] = (2.5 + gamma) H[4], its twin (2 + gamma) H[4]
         eta, H = _geometric(8, 1.0 + ga)
         H[5:] *= ((2.5 if planted else 2.0) + ga) * H[4] / H[5]
@@ -338,12 +349,29 @@ def test_a_boundary_row_fails_only_outside_its_slack(case, planted):
         beta = np.ones(9)
         beta[4] = np.nextafter(1.0, 2.0) if planted else 1.0
         k = 4
-    else:  # sqrt(H[17]) at 0.95 times the envelope c (k - m), its twin on it
+    elif case == "h_envelope":  # sqrt(H[17]) at 0.95 times the envelope c (k - m), its twin on it
         c = aagd.rate_constants(default_params(), 1.0).c
         eta, H = _geometric(17, 0.5, eta0=100.0 * c * c)  # m = 2: H[16] = (14.14 c)^2
         H[17] = ((0.95 if planted else 1.0) * c * (17 - 2)) ** 2
         k = 17
-    tr = _lemma_trace(eta, H, beta)
+    else:  # row 4 off by s times the check's slack: s = 2, its twin s = 0.5
+        s = 2.0 if planted else 0.5
+        eta, H = _geometric(8, 1.0 + ga)
+        k = 4
+        if case == "eta_coupling":  # alpha beta H = (1 - s 1e-12) eta
+            beta = np.ones(9)
+            beta[4] = 1.0 - s * 1e-12
+        elif case == "eta_growth":  # eta[5] = (1 + s 1e-12)(1 + gamma) eta[4]
+            eta[5:] *= 1.0 + s * 1e-12
+            H = np.cumsum(eta)
+        elif case == "beta_f_value":  # f_bar = 3, f_tilde[4] below it by s 1e-9 (1 + 3)
+            columns["f_bar"] = np.full(9, 3.0)
+            columns["f_tilde"] = np.full(9, 3.0)
+            columns["f_tilde"][4] -= s * 4e-9
+        else:  # lam[4] below the floor 1/L = 1 by s 1e-9
+            columns["lam"] = np.where(np.arange(9), 1.0, np.nan)
+            columns["lam"][4] = 1.0 - s * 1e-9
+    tr = dataclasses.replace(_lemma_trace(eta, H, beta), **columns)
     assert aagd.rate_constants(tr.params, 1.0).m == 2
     entries = [check_h_envelope(tr, None, 1.0), *lemma_suite(tr, None, L=1.0)]
     assert [(e.name, e.worst_k) for e in entries if not e.passed] == ([(case, k)] if planted

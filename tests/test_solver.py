@@ -264,6 +264,25 @@ def test_stop_rule_rejects_nan_tolerances_and_non_finite_optimum(rule):
         StopRule(max_iters=10, **rule)
 
 
+@pytest.mark.parametrize("count", [1e2, 2.5, np.float64(3.0)])
+def test_a_count_that_is_not_an_integer_is_refused(count):
+    # unrefused, a float cap would run ceil(count) iterations, or fail inside a
+    # stored run's buffer allocation, and a float dimension would be truncated
+    with pytest.raises(TypeError):
+        StopRule(max_iters=count)
+    with pytest.raises(TypeError):
+        Oracle(lambda x: (0.0, x), count)
+
+
+def test_numpy_integer_counts_are_taken():
+    p = identity_quadratic(3)
+    tr = run(p.oracle, np.ones(3), default_params(eta0=0.5), StopRule(max_iters=np.int64(4)),
+             store_iterates=True)
+    assert tr.n_iters == 4 and tr.x.shape == (5, 3)
+    oracle = Oracle(lambda x: (0.0, x), np.int32(3))
+    assert oracle.dim == 3 and type(oracle.dim) is int
+
+
 def test_divergence_recorded_not_raised():
     # a steep scaling with a huge initial stepsize overflows the first
     # gradient step; curvature adaptation never gets a chance to react
