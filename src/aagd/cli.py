@@ -16,8 +16,7 @@ config, the problem, the start point, every method and its checks'
 inputs before it creates the outdir, so a refused config leaves no file
 behind; a failure inside its method loop (an output it cannot write, a
 stored run too large to allocate) ends the run, and the CSVs written
-before it stay. ``check`` refuses iterates of another width than the
-problem's, and else only what its checks refuse.
+before it stay. ``check`` refuses only what ``run_certificates`` refuses.
 """
 from __future__ import annotations
 
@@ -182,10 +181,6 @@ def cmd_check(trace_path: str, config_path: str) -> int:
     cfg = parse_config(config_path)
     problem = build_problem(cfg.problem, cfg.seed)
     trace = traceio.read_csv(trace_path)
-    # h_envelope replays nothing, but a trace of another problem has another L
-    if trace.has_iterates and trace.x.shape[1] != problem.dim:
-        raise ConfigError(f"the trace stores iterates of dimension {trace.x.shape[1]}, "
-                          f"the problem has dim = {problem.dim}")
     notes: list[str] = []
     x0 = trace.x[0] if trace.has_iterates else None  # read only by a replay
     refs = _reference_points(cfg.x_ref, problem, x0, cfg.seed, notes)

@@ -17,19 +17,18 @@ often bit-equal to x_tilde[k-1], and the oracle is a function of x, so
 that point's result is reused. A block lays its points out in call order
 behind a look-back row (x[0] for the first block, which x_bar[0] repeats
 in a solver trace), and one call of :func:`_evaluate_rows` evaluates its
-distinct points, in one stacked call of an oracle that declares ``rows``,
-and squares them and their checked outputs row-wise, under the sweep's
-``np.errstate``, into one stacked result whose adjacent rows are the
-curvature pairs; their Bregman values, curvature estimates, momentum
+distinct points by one checked :func:`~aagd.oracle._call`, under the
+sweep's ``np.errstate``, into one stacked result whose adjacent rows are
+the curvature pairs; their Bregman values, curvature estimates, momentum
 terms and distances are formed row-wise, with the bits of the per-k
-formulas. So the sweep
-holds O(B d) floats per temporary plus O(K) scalars, never the trace's
-fresh gradients. It builds the per-k arrays that the decay series, the
-endpoint bound (whose right side reads the gradient at x[0]) and the
-lemma suite read. Each check reports its largest violation at the first k
-that attains it; a positive or NaN one fails it, so a pass shows its
-margin, and a check with no rows to compare passes as not applicable. The
-sweep's gate, before any oracle call, is its only check of stored points.
+formulas. So the sweep holds O(B d) floats per temporary plus O(K)
+scalars, never the trace's fresh gradients. It builds the per-k arrays
+that the decay series, the endpoint bound (whose right side reads the
+gradient at x[0]) and the lemma suite read. Each check reports its
+largest violation at the first k that attains it; a positive or NaN one
+fails it, so a pass shows its margin, and a check with no rows to compare
+passes as not applicable. The sweep's gate, before any oracle call, is
+its only check of stored points.
 """
 from __future__ import annotations
 
@@ -135,6 +134,13 @@ class _Pass(NamedTuple):  # the per-k arrays of one forward sweep over a trace
     rhs: np.ndarray    # the endpoint bound's right side, one per reference point
 
 
+def _check_width(trace: Trace, oracle: Oracle) -> None:
+    """Raise unless the trace's stored iterates, if any, are ``oracle.dim`` wide."""
+    if trace.has_iterates and trace.x.shape[1] != oracle.dim:
+        raise DimensionMismatchError(f"the trace stores iterates of dimension "
+                                     f"{trace.x.shape[1]}, the oracle has dim = {oracle.dim}")
+
+
 def _rows(res: OracleResult, rows: slice) -> OracleResult:
     """The ``rows`` of a stacked result."""
     return OracleResult(*(f[rows] for f in res))
@@ -146,41 +152,29 @@ def _evaluate_rows(oracle: Oracle, points: np.ndarray,
     taken in call order, as one stacked result: (n,) values and squared
     norms, (n, d) gradients and points.
 
-    The rows are float64, finite and ``oracle.dim`` wide, and the caller
-    holds the ``np.errstate``: :func:`_replay` has checked its stored
-    iterates before its first call, and nothing else calls this. So only
-    the outputs are checked, with the bits of :func:`evaluate`. ``oracle.fn``
-    is called only at a row that is not bit-equal to the point before it,
-    which for the first row is the last row of the stacked result
-    ``before``, if given; a repeated row gets the value and gradient of
-    that point. This assumes what every kernel promises: ``fn`` is a
-    function of x, so equal bits in give equal bits out. An oracle that
-    declares ``rows`` is called once, at the stack of the distinct rows;
-    any other once per distinct row, in order; both go through ``_call``.
-    An output of the wrong shape raises at its call, a non-finite one
-    after the last call.
+    The caller gives float64, finite rows ``oracle.dim`` wide and holds the
+    ``np.errstate``, as :func:`_replay` does, so only the outputs are
+    checked: by one :func:`~aagd.oracle._call` at the stack of the rows that
+    are not bit-equal to the point before them, which for the first row is
+    the last row of the stacked result ``before``, if given. A repeated row
+    copies the value, gradient and square of that point. This assumes what
+    every kernel promises: ``fn`` is a function of x, so equal bits in give
+    equal bits out.
     """
-    values, grads = np.empty(len(points)), np.empty_like(points)
+    values, grads, grad_sq = np.empty(len(points)), np.empty_like(points), np.empty(len(points))
     # each row against the point of the call before it, as int64 bits: -0.0 differs from +0.0
     bits = points.view(np.int64)
     repeat = np.zeros(len(points), dtype=bool)
     repeat[1:] = (bits[1:] == bits[:-1]).all(axis=1)
     if before is not None and np.array_equal(bits[0], before.x[-1].view(np.int64)):
         repeat[0] = True
-        values[0], grads[0] = before.value[-1], before.grad[-1]
+        values[0], grads[0], grad_sq[0] = before.value[-1], before.grad[-1], before.grad_sq[-1]
     new = ~repeat
-    if not oracle.rows:
-        for i in np.flatnonzero(new):
-            values[i], grads[i] = _call(oracle, points[i])
-    elif new.any():
-        values[new], grads[new] = _call(oracle, points[new])
+    if new.any():
+        values[new], grads[new], grad_sq[new] = _call(oracle, points[new])
     # a repeat takes the output of the last row called before it, or of row 0
     src = np.maximum.accumulate(np.where(new, np.arange(len(points)), 0))[repeat]
-    values[repeat], grads[repeat] = values[src], grads[src]
-    grad_sq = np.vecdot(grads, grads)
-    # a finite square settles a row (all_finite); a finite row may still square to inf
-    if not (np.isfinite(values).all() and np.isfinite(grads[~np.isfinite(grad_sq)]).all()):
-        raise NonFiniteError(f"oracle {oracle.label!r} returned non-finite output")
+    values[repeat], grads[repeat], grad_sq[repeat] = values[src], grads[src], grad_sq[src]
     return tuple.__new__(OracleResult, (values, grads, points, grad_sq,
                                         np.vecdot(points, points)))
 
@@ -209,9 +203,7 @@ def _replay(trace: Trace, oracle: Oracle, params: SolverParams, x_refs=()) -> _P
     tr, th, ga, K = trace, params.theta, params.gamma, trace.n_iters
     if not tr.has_iterates:
         raise MissingIteratesError()
-    if tr.x.shape[1] != oracle.dim:
-        raise DimensionMismatchError(f"the trace stores iterates of dimension {tr.x.shape[1]}, "
-                                     f"the oracle has dim = {oracle.dim}")
+    _check_width(tr, oracle)
     # row squares, as all_finite: np.vdot would copy a strided block whole
     if not all(np.isfinite(np.vecdot(v, v)).all() or np.isfinite(v).all()
                for v in (tr.x, tr.x_bar, tr.x_tilde)):
@@ -412,8 +404,10 @@ def run_certificates(trace: Trace, oracle: Oracle, params: SolverParams | None,
     default to the trace's own; only the ``evals`` check runs without any.
     Without ``L`` the checks that read it, h_envelope and lambda_floor, are skipped.
     It raises no float warning: an overflow's inf or NaN fails its check.
-    A missing input raises (see :func:`check_inputs`) before any oracle call.
+    Iterates of a width other than ``oracle.dim``, under any ``checks``, and
+    a missing input (see :func:`check_inputs`) raise before any oracle call.
     """
+    _check_width(trace, oracle)
     params = _params(trace, params) if set(checks) - {"evals"} else None
     check_inputs(checks, L, x_refs, trace.has_iterates)
     report = CertificateReport()

@@ -5,8 +5,8 @@ point, computed once when the result is made. The curvature estimates,
 the finiteness checks and the recorded gradient norm all read them
 instead of forming the same inner products again. :func:`_evaluate`
 checks every point a run queries, and a run's start point reaches it
-through :func:`evaluate`. :func:`_call` is the one check of ``fn``'s
-outputs, at a point and at the certificate replay's stacks. Inside a run
+through :func:`evaluate`. :func:`_call` alone calls ``fn`` and checks
+its outputs, at a point and at the certificate replay's stacks. Inside a run
 the float error state is the run loop's: the step and the baselines call
 :func:`_evaluate`, which enters no ``np.errstate``.
 """
@@ -74,10 +74,10 @@ class Oracle:
 
     ``rows=True`` declares that ``fn`` also takes a C-contiguous (n, d)
     stack of points and returns (n,) values and (n, d) gradients, row r
-    bit-equal to the call at row r; the certificate replay then evaluates
-    a block's distinct points in one call, checked by :func:`_call` as a
-    point's are. The built-in dense problems declare it; any other ``fn``
-    is called one point at a time.
+    bit-equal to the call at row r; :func:`_call` then evaluates a stack,
+    such as a certificate replay block's distinct points, in one call of
+    ``fn``, and else in one call per row. The built-in dense problems
+    declare it.
 
     Oracles are immutable after construction and safe to share across
     runs; a run counts its calls of ``fn`` through a copy of the oracle
@@ -124,20 +124,23 @@ def _evaluate(oracle: Oracle, x: np.ndarray) -> OracleResult:
     x_sq = sq_norm(x)
     if not all_finite(x, x_sq):
         raise NonFiniteError("query point contains non-finite entries")
-    value, grad = _call(oracle, x)
-    grad_sq = sq_norm(grad)
-    if not (math.isfinite(value) and all_finite(grad, grad_sq)):
-        raise NonFiniteError(f"oracle {oracle.label!r} returned non-finite output")
+    value, grad, grad_sq = _call(oracle, x)
     # both squares are in hand, so skip the defaulting OracleResult.__new__
     return tuple.__new__(OracleResult, (value, grad, x, grad_sq, x_sq))
 
 
-def _call(oracle: Oracle, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """``oracle.fn`` at the point ``x`` (d,), or at the (m, d) stack ``x``
-    of an oracle that declares ``rows``: its value as a float, or its (m,)
-    values, and its gradient(s) as float64. A value, then a gradient, of
-    another shape raises :class:`DimensionMismatchError`, with one text per
-    defect at a point and at a stack: the shapes of the output and of ``x``."""
+def _call(oracle: Oracle, x: np.ndarray) -> tuple:
+    """``oracle.fn`` at the point ``x`` (d,) or at the C-contiguous (m, d)
+    stack ``x``, checked: its value as a float, its gradient as float64 and
+    the gradient's squared norm, or at a stack their (m,), (m, d) and (m,)
+    rows. An oracle that does not declare ``rows`` is called at each row in
+    order, and each row is checked as a point. A value, then a gradient, of
+    another shape raises :class:`DimensionMismatchError`, naming the shapes
+    of the output and of the call; then a non-finite value or gradient
+    raises :class:`NonFiniteError`. Each raises at the call that returned
+    it, inside the caller's ``np.errstate``."""
+    if x.ndim > 1 and not oracle.rows:
+        return tuple(map(np.array, zip(*[_call(oracle, row) for row in x])))
     value, grad = oracle.fn(x)
     # a float at a point (np.float64 is one) has the shape ()
     if (x.ndim > 1 or not isinstance(value, float)) and np.shape(value) != x.shape[:-1]:
@@ -148,7 +151,15 @@ def _call(oracle: Oracle, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray
     if grad.shape != x.shape:
         raise DimensionMismatchError(
             f"oracle returned gradient of shape {grad.shape} for point of shape {x.shape}")
-    return value, grad
+    if x.ndim == 1:
+        grad_sq = sq_norm(grad)
+        finite = math.isfinite(value) and all_finite(grad, grad_sq)
+    else:  # a finite square settles a row (all_finite); a finite row may still square to inf
+        grad_sq = np.vecdot(grad, grad)
+        finite = np.isfinite(value).all() and np.isfinite(grad[~np.isfinite(grad_sq)]).all()
+    if not finite:
+        raise NonFiniteError(f"oracle {oracle.label!r} returned non-finite output")
+    return value, grad, grad_sq
 
 
 def finite_diff_check(oracle: Oracle, x, h: float | None = None) -> float:

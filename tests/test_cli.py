@@ -747,7 +747,7 @@ def test_check_iterate_width_differs_from_problem_dim_is_config_error(tmp_path, 
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("config error: the trace stores iterates of dimension 5, "
-                                "the problem has dim = 6\n")
+                                "the oracle has dim = 6\n")
 
 
 @pytest.mark.parametrize("column", ["x_0", "xbar_0", "xtilde_0"])

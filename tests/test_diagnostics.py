@@ -323,11 +323,36 @@ def _geometric(K, ratio, eta0=1.0):
 
 @pytest.mark.parametrize("planted", [True, False], ids=["planted", "twin"])
 @pytest.mark.parametrize("case", ["h_growth", "alpha_beta_range", "h_envelope", "bregman_carry",
-                                  "eta_coupling", "eta_growth", "beta_f_value", "lambda_floor"])
+                                  "eta_coupling", "eta_growth", "beta_f_value", "lambda_floor",
+                                  "psi_monotone", "corollary_bound", "beta_f_bregman"])
 def test_a_boundary_row_fails_only_outside_its_slack(case, planted):
     # one row just outside a bound fails its check alone (at L = 1); its twin,
     # on the bound or at half the slack inside it, passes every check
     ga = default_params().gamma
+    if case in ("psi_monotone", "corollary_bound", "beta_f_bregman"):
+        # a replay of f(x) = x from x = 1 to the reference point 0, with
+        # x_tilde = x_bar: the curvature estimates are infinite and every
+        # Bregman value is 0 but at a bump in f, so the series and the bound's
+        # left side are 1/2 + H[k-1] f(x_bar[k]), its right side 1/2 + (1 +
+        # gamma theta)/2; row k is off by s times the check's slack
+        s = 2.0 if planted else 0.5
+        eta, H = _geometric(8, 1.0 + ga)
+        x_bar, bump, k = np.zeros(9), 0.0, 4
+        if case == "psi_monotone":  # psi[4] above psi[3] = 1/2 by s (1e-10 / 2 + 1e-12 (1 + 1/2))
+            x_bar[4] = s * (0.5e-10 + 1.5e-12) / H[3]
+        elif case == "corollary_bound":  # lhs[1] above rhs by s (1e-10 rhs + 1e-12)
+            rhs = 0.5 + 0.5 * (1.0 + ga * default_params().theta)
+            x_bar[1], k = rhs - 0.5 + s * (1e-10 * rhs + 1e-12), 1
+        else:  # B(x_bar[4]; x_tilde[3]) = s 1e-9 (1 + |f_bar[4]| = 1), x_bar[k] = -k so psi falls
+            x_bar, bump = -np.arange(9.0), s * 1e-9
+        oracle = Oracle(lambda x: (x[0] + (bump if x[0] == x_bar[4] else 0.0), np.ones(1)), 1)
+        tr = _lemma_trace(eta, H, x=np.ones((9, 1)), x_bar=x_bar[:, None],
+                          x_tilde=x_bar[:, None])
+        report = run_certificates(tr, oracle, None, L=1.0, x_refs={"0": np.zeros(1)})
+        name = case if case == "beta_f_bregman" else f"{case}[0]"  # one entry per reference
+        assert [(e.name, e.worst_k) for e in report.entries if not e.passed] == (
+            [(name, k)] if planted else [])
+        return
     if case == "bregman_carry":
         # f(x) = x with a bump at x_bar[0] = 1: the gradient is constant, so both
         # curvature estimates are infinite and the carry's term is 0 while the
@@ -425,6 +450,10 @@ def test_replay_refuses_stored_iterates_before_any_oracle_call(monkeypatch, entr
     with pytest.raises(raised) as caught:
         REPLAYS[entry](tr, oracle, q.x_star)
     assert str(caught.value) == message
+    if entry == "run_certificates" and raised is DimensionMismatchError:
+        # the width rule holds under every check set, also one that replays nothing
+        with pytest.raises(raised, match=f"^{message}$"):
+            run_certificates(tr, oracle, None, L=q.L, checks=("h_envelope", "evals"))
     assert calls == []
 
 

@@ -9,6 +9,7 @@ from aagd import (DimensionMismatchError, NonFiniteError, Oracle,
                   logistic_problem, logsumexp_problem, make_classification_dataset,
                   make_quadratic)
 from aagd.diagnostics import _evaluate_rows
+from aagd.oracle import _call
 from aagd.problems import SparseDataset
 
 
@@ -119,6 +120,7 @@ def test_finite_diff_all_problems_100_points(problem):
 # Finiteness comes from the squared norms each result carries; a non-finite
 # square falls back to the entrywise test, so only a real inf or nan is rejected.
 HUGE = np.full(3, 1e200)  # finite, but its squared norm overflows
+LOGISTIC3 = logistic_problem(make_classification_dataset(4, 30, 3), reg=1e-3)
 LINEAR = Oracle(lambda x: (float(np.sum(x)), np.ones_like(x)), 3, label="linear")
 
 
@@ -212,11 +214,11 @@ def _first_error(fn):
     return None
 
 
-def _fn_failing(failures):
-    """A linear fn whose output fails as ``failures[x[0]]`` says."""
+def _fn_failing(failures, base=None):
+    """A linear fn, or ``base``, whose output fails as ``failures[x[0]]`` says."""
     def fn(x):
         how = failures.get(float(x[0]))
-        value, grad = float(np.sum(x)), np.ones_like(x)
+        value, grad = base(x) if base else (float(np.sum(x)), np.ones_like(x))
         if how == "nan_value":
             return math.nan, grad
         if how == "inf_grad":
@@ -235,23 +237,33 @@ def _fn_failing(failures):
     ({4.0: "inf_grad"}, NonFiniteError),
     ({5.0: "short_grad"}, DimensionMismatchError),
     ({3.0: "vector_value"}, DimensionMismatchError),
-    ({3.0: "nan_value", 4.0: "short_grad"}, DimensionMismatchError),
+    ({3.0: "nan_value", 4.0: "short_grad"}, NonFiniteError),
     ({3.0: "short_grad", 4.0: "nan_value"}, DimensionMismatchError),
 ], ids=["none", "value", "grad", "grad_shape", "value_shape", "value_then_grad_shape",
         "grad_shape_then_value"])
-def test_evaluate_rows_raises_what_evaluate_raises_first(failures, raised):
+@pytest.mark.parametrize("base", [None, LOGISTIC3.oracle.fn], ids=["linear", "logistic"])
+def test_evaluate_rows_raises_what_evaluate_raises_first(failures, raised, base):
     # every output failure that evaluate raises, alone and after an earlier
     # one in call order; x[0] numbers the calls 0, 1, 2, ..., and failures
-    # maps a call to the way its output fails
+    # maps a call to the way its output fails. An oracle without rows is
+    # called at a stack row by row, each row checked as a point: a stack
+    # returns the bits of the point calls, or raises at the first failing row
     points = np.ones((8, 3))
     points[:, 0] = np.arange(8.0)
-    oracle = Oracle(_fn_failing(failures), 3)
+    fn, calls = _fn_failing(failures, base), []
+    oracle = Oracle(lambda x: calls.append(x[0]) or fn(x), 3)
     errors = [e for x in points if (e := _first_error(lambda: evaluate(oracle, x)))]
-    # a wrong shape raises at its call, a non-finite output after the last call
-    shape = [e for e in errors if e[0] is DimensionMismatchError]
-    first = (shape or errors or [None])[0]
-    assert _first_error(lambda: _evaluate_rows(oracle, points)) == first
+    first = (errors or [None])[0]
     assert (first or (None,))[0] is raised
+    for stacked in (lambda: _call(oracle, points), lambda: _evaluate_rows(oracle, points)):
+        calls.clear()
+        assert _first_error(stacked) == first
+        assert calls == list(points[:int(min(failures, default=7)) + 1, 0])
+    if not failures:
+        for r, got in enumerate(zip(*_call(oracle, points))):
+            one = evaluate(oracle, points[r])
+            assert [np.asarray(v).tobytes() for v in got] == [
+                np.asarray(v).tobytes() for v in (one.value, one.grad, one.grad_sq)]
 
 
 def _recording(oracle):
